@@ -359,15 +359,28 @@ class GramMatrix:
                 raise NumericError("Gram matrix is not positive definite") from exc
         self.matrix = M
         self.chol = chol
+        # resolved once: solve() runs inside every descent iteration, where
+        # the validating scipy wrapper costs more than the solves themselves
+        self._trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (chol,))
 
     @property
     def size(self):
         return self.matrix.shape[0]
 
     def solve(self, B):
-        """R^{-1} B via the cached factor."""
-        y = scipy.linalg.solve_triangular(self.chol, B, lower=True)
-        return scipy.linalg.solve_triangular(self.chol, y, lower=True, trans="T")
+        """R^{-1} B via the cached factor: L y = B, then L^T x = y.
+
+        Makes the LAPACK calls ``scipy.linalg.solve_triangular`` makes for a
+        Fortran-ordered factor (which ``cholesky`` returns), so results are
+        the same bit for bit, but skips its validation: a non-finite B gives a
+        non-finite result instead of an error.
+        """
+        y, info = self._trtrs(self.chol, B, lower=1, trans=0)
+        if info == 0:
+            y, info = self._trtrs(self.chol, y, lower=1, trans=1, overwrite_b=1)
+        if info != 0:
+            raise NumericError(f"triangular solve failed (LAPACK info {info})")
+        return y
 
 
 def assemble_gram(basis, samples, kind="grad_gram"):
@@ -382,25 +395,51 @@ def assemble_gram(basis, samples, kind="grad_gram"):
     n = points.shape[0]
     if n == 0:
         raise InvalidInputError("no samples provided for the Gram matrix")
-    if n < basis.size:
-        warnings.warn(
-            f"Gram estimate from {n} samples for {basis.size} basis functions "
-            "may be poorly conditioned", stacklevel=2)
+    _warn_underdetermined(n, basis.size)
     K = basis.size
     acc = np.zeros((K, K))
     for start in range(0, n, _EVAL_CHUNK):
         sl = slice(start, min(start + _EVAL_CHUNK, n))
         w = weights[sl]
         if kind == "grad_gram":
-            B = basis.jacobian_batch(points[sl])
-            M = (B * np.sqrt(w)[:, None, None]).reshape(-1, K)
-            acc += M.T @ M
+            acc += _grad_gram_term(basis.jacobian_batch(points[sl]), w)
         elif kind == "value_gram":
             V = basis.eval_batch(points[sl]) * np.sqrt(w)[:, None]
             acc += V.T @ V
         else:
             raise InvalidInputError(f"unknown Gram kind {kind!r}")
     return GramMatrix(acc, kind=kind)
+
+
+def gram_from_jacobian(jac):
+    """The "grad_gram" matrix of a sample set from its basis Jacobian (n, d, K).
+
+    Equals ``assemble_gram(basis, samples)`` bit for bit when ``jac`` is
+    C-contiguous with the values ``basis.jacobian_batch(samples.points)``
+    returns, because it runs the same chunked accumulation.
+    """
+    n, _, K = jac.shape
+    if n == 0:
+        raise InvalidInputError("no samples provided for the Gram matrix")
+    _warn_underdetermined(n, K)
+    weights = np.full(n, 1.0 / n)
+    acc = np.zeros((K, K))
+    for start in range(0, n, _EVAL_CHUNK):
+        sl = slice(start, min(start + _EVAL_CHUNK, n))
+        acc += _grad_gram_term(jac[sl], weights[sl])
+    return GramMatrix(acc)
+
+
+def _grad_gram_term(B, w):
+    M = (B * np.sqrt(w)[:, None, None]).reshape(-1, B.shape[2])
+    return M.T @ M
+
+
+def _warn_underdetermined(n, K):
+    if n < K:
+        warnings.warn(
+            f"Gram estimate from {n} samples for {K} basis functions "
+            "may be poorly conditioned", stacklevel=3)
 
 
 def _points_and_weights(samples):

@@ -156,7 +156,11 @@ def write_samples_csv(samples, path):
 
 
 def read_samples_csv(path):
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read samples {path}: {exc}") from None
+    with fh:
         header = fh.readline().strip()
         names = header.split(",")
         if "u" not in names:

@@ -298,8 +298,10 @@ def _build_parser():
     parser.add_argument("--seed", type=int, help="override all seeds")
     parser.add_argument("--out", metavar="DIR", help="override io.out_dir")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread pools (outputs are identical "
-                             "for any value; reductions are sequential)")
+                        help="cap BLAS thread pools (needs threadpoolctl, "
+                             "otherwise ignored); results are bit-reproducible "
+                             "for a fixed BLAS thread count, and a different "
+                             "count can change them")
     parser.add_argument("--print-config", action="store_true",
                         help="print the fully resolved config and exit")
     sub = parser.add_subparsers(dest="command")

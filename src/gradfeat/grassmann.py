@@ -19,8 +19,10 @@ import numpy as np
 from .basis import assemble_gram
 from .errors import IllConditionedError, InvalidInputError, RankDeficiencyError
 from .geometry import DEFAULT_RANK_TOL
-from .surrogate import (FeatureMap, _complement_residual_sq, greedy_features,
-                        orthonormalize, poincare_loss)
+from .surrogate import (FeatureMap, _complement_residual_sq,
+                        _poincare_loss_on_jacobian, _single_feature_sums,
+                        _single_residual_sq, greedy_features, orthonormalize,
+                        poincare_loss)
 
 
 @dataclass
@@ -85,33 +87,54 @@ def _unit_index_rows(basis):
 # ---------------------------------------------------------------------------
 
 class _LossContext:
-    """Loss/gradient evaluations against Jacobians precomputed once."""
+    """Loss/gradient evaluations against Jacobians precomputed once.
 
-    def __init__(self, samples, basis, tol):
-        B = basis.jacobian_batch(samples.points)        # (n, d, K)
-        self.flat = B.reshape(-1, basis.size)           # contiguous view
+    ``jac`` is the basis Jacobian at the sample points, (n, d, K); None
+    evaluates it.  The feature Jacobians (and, for one feature, the
+    per-sample sums) at the last point evaluated are kept, so the gradient at
+    an accepted line-search point reuses what its loss computed.  A point is
+    recognized by identity, so G must not be modified in place between calls.
+    """
+
+    def __init__(self, samples, basis, tol, jac=None):
+        if jac is None:
+            jac = basis.jacobian_batch(samples.points)
+        elif jac.shape != (samples.n, samples.dim, basis.size):
+            raise InvalidInputError(
+                f"Jacobian of shape {jac.shape} does not match "
+                f"{samples.n} samples in dim {samples.dim} and K={basis.size}")
+        self.flat = jac.reshape(-1, basis.size)
         self.b = samples.gradients
+        self.b_sq = np.sum(self.b ** 2, axis=1)
         self.n = samples.n
         self.d = samples.dim
         self.tol = tol
+        self._point = None          # (G, feature Jacobians, m = 1 sums)
 
-    def _feature_jacs(self, G):
-        return (self.flat @ G).reshape(self.n, self.d, -1)
+    def _at(self, G):
+        if self._point is None or self._point[0] is not G:
+            M = (self.flat @ G).reshape(self.n, self.d, -1)
+            sums = _single_feature_sums(self.b, M[:, :, 0]) \
+                if M.shape[2] == 1 else None
+            self._point = (G, M, sums)
+        return self._point[1:]
 
     def loss(self, G):
-        M = self._feature_jacs(G)
-        return float(np.mean(_complement_residual_sq(self.b, M, self.tol)))
+        M, sums = self._at(G)
+        if sums is None:
+            terms = _complement_residual_sq(self.b, M, self.tol, self.b_sq)
+        else:
+            terms = _single_residual_sq(self.b_sq, *sums)
+        return float(np.mean(terms))
 
     def euclidean_grad(self, G):
         m = G.shape[1]
-        M = self._feature_jacs(G)
+        M, sums = self._at(G)
         if m == 1:
             col = M[:, :, 0]
-            nn = np.sum(col ** 2, axis=1)
-            collapsed = int(np.sum(nn == 0.0))
-            self._check_collapse(collapsed)
-            safe = np.where(nn > 0.0, nn, 1.0)
-            y = np.where(nn > 0.0, np.sum(col * self.b, axis=1) / safe, 0.0)
+            nn, dot, safe = sums
+            self._check_collapse(int(np.sum(nn == 0.0)))
+            y = np.where(nn > 0.0, dot / safe, 0.0)
             resid = self.b - col * y[:, None]
             weighted = (resid * y[:, None]).reshape(-1)
             grad = (self.flat.T @ weighted)[:, None]
@@ -156,14 +179,17 @@ _STALL_LIMIT = 3
 
 
 def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
-                           tol=DEFAULT_RANK_TOL):
+                           tol=DEFAULT_RANK_TOL, jac=None):
     """Descend the Poincare loss from R-orthonormal coefficients G0.
 
-    Returns ``(feature_map, trace)`` where trace rows are
+    ``gram`` and ``jac`` (the basis Jacobian at the sample points, a
+    C-contiguous (n, d, K) array) are computed when None.  Returns
+    ``(feature_map, trace)`` where trace rows are
     ``(iteration, loss, gradient_norm, step)`` and the loss column is
     non-increasing by construction (only sufficient-decrease steps are
     accepted).  Stops on the relative gradient tolerance, the iteration cap,
-    line-search failure, or three consecutive negligible decreases.
+    line-search failure, or three consecutive negligible decreases.  A
+    non-finite gradient raises ``IllConditionedError``.
     """
     cfg = config or OptimizerConfig()
     if gram is None:
@@ -171,14 +197,17 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
     G = orthonormalize(np.asarray(G0, dtype=float), gram)
     if G.ndim == 1:
         G = G[:, None]
-    ctx = _LossContext(samples, basis, tol)
+    ctx = _LossContext(samples, basis, tol, jac)
     R = gram.matrix
 
     def riemannian_grad(G):
         E = ctx.euclidean_grad(G)
         xi = gram.solve(E) - G @ (G.T @ E)
         xi_R = R @ xi
-        return xi, xi_R, float(np.sqrt(max(np.sum(xi * xi_R), 0.0)))
+        norm_sq = np.sum(xi * xi_R)
+        if not np.isfinite(norm_sq):
+            raise IllConditionedError("non-finite Riemannian gradient")
+        return xi, xi_R, float(np.sqrt(max(norm_sq, 0.0)))
 
     loss = ctx.loss(G)
     if not np.isfinite(loss):
@@ -245,13 +274,15 @@ METHODS = ("sur", "gli", "gsi")
 
 
 def learn_features(samples, basis, m, method, gram=None, config=None,
-                   tol=DEFAULT_RANK_TOL):
+                   tol=DEFAULT_RANK_TOL, jac=None):
     """Run one of the three learning procedures and report what happened.
 
     ``sur`` solves the greedy surrogate eigenproblems only; ``gli`` descends
     from the active-subspace start; ``gsi`` descends from the surrogate
-    start.  Returns ``(feature_map, info)`` where info carries the initial
-    and final losses and the wall time.
+    start.  ``jac``, the basis Jacobian at the sample points as a
+    C-contiguous (n, d, K) array, serves the descent and the final loss; None
+    evaluates it where needed.  Returns ``(feature_map, info)`` where info
+    carries the initial and final losses and the wall time.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -267,9 +298,13 @@ def learn_features(samples, basis, m, method, gram=None, config=None,
         else:
             G0 = greedy_features(samples, basis, m, gram=gram, tol=tol).coeffs
         fmap, trace = minimize_poincare_loss(samples, basis, G0, config=config,
-                                             gram=gram, tol=tol)
+                                             gram=gram, tol=tol, jac=jac)
         info = {"method": method, "loss_init": trace[0][1],
                 "iterations": trace[-1][0]}
-    info["loss_final"] = poincare_loss(samples, fmap, tol)
+    if jac is None:
+        info["loss_final"] = poincare_loss(samples, fmap, tol)
+    else:
+        info["loss_final"] = _poincare_loss_on_jacobian(
+            samples.gradients, jac, fmap.coeffs, tol)
     info["wall_time_s"] = time.perf_counter() - t0
     return fmap, info

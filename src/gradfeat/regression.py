@@ -9,16 +9,20 @@ functions of (data, grid, seed): folds come from a seeded shuffle split into
 contiguous blocks.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .basis import FeatureBasis, GramMatrix, assemble_gram, build_index_set
+from .basis import (FeatureBasis, GramMatrix, MultiIndexSet, build_index_set,
+                    gram_from_jacobian)
 from .errors import InvalidInputError, NumericError
+from .geometry import DEFAULT_RANK_TOL
 from .grassmann import learn_features
 from .surrogate import (SurrogateMatrices, _complement_residual_sq,
-                        min_generalized_eig, poincare_loss, surrogate_sums)
+                        _poincare_loss_on_jacobian, min_generalized_eig,
+                        surrogate_sums)
 
 _PK_CANDIDATES = ((0.8, 2), (0.8, 3), (0.8, 4), (0.8, 5),
                   (0.9, 2), (0.9, 3), (0.9, 4),
@@ -181,42 +185,68 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     Each candidate basis is fit on every training fold with the requested
     method and scored on the held-out fold; the candidate with the smallest
     mean validation loss wins, ties going to the smaller basis.
+
+    The basis Jacobian is evaluated once, on the union of the candidates'
+    index sets, and sliced per candidate and fold.  Univariate tables do not
+    depend on the highest degree tabulated, so the C-contiguous slices equal
+    fresh evaluations bit for bit, and so do the scores.
     """
     grid = grid or CvGrid()
     folds = kfold_indices(samples.n, grid.pk_folds, seed)
+    bases = [FeatureBasis(build_index_set(samples.dim, p, k), families)
+             for p, k in grid.pk_candidates]
+    union = _union_basis(bases)
+    jac = union.jacobian_batch(samples.points)
+    column = {alpha: j for j, alpha in enumerate(union.index_set.indices)}
     fast = method == "sur" and m == 1
     results = []
-    for p, k in grid.pk_candidates:
-        basis = FeatureBasis(build_index_set(samples.dim, p, k), families)
+    for (p, k), basis in zip(grid.pk_candidates, bases):
+        cols = [column[alpha] for alpha in basis.index_set.indices]
+        jac_c = jac if cols == list(range(union.size)) else \
+            np.ascontiguousarray(jac[:, :, cols])
         if fast:
-            score = _single_feature_surrogate_cv(samples, basis, folds)
+            score = _single_feature_surrogate_cv(samples, jac_c, folds)
         else:
             scores = []
             for train, val in folds:
-                train_set = samples.subset(train)
-                gram = assemble_gram(basis, train_set)
-                fmap, _ = learn_features(train_set, basis, m, method,
-                                         gram=gram, config=optimizer)
-                scores.append(poincare_loss(samples.subset(val), fmap))
+                # indexing the first axis copies into C order
+                jac_tr = jac_c[train]
+                fmap, _ = learn_features(samples.subset(train), basis, m, method,
+                                         gram=gram_from_jacobian(jac_tr),
+                                         config=optimizer, jac=jac_tr)
+                scores.append(_poincare_loss_on_jacobian(
+                    samples.gradients[val], jac_c[val], fmap.coeffs,
+                    DEFAULT_RANK_TOL))
             score = float(np.mean(scores))
         results.append((score, basis.size, (p, k)))
     _, _, best = min(results)
     return best
 
 
-def _single_feature_surrogate_cv(samples, basis, folds):
+def _union_basis(bases):
+    """A basis over the union of the index sets of bases sharing their families.
+
+    Its p and k describe no norm ball; only its indices are used.
+    """
+    indices = sorted(set().union(*(b.index_set.indices for b in bases)))
+    index_set = MultiIndexSet(dim=bases[0].dim, p=math.nan, k=math.nan,
+                              indices=tuple(indices))
+    return FeatureBasis(index_set, bases[0].families)
+
+
+def _single_feature_surrogate_cv(samples, B, folds):
     """Fold scores for the single-feature eigensolve learner in one data pass.
 
-    The quadratic-form matrices are sums over samples, so each fold's
-    training matrices are the total sums minus that fold's validation block.
-    Scores and selections match the generic path up to accumulation roundoff.
+    ``B`` is the basis Jacobian at every sample, (n, d, K).  The
+    quadratic-form matrices are sums over samples, so each fold's training
+    matrices are the total sums minus that fold's validation block.  Scores
+    and selections match the generic path up to accumulation roundoff.
     """
-    B = basis.jacobian_batch(samples.points)
     g = samples.gradients
     blocks = []
     for _, val in folds:
         h1_v, h2_v = surrogate_sums(g[val], B[val])
-        M = B[val].reshape(-1, basis.size)
+        M = B[val].reshape(-1, B.shape[2])
         blocks.append((h1_v, h2_v, M.T @ M))
     h1_tot = sum(b[0] for b in blocks)
     h2_tot = sum(b[1] for b in blocks)

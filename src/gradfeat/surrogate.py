@@ -106,8 +106,7 @@ class FeatureMap:
 
     def gradients(self, X):
         """Feature Jacobians at each row of X; returns (n, d, m)."""
-        B = self.basis.jacobian_batch(X)
-        return np.einsum("ndk,km->ndm", B, self.coeffs)
+        return _feature_jacobians(self.basis.jacobian_batch(X), self.coeffs)
 
     def orthonormalized(self, gram):
         return FeatureMap(self.basis, orthonormalize(self.coeffs, gram))
@@ -150,7 +149,6 @@ class SurrogateMatrices:
 
     h1: np.ndarray
     h2: np.ndarray
-    shift_alpha: float | None = None
     h: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -177,23 +175,33 @@ class SurrogateMatrices:
 # Array-level kernels (chunk-vectorized; shared by every estimator)
 # ---------------------------------------------------------------------------
 
-def _complement_residual_sq(grad_u, jac_g, tol):
-    """Per-sample squared norm of grad_u projected off span(jac_g); shapes (n,d),(n,d,m)."""
-    b_sq = np.sum(grad_u ** 2, axis=1)
-    m = jac_g.shape[2]
-    if m == 1:
-        col = jac_g[:, :, 0]
-        nn = np.sum(col ** 2, axis=1)
-        dot = np.sum(col * grad_u, axis=1)
-        safe = np.where(nn > 0.0, nn, 1.0)
-        out = b_sq - np.where(nn > 0.0, dot ** 2 / safe, 0.0)
-    else:
-        U, S, _ = np.linalg.svd(jac_g, full_matrices=False)
-        lead = S[:, :1]
-        mask = S > tol * np.where(lead > 0.0, lead, 1.0)
-        coef = np.einsum("ndm,nd->nm", U, grad_u) * mask
-        out = b_sq - np.sum(coef ** 2, axis=1)
-    return np.maximum(out, 0.0)
+def _complement_residual_sq(grad_u, jac_g, tol, b_sq=None):
+    """Per-sample squared norm of grad_u projected off span(jac_g); shapes (n,d),(n,d,m).
+
+    ``b_sq``, the per-sample squared norm of grad_u, may be passed when known.
+    """
+    if b_sq is None:
+        b_sq = np.sum(grad_u ** 2, axis=1)
+    if jac_g.shape[2] == 1:
+        return _single_residual_sq(
+            b_sq, *_single_feature_sums(grad_u, jac_g[:, :, 0]))
+    U, S, _ = np.linalg.svd(jac_g, full_matrices=False)
+    lead = S[:, :1]
+    mask = S > tol * np.where(lead > 0.0, lead, 1.0)
+    coef = np.einsum("ndm,nd->nm", U, grad_u) * mask
+    return np.maximum(b_sq - np.sum(coef ** 2, axis=1), 0.0)
+
+
+def _single_feature_sums(grad_u, col):
+    """Per-sample |col|^2, <col, grad_u>, and |col|^2 with zeros replaced by 1."""
+    nn = np.sum(col ** 2, axis=1)
+    dot = np.sum(col * grad_u, axis=1)
+    return nn, dot, np.where(nn > 0.0, nn, 1.0)
+
+
+def _single_residual_sq(b_sq, nn, dot, safe):
+    """The m = 1 case of ``_complement_residual_sq`` from ``_single_feature_sums``."""
+    return np.maximum(b_sq - np.where(nn > 0.0, dot ** 2 / safe, 0.0), 0.0)
 
 
 def _orthobasis_batch(W, tol):
@@ -235,6 +243,20 @@ def poincare_loss_terms(samples, fmap, tol=DEFAULT_RANK_TOL):
         jac = fmap.gradients(samples.points[sl])
         out[sl] = _complement_residual_sq(samples.gradients[sl], jac, tol)
     return out
+
+
+def _poincare_loss_on_jacobian(gradients, jac_phi, coeffs, tol):
+    """``poincare_loss`` from the basis Jacobian at the samples, (n, d, K).
+
+    Runs the chunks and arithmetic of ``poincare_loss``, so on a C-contiguous
+    ``jac_phi`` equal to ``basis.jacobian_batch(samples.points)`` the result
+    is the same bit for bit.
+    """
+    out = np.empty(gradients.shape[0])
+    for sl in _chunks(gradients.shape[0]):
+        jac = _feature_jacobians(jac_phi[sl], coeffs)
+        out[sl] = _complement_residual_sq(gradients[sl], jac, tol)
+    return float(np.mean(out))
 
 
 def poincare_loss(samples, fmap, tol=DEFAULT_RANK_TOL):
@@ -447,7 +469,6 @@ def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL):
         for j in range(2, m + 1):
             others = G[:, :j - 1]
             mats_j = coordinate_surrogate_matrices(samples, basis, others, tol)
-            mats_j.shift_alpha = alpha
             shift = (R @ others) @ (others.T @ R)
             _, gj = min_generalized_eig(mats_j.h + alpha * shift, gram)
             # explicit re-orthogonalization against prior columns for robustness
@@ -463,6 +484,10 @@ def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL):
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+def _feature_jacobians(jac_phi, coeffs):
+    return np.einsum("ndk,km->ndm", jac_phi, coeffs)
+
 
 def _chunks(n, size=_CHUNK):
     for start in range(0, n, size):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from gradfeat.basis import (FeatureBasis, Hermite, Legendre, LogHermite,
-                            assemble_gram, basis_from_spec, build_index_set)
+from gradfeat.basis import (FeatureBasis, GramMatrix, Hermite, Legendre,
+                            LogHermite, assemble_gram, basis_from_spec,
+                            build_index_set, gram_from_jacobian)
 from gradfeat.errors import InvalidInputError
 
 SQ3 = math.sqrt(3.0)
@@ -219,3 +221,26 @@ class TestGramMatrix:
         R = assemble_gram(basis, pts)
         assert R.ridge_added > 0.0
         np.linalg.cholesky(R.matrix)   # factorization must succeed
+
+    def test_solve_matches_two_triangular_solves_bitwise(self):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(30, 30))
+        gram = GramMatrix(A @ A.T + 0.1 * np.eye(30))
+        for rhs in (rng.normal(size=30), rng.normal(size=(30, 3))):
+            y = scipy.linalg.solve_triangular(gram.chol, rhs, lower=True)
+            ref = scipy.linalg.solve_triangular(gram.chol, y, lower=True,
+                                                trans="T")
+            out = gram.solve(rhs)
+            assert out.shape == rhs.shape
+            assert np.array_equal(out, ref)
+
+    def test_gram_from_jacobian_matches_assemble_gram_bitwise(self):
+        basis = legendre_basis(3, 1.0, 3.0)
+        pts = np.random.default_rng(8).uniform(0, 1, size=(15, 3))
+        with pytest.warns(UserWarning, match="Gram estimate from 15 samples"):
+            ref = assemble_gram(basis, pts)
+        with pytest.warns(UserWarning, match="Gram estimate from 15 samples"):
+            out = gram_from_jacobian(basis.jacobian_batch(pts))
+        assert np.array_equal(out.matrix, ref.matrix)
+        assert np.array_equal(out.chol, ref.chol)
+        assert out.ridge_added == ref.ridge_added

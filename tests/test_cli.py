@@ -86,6 +86,15 @@ class TestLearnCommand:
         assert main(["--config", cfg, "learn", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_missing_csv_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "learn.json", {
+            "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
+            "io": {"out_dir": str(tmp_path / "o")},
+        })
+        missing = tmp_path / "absent.csv"
+        assert main(["--config", cfg, "learn", str(missing)]) == 2
+        assert "cannot read samples" in capsys.readouterr().err
+
     def test_missing_families_exits_2(self, tmp_path, u1_csv):
         cfg = write_config(tmp_path, "learn.json",
                            {"io": {"out_dir": str(tmp_path / "o")}})

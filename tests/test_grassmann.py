@@ -4,7 +4,7 @@ import pytest
 from gradfeat.basis import FeatureBasis, MultiIndexSet, assemble_gram, \
     build_index_set
 from gradfeat.benchmarks import make_benchmark, make_samples
-from gradfeat.errors import InvalidInputError
+from gradfeat.errors import IllConditionedError, InvalidInputError
 from gradfeat.grassmann import (OptimizerConfig, active_subspace_init,
                                 learn_features, minimize_poincare_loss,
                                 poincare_loss_gradient)
@@ -159,6 +159,51 @@ class TestMinimize:
             OptimizerConfig(shrink=1.5)
         with pytest.raises(InvalidInputError):
             OptimizerConfig(sufficient_decrease=0.0)
+
+
+    def test_precomputed_jacobian_gives_identical_descent(self):
+        samples, basis, gram = u3_setup(n=90, seed=16)
+        jac = basis.jacobian_batch(samples.points)
+        cfg = OptimizerConfig(max_iters=40)
+        for m in (1, 2):
+            G0 = active_subspace_init(samples, basis, m, gram)
+            ref, ref_trace = minimize_poincare_loss(samples, basis, G0,
+                                                    config=cfg, gram=gram)
+            out, trace = minimize_poincare_loss(samples, basis, G0, config=cfg,
+                                                gram=gram, jac=jac)
+            assert np.array_equal(out.coeffs, ref.coeffs)
+            assert trace == ref_trace
+            for method in ("gli", "gsi"):
+                ref, ref_info = learn_features(samples, basis, m, method,
+                                               gram=gram, config=cfg)
+                out, info = learn_features(samples, basis, m, method,
+                                           gram=gram, config=cfg, jac=jac)
+                assert np.array_equal(out.coeffs, ref.coeffs)
+                assert info["loss_final"] == ref_info["loss_final"]
+                assert info["loss_final"] == poincare_loss(samples, ref)
+
+    def test_jacobian_of_wrong_shape_rejected(self):
+        samples, basis, gram = u3_setup(n=60, seed=17)
+        G0 = active_subspace_init(samples, basis, 1, gram)
+        jac = basis.jacobian_batch(samples.points[:-1])
+        with pytest.raises(InvalidInputError):
+            minimize_poincare_loss(samples, basis, G0, gram=gram, jac=jac)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_raises(self, monkeypatch, bad):
+        from gradfeat.grassmann import _LossContext
+        samples, basis, gram = u3_setup(n=60, seed=18)
+        G0 = active_subspace_init(samples, basis, 1, gram)
+        exact = _LossContext.euclidean_grad
+
+        def poisoned(self, G):
+            E = exact(self, G)
+            E[3, 0] = bad
+            return E
+
+        monkeypatch.setattr(_LossContext, "euclidean_grad", poisoned)
+        with pytest.raises(IllConditionedError):
+            minimize_poincare_loss(samples, basis, G0, gram=gram)
 
 
 class TestLearnFeatures:

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import gradfeat.regression as regression
+from gradfeat.basis import FeatureBasis, assemble_gram, build_index_set
 from gradfeat.benchmarks import make_benchmark, make_samples
 from gradfeat.errors import InvalidInputError
+from gradfeat.grassmann import OptimizerConfig, learn_features
 from gradfeat.regression import (CvGrid, KrrModel, cv_select_basis,
                                  cv_select_krr, kfold_indices, krr_fit,
                                  krr_predict)
+from gradfeat.surrogate import poincare_loss
 
 
 class TestKrrFit:
@@ -150,6 +154,78 @@ class TestCvSelectBasis:
         a = cv_select_basis(samples, 1, "sur", bench.families, grid, seed=5)
         b = cv_select_basis(samples, 1, "sur", bench.families, grid, seed=5)
         assert a == b
+
+
+@pytest.mark.filterwarnings("ignore:Gram estimate from")
+class TestCvSelectBasisSharedJacobian:
+    """The shared-Jacobian (p, k) cross-validation against per-candidate
+    references, on a grid whose index sets do not nest: (0.5, 3) holds the
+    pure cubes but no mixed term, (1.0, 2) the mixed quadratics but no cube."""
+
+    GRID = CvGrid(pk_candidates=((0.5, 3), (1.0, 2), (1.0, 1)), pk_folds=4)
+
+    def setup(self):
+        bench = make_benchmark("u3")
+        samples = make_samples(bench, 48, 3)
+        bases = [FeatureBasis(build_index_set(8, p, k), bench.families)
+                 for p, k in self.GRID.pk_candidates]
+        sets = [set(b.index_set.indices) for b in bases]
+        assert not any(all(s >= t for t in sets) for s in sets)
+        return bench, samples, bases
+
+    def pick(self, scores, bases):
+        means = [float(np.mean(s)) for s in scores]
+        return min(zip(means, [b.size for b in bases],
+                       self.GRID.pk_candidates))[2]
+
+    @pytest.mark.parametrize("m, method", [(1, "gli"), (2, "gsi"), (2, "sur")])
+    def test_descent_scores_match_per_candidate_reference(self, monkeypatch,
+                                                          m, method):
+        bench, samples, bases = self.setup()
+        cfg = OptimizerConfig(max_iters=15)
+        folds = kfold_indices(samples.n, self.GRID.pk_folds, 9)
+        reference = []
+        for basis in bases:
+            row = []
+            for train, val in folds:
+                train_set = samples.subset(train)
+                gram = assemble_gram(basis, train_set)
+                fmap, _ = learn_features(train_set, basis, m, method,
+                                         gram=gram, config=cfg)
+                row.append(poincare_loss(samples.subset(val), fmap))
+            reference.append(row)
+        seen = []
+        scorer = regression._poincare_loss_on_jacobian
+
+        def record(*args):
+            seen.append(scorer(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(regression, "_poincare_loss_on_jacobian", record)
+        best = cv_select_basis(samples, m, method, bench.families,
+                               self.GRID, seed=9, optimizer=cfg)
+        assert seen == [s for row in reference for s in row]
+        assert best == self.pick(reference, bases)
+
+    def test_surrogate_fast_path_matches_per_candidate_jacobian(self,
+                                                                monkeypatch):
+        bench, samples, bases = self.setup()
+        folds = kfold_indices(samples.n, self.GRID.pk_folds, 9)
+        reference = [regression._single_feature_surrogate_cv(
+            samples, basis.jacobian_batch(samples.points), folds)
+            for basis in bases]
+        seen = []
+        fast = regression._single_feature_surrogate_cv
+
+        def record(*args):
+            seen.append(fast(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(regression, "_single_feature_surrogate_cv", record)
+        best = cv_select_basis(samples, 1, "sur", bench.families, self.GRID,
+                               seed=9)
+        assert seen == reference
+        assert best == self.pick([[s] for s in reference], bases)
 
 
 class TestModelIO:
