@@ -37,15 +37,13 @@ class Legendre:
     """Normalized Legendre polynomials on (a, b), orthonormal under U(a, b)."""
 
     kind = "legendre"
+    fields = ("a", "b")      # constructor parameters, named as in the spec
 
     def __init__(self, a, b):
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise InvalidInputError(f"bad uniform support ({a}, {b})")
         self.a = float(a)
         self.b = float(b)
-
-    def params(self):
-        return (self.a, self.b)
 
     # slope of the degree-1 member as a function of x
     def linear_slope(self):
@@ -79,15 +77,13 @@ class Hermite:
     """Probabilists' Hermite scaled by 1/sqrt(i!), orthonormal under N(mu, sigma^2)."""
 
     kind = "hermite"
+    fields = ("mu", "sigma")
 
     def __init__(self, mu, sigma):
         if not (np.isfinite(mu) and np.isfinite(sigma) and sigma > 0):
             raise InvalidInputError(f"bad normal parameters ({mu}, {sigma})")
         self.mu = float(mu)
         self.sigma = float(sigma)
-
-    def params(self):
-        return (self.mu, self.sigma)
 
     def linear_slope(self):
         return 1.0 / self.sigma
@@ -140,23 +136,24 @@ _FAMILY_KINDS = {cls.kind: cls for cls in (Legendre, Hermite, LogHermite)}
 
 def family_from_spec(spec):
     """Build a family from {"type": ..., <params>} (the config/serialized form)."""
-    spec = dict(spec)
-    kind = spec.pop("type", None)
-    if kind == "legendre":
-        return Legendre(spec["a"], spec["b"])
-    if kind == "hermite":
-        return Hermite(spec["mu"], spec["sigma"])
-    if kind == "log_hermite":
-        return LogHermite(spec["mu"], spec["sigma"])
-    raise InvalidInputError(f"unknown family type {kind!r}")
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"family spec must be an object, got {spec!r}")
+    params = dict(spec)
+    kind = params.pop("type", None)
+    cls = _FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidInputError(f"unknown family type {kind!r}")
+    if set(params) != set(cls.fields):
+        raise InvalidInputError(f"family {kind!r} takes parameters "
+                                f"{list(cls.fields)}, got {sorted(params)}")
+    try:
+        return cls(*(params[name] for name in cls.fields))
+    except TypeError:
+        raise InvalidInputError(f"non-numeric parameter in {spec!r}") from None
 
 
 def family_to_spec(fam):
-    if isinstance(fam, LogHermite):
-        return {"type": "log_hermite", "mu": fam.mu, "sigma": fam.sigma}
-    if isinstance(fam, Hermite):
-        return {"type": "hermite", "mu": fam.mu, "sigma": fam.sigma}
-    return {"type": "legendre", "a": fam.a, "b": fam.b}
+    return {"type": fam.kind, **{name: getattr(fam, name) for name in fam.fields}}
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +319,8 @@ class FeatureBasis:
 
 
 def basis_from_spec(spec):
+    if not isinstance(spec, dict) or set(spec) != {"families", "p", "k"}:
+        raise InvalidInputError(f"basis spec needs exactly families, p and k: {spec!r}")
     families = [family_from_spec(s) for s in spec["families"]]
     idx = build_index_set(len(families), spec["p"], spec["k"])
     return FeatureBasis(idx, families)

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import FeatureBasis, Hermite, Legendre, LogHermite, assemble_gram, \
     build_index_set
 from .deviation import empirical_quantile
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 from .grassmann import OptimizerConfig, learn_features
 from .regression import CvGrid, cv_select_basis, cv_select_krr, krr_fit, krr_predict
 from .surrogate import SampleSet, poincare_loss
@@ -286,8 +286,10 @@ def _run_cell(bench, config, method, train, test, cv_seed):
 def run_experiment(config):
     """Run the full pipeline over (method, ntrain, realization) and aggregate.
 
-    A failure in one cell is recorded on its realization row and skipped in
-    the aggregation; the sweep itself never aborts.
+    A cell that fails on its input or numerically (``InvalidInputError``,
+    ``NumericError``, a LAPACK ``LinAlgError``) is recorded on its
+    realization row and skipped in the aggregation; any other exception is a
+    bug and propagates.
     """
     bench = make_benchmark(config.benchmark)
     raw = []
@@ -303,7 +305,8 @@ def run_experiment(config):
                 try:
                     row.update(_run_cell(bench, config, method, train, test,
                                          cv_seed))
-                except Exception as exc:  # cell-level isolation by contract
+                except (InvalidInputError, NumericError,
+                        np.linalg.LinAlgError) as exc:
                     row["failed"] = True
                     row["error"] = f"{type(exc).__name__}: {exc}"
                 raw.append(row)
@@ -348,6 +351,5 @@ def _config_echo(config):
                       "grad_tol": config.optimizer.grad_tol,
                       "step_init": config.optimizer.step_init,
                       "shrink": config.optimizer.shrink,
-                      "sufficient_decrease": config.optimizer.sufficient_decrease,
-                      "seed": config.optimizer.seed},
+                      "sufficient_decrease": config.optimizer.sufficient_decrease},
     }

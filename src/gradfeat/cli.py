@@ -44,7 +44,6 @@ DEFAULT_CONFIG = {
             "step_init": 1.0,
             "shrink": 0.5,
             "sufficient_decrease": 1e-4,
-            "seed": 0,
             "trace_path": None,
         },
     },
@@ -109,7 +108,6 @@ def load_config(path=None, seed=None, out_dir=None):
     if seed is not None:
         cfg["experiment"]["seed"] = seed
         cfg["deviation"]["seed"] = seed
-        cfg["learn"]["optimizer"]["seed"] = seed
     if out_dir is not None:
         cfg["io"]["out_dir"] = out_dir
     return cfg
@@ -147,7 +145,6 @@ def _optimizer(cfg):
                            step_init=float(opt["step_init"]),
                            shrink=float(opt["shrink"]),
                            sufficient_decrease=float(opt["sufficient_decrease"]),
-                           seed=int(opt["seed"]),
                            trace_path=opt["trace_path"])
 
 
@@ -297,11 +294,6 @@ def _build_parser():
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--seed", type=int, help="override all seeds")
     parser.add_argument("--out", metavar="DIR", help="override io.out_dir")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS thread pools (needs threadpoolctl, "
-                             "otherwise ignored); results are bit-reproducible "
-                             "for a fixed BLAS thread count, and a different "
-                             "count can change them")
     parser.add_argument("--print-config", action="store_true",
                         help="print the fully resolved config and exit")
     sub = parser.add_subparsers(dest="command")
@@ -312,16 +304,6 @@ def _build_parser():
                          help="full-scale sweep (20 realizations, wide grid)")
     sub.add_parser("check-deviation", help="verify small/large deviation bounds")
     return parser
-
-
-def _limit_threads(n):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
 
 
 def main(argv=None):
@@ -335,7 +317,6 @@ def main(argv=None):
         if args.command is None:
             parser.print_usage()
             return 2
-        _limit_threads(args.threads)
         if args.command == "learn":
             return cmd_learn(cfg, args.samples)
         if args.command == "benchmark":

@@ -236,24 +236,6 @@ def multifeature_bounds(profile):
                                  2.0 ** 10 * head)
 
 
-def multifeature_small_deviation_rate(s, ell, m, sup_frobenius):
-    """Small-deviation rate for the deflated feature gradient, multi-feature case.
-
-    Combines the single-feature rate with the Gram-determinant factorization:
-    rate = eta_upper(4, s) * (2/m)^(1/(4 ell)) * sup_F^((m-1)/(2 ell m)) where
-    sup_F bounds the Frobenius norm of the feature Gram matrix over the
-    domain.  This expression has not been verified against an independent
-    closed-form reference; treat it as an upper-bound heuristic.
-    """
-    if s <= 0:
-        raise InvalidInputError("stated for s > 0 only")
-    if ell < 1 or m < 1 or sup_frobenius <= 0:
-        raise InvalidInputError("need ell, m >= 1 and a positive Frobenius bound")
-    eta_up = eta_constants(4.0, s).upper
-    return (eta_up * (2.0 / m) ** (1.0 / (4.0 * ell))
-            * sup_frobenius ** ((m - 1.0) / (2.0 * ell * m)))
-
-
 def objective_envelope(surrogate_value, profile):
     """Upper bound on the Poincare loss implied by a surrogate value.
 

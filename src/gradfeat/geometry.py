@@ -1,22 +1,95 @@
-"""Orthogonal projectors and the coordinate splitting used by every estimator.
+"""Projection off the numerical span of a few feature gradients.
 
-All routines project onto (or off) the column span of a matrix, with rank
-decided by a column-pivoted QR factorization at a relative tolerance: columns
-whose revealed diagonal magnitude falls below ``tol`` times the largest are
-dropped.  A zero matrix therefore yields the empty span, which keeps the
-single-feature and "remove the only column" cases total.
+The Poincare loss, the coordinate surrogates and the deflated greedy passes
+all project a gradient off the column span of a small d x m matrix, one
+matrix per sample.  ``_span_svd`` is the one rank-revealing kernel behind
+them: a per-sample SVD whose rank keeps the singular values above ``tol``
+times the leading one.  A zero matrix therefore yields the empty span, which
+keeps the single-feature and "remove the only column" cases total.  For one
+column the residual has a closed form (``_single_feature_sums``), which the
+estimators use instead of a one-column SVD.
 
-Everything here is a pure function of its inputs and safe to call from any
-number of threads.
+The public functions take one d x m matrix and run the batched kernel on a
+batch of one, so they compute exactly what the estimators compute per
+sample.  Everything here is a pure function of its inputs and safe to call
+from any number of threads.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError
 
 DEFAULT_RANK_TOL = 1e-10
 
+
+# ---------------------------------------------------------------------------
+# Batched kernel: arrays of shape (n, d, m), one matrix per sample
+# ---------------------------------------------------------------------------
+
+def _span_svd(M, tol):
+    """Per-sample thin SVD of M (n, d, m) and its rank mask: (U, S, Vt, mask).
+
+    ``mask[i, r]`` keeps singular value ``S[i, r]`` when it exceeds ``tol``
+    times the sample's leading singular value.
+    """
+    U, S, Vt = np.linalg.svd(M, full_matrices=False)
+    lead = S[:, :1]
+    return U, S, Vt, S > tol * np.where(lead > 0.0, lead, 1.0)
+
+
+def _orthobasis_batch(W, tol):
+    """Per-sample orthonormal span of W (n, d, r); rank-deficient columns zeroed."""
+    U, _, _, mask = _span_svd(W, tol)
+    return U * mask[:, None, :]
+
+
+def _deflate(Q, V):
+    """V minus its projection onto the span held in Q; V is (n, d) or (n, d, K)."""
+    if V.ndim == 2:
+        return V - np.einsum("ndr,nr->nd", Q, np.einsum("ndr,nd->nr", Q, V))
+    return V - np.einsum("ndr,nre->nde", Q, np.einsum("ndr,nde->nre", Q, V))
+
+
+def _complement_factors(grad_u, jac_g, tol):
+    """What projecting grad_u off span(jac_g) needs: for m = 1 the closed
+    form's ``_single_feature_sums``, otherwise the kernel's ``_span_svd``."""
+    if jac_g.shape[2] == 1:
+        return _single_feature_sums(grad_u, jac_g[:, :, 0])
+    return _span_svd(jac_g, tol)
+
+
+def _complement_residual_sq(grad_u, jac_g, tol, b_sq=None, factors=None):
+    """Per-sample squared norm of grad_u projected off span(jac_g); shapes (n,d),(n,d,m).
+
+    ``b_sq``, the per-sample squared norm of grad_u, and ``factors`` (what
+    ``_complement_factors`` returns) may be passed when known.
+    """
+    if b_sq is None:
+        b_sq = np.sum(grad_u ** 2, axis=1)
+    if factors is None:
+        factors = _complement_factors(grad_u, jac_g, tol)
+    if jac_g.shape[2] == 1:
+        return _single_residual_sq(b_sq, *factors)
+    U, _, _, mask = factors
+    coef = np.einsum("ndm,nd->nm", U, grad_u) * mask
+    return np.maximum(b_sq - np.sum(coef ** 2, axis=1), 0.0)
+
+
+def _single_feature_sums(grad_u, col):
+    """Per-sample |col|^2, <col, grad_u>, and |col|^2 with zeros replaced by 1."""
+    nn = np.sum(col ** 2, axis=1)
+    dot = np.sum(col * grad_u, axis=1)
+    return nn, dot, np.where(nn > 0.0, nn, 1.0)
+
+
+def _single_residual_sq(b_sq, nn, dot, safe):
+    """The m = 1 case of ``_complement_residual_sq`` from ``_single_feature_sums``."""
+    return np.maximum(b_sq - np.where(nn > 0.0, dot ** 2 / safe, 0.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# One-matrix API
+# ---------------------------------------------------------------------------
 
 def _check_matrix(M, name="M"):
     M = np.asarray(M, dtype=float)
@@ -32,19 +105,11 @@ def _check_matrix(M, name="M"):
 def orthonormal_span(M, tol=DEFAULT_RANK_TOL):
     """Orthonormal basis Q (d x r) of the numerical column span of M.
 
-    Rank r is revealed by column-pivoted QR: pivots with |R[i,i]| below
-    tol*|R[0,0]| are discarded.  Returns a (d, 0) array for a zero matrix.
+    Rank r counts the singular values above tol times the largest.  Returns
+    a (d, 0) array for a zero matrix.
     """
-    M = _check_matrix(M)
-    d, m = M.shape
-    if m == 0 or not np.any(M):
-        return np.zeros((d, 0))
-    Q, R, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros((d, 0))
-    rank = int(np.sum(diag > tol * diag[0]))
-    return Q[:, :rank]
+    U, _, _, mask = _span_svd(_check_matrix(M)[None], tol)
+    return U[0][:, mask[0]]
 
 
 class Projector:
@@ -85,10 +150,8 @@ def project_complement(M, x, tol=DEFAULT_RANK_TOL):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("x contains non-finite entries")
-    Q = orthonormal_span(M, tol)
-    if Q.shape[1] == 0:
-        return x.copy()
-    return x - Q @ (Q.T @ x)
+    Q = _orthobasis_batch(_check_matrix(M)[None], tol)
+    return _deflate(Q, x[None])[0]
 
 
 def complement_split(jac_g, grad_u, j, tol=DEFAULT_RANK_TOL):
@@ -108,14 +171,8 @@ def complement_split(jac_g, grad_u, j, tol=DEFAULT_RANK_TOL):
     m = J.shape[1]
     if not 1 <= j <= m:
         raise InvalidInputError(f"feature index j={j} out of range 1..{m}")
-    others = np.delete(J, j - 1, axis=1)
-    Q = orthonormal_span(others, tol)
-    gj = J[:, j - 1]
-    if Q.shape[1] == 0:
-        return gj.copy(), grad_u.copy()
-    w = gj - Q @ (Q.T @ gj)
-    v = grad_u - Q @ (Q.T @ grad_u)
-    return w, v
+    Q = _orthobasis_batch(np.delete(J, j - 1, axis=1)[None], tol)
+    return _deflate(Q, J[None, :, j - 1])[0], _deflate(Q, grad_u[None])[0]
 
 
 def smallest_singular_value(M):

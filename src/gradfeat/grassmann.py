@@ -18,11 +18,10 @@ import numpy as np
 
 from .basis import assemble_gram
 from .errors import IllConditionedError, InvalidInputError, RankDeficiencyError
-from .geometry import DEFAULT_RANK_TOL
-from .surrogate import (FeatureMap, _complement_residual_sq,
-                        _poincare_loss_on_jacobian, _single_feature_sums,
-                        _single_residual_sq, greedy_features, orthonormalize,
-                        poincare_loss)
+from .geometry import (DEFAULT_RANK_TOL, _complement_factors,
+                       _complement_residual_sq)
+from .surrogate import (FeatureMap, _poincare_loss_on_jacobian, greedy_features,
+                        orthonormalize, poincare_loss)
 
 
 @dataclass
@@ -32,7 +31,6 @@ class OptimizerConfig:
     step_init: float = 1.0
     shrink: float = 0.5
     sufficient_decrease: float = 1e-4
-    seed: int = 0
     trace_path: str | None = None
 
     def __post_init__(self):
@@ -90,10 +88,11 @@ class _LossContext:
     """Loss/gradient evaluations against Jacobians precomputed once.
 
     ``jac`` is the basis Jacobian at the sample points, (n, d, K); None
-    evaluates it.  The feature Jacobians (and, for one feature, the
-    per-sample sums) at the last point evaluated are kept, so the gradient at
-    an accepted line-search point reuses what its loss computed.  A point is
-    recognized by identity, so G must not be modified in place between calls.
+    evaluates it.  The feature Jacobians at the last point evaluated are kept
+    with their projection factors (the per-sample sums for one feature, the
+    rank-revealing SVD for several), so the gradient at an accepted
+    line-search point reuses what its loss computed.  A point is recognized
+    by identity, so G must not be modified in place between calls.
     """
 
     def __init__(self, samples, basis, tol, jac=None):
@@ -109,39 +108,32 @@ class _LossContext:
         self.n = samples.n
         self.d = samples.dim
         self.tol = tol
-        self._point = None          # (G, feature Jacobians, m = 1 sums)
+        self._point = None          # (G, feature Jacobians, factors)
 
     def _at(self, G):
         if self._point is None or self._point[0] is not G:
             M = (self.flat @ G).reshape(self.n, self.d, -1)
-            sums = _single_feature_sums(self.b, M[:, :, 0]) \
-                if M.shape[2] == 1 else None
-            self._point = (G, M, sums)
+            self._point = (G, M, _complement_factors(self.b, M, self.tol))
         return self._point[1:]
 
     def loss(self, G):
-        M, sums = self._at(G)
-        if sums is None:
-            terms = _complement_residual_sq(self.b, M, self.tol, self.b_sq)
-        else:
-            terms = _single_residual_sq(self.b_sq, *sums)
-        return float(np.mean(terms))
+        M, factors = self._at(G)
+        return float(np.mean(_complement_residual_sq(self.b, M, self.tol,
+                                                     self.b_sq, factors)))
 
     def euclidean_grad(self, G):
         m = G.shape[1]
-        M, sums = self._at(G)
+        M, factors = self._at(G)
         if m == 1:
             col = M[:, :, 0]
-            nn, dot, safe = sums
+            nn, dot, safe = factors
             self._check_collapse(int(np.sum(nn == 0.0)))
             y = np.where(nn > 0.0, dot / safe, 0.0)
             resid = self.b - col * y[:, None]
             weighted = (resid * y[:, None]).reshape(-1)
             grad = (self.flat.T @ weighted)[:, None]
         else:
-            U, S, Vt = np.linalg.svd(M, full_matrices=False)
-            lead = S[:, :1]
-            mask = S > self.tol * np.where(lead > 0.0, lead, 1.0)
+            U, S, Vt, mask = factors
             self._check_collapse(int(np.sum(mask.sum(axis=1) < m)))
             ub = np.einsum("ndr,nd->nr", U, self.b) * mask
             resid = self.b - np.einsum("ndr,nr->nd", U, ub)

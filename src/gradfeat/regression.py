@@ -18,11 +18,10 @@ import scipy.linalg
 from .basis import (FeatureBasis, GramMatrix, MultiIndexSet, build_index_set,
                     gram_from_jacobian)
 from .errors import InvalidInputError, NumericError
-from .geometry import DEFAULT_RANK_TOL
+from .geometry import DEFAULT_RANK_TOL, _complement_residual_sq
 from .grassmann import learn_features
-from .surrogate import (SurrogateMatrices, _complement_residual_sq,
-                        _poincare_loss_on_jacobian, min_generalized_eig,
-                        surrogate_sums)
+from .surrogate import (SurrogateMatrices, _poincare_loss_on_jacobian,
+                        min_generalized_eig, surrogate_sums)
 
 _PK_CANDIDATES = ((0.8, 2), (0.8, 3), (0.8, 4), (0.8, 5),
                   (0.9, 2), (0.9, 3), (0.9, 4),
@@ -84,13 +83,21 @@ class KrrModel:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            head = fh.readline().split()
-            N, m = int(head[0]), int(head[1])
-            gamma, ridge = float(head[2]), float(head[3])
-            body = [fh.readline().split() for _ in range(N)]
-            Z = np.array(body, dtype=float).reshape(N, m)
-            a = np.array([float(fh.readline()) for _ in range(N)])
+        """Read a model written by ``save``; a missing or malformed file
+        raises ``InvalidInputError``."""
+        try:
+            with open(path) as fh:
+                N, m, gamma, ridge = fh.readline().split()
+                N, m, gamma, ridge = int(N), int(m), float(gamma), float(ridge)
+                if N < 1 or m < 1:
+                    raise ValueError(f"header counts N={N}, m={m} must be positive")
+                body = [fh.readline().split() for _ in range(N)]
+                Z = np.array(body, dtype=float).reshape(N, m)
+                a = np.array([float(fh.readline()) for _ in range(N)])
+                if fh.read().strip():
+                    raise ValueError(f"more than the {2 * N} lines the header announces")
+        except (OSError, ValueError) as exc:
+            raise InvalidInputError(f"cannot read KRR model {path}: {exc}") from None
         return cls(Z, a, gamma, ridge)
 
 
@@ -260,5 +267,5 @@ def _single_feature_surrogate_cv(samples, B, folds):
         _, vec = min_generalized_eig(mats.h, gram)
         jac_val = np.einsum("ndk,k->nd", B[val], vec)[:, :, None]
         scores.append(float(np.mean(
-            _complement_residual_sq(g[val], jac_val, 1e-10))))
+            _complement_residual_sq(g[val], jac_val, DEFAULT_RANK_TOL))))
     return float(np.mean(scores))

@@ -20,6 +20,7 @@ sequential over fixed-size chunks, so results are bit-reproducible for given
 inputs.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,8 @@ import scipy.linalg
 
 from .basis import assemble_gram, basis_from_spec
 from .errors import InvalidInputError, RankDeficiencyError
-from .geometry import DEFAULT_RANK_TOL
+from .geometry import (DEFAULT_RANK_TOL, _complement_residual_sq, _deflate,
+                       _orthobasis_batch)
 
 _CHUNK = 8192
 
@@ -120,23 +122,29 @@ class FeatureMap:
         with open(coeff_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         if basis_path is not None:
-            import json
             with open(basis_path, "w") as fh:
                 json.dump(self.basis.spec(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
     @classmethod
     def load(cls, coeff_path, basis):
+        """Read a map written by ``save``; ``basis`` may be a basis-spec path.
+
+        A missing or malformed file raises ``InvalidInputError``.
+        """
         if isinstance(basis, (str, bytes)):
-            import json
-            with open(basis) as fh:
-                basis = basis_from_spec(json.load(fh))
-        with open(coeff_path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise InvalidInputError(f"bad feature-map header in {coeff_path}")
-            K, m = int(header[0]), int(header[1])
-            coeffs = np.loadtxt(fh, ndmin=2)
+            try:
+                with open(basis) as fh:
+                    basis = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise InvalidInputError(f"cannot read basis spec {basis}: {exc}") from None
+            basis = basis_from_spec(basis)
+        try:
+            with open(coeff_path) as fh:
+                K, m = (int(v) for v in fh.readline().split())
+                coeffs = np.loadtxt(fh, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise InvalidInputError(f"cannot read feature map {coeff_path}: {exc}") from None
         if coeffs.shape != (K, m):
             raise InvalidInputError(
                 f"feature-map body {coeffs.shape} does not match header ({K}, {m})")
@@ -172,56 +180,8 @@ class SurrogateMatrices:
 
 
 # ---------------------------------------------------------------------------
-# Array-level kernels (chunk-vectorized; shared by every estimator)
+# Estimators (the projections run in ``geometry``'s batched kernel)
 # ---------------------------------------------------------------------------
-
-def _complement_residual_sq(grad_u, jac_g, tol, b_sq=None):
-    """Per-sample squared norm of grad_u projected off span(jac_g); shapes (n,d),(n,d,m).
-
-    ``b_sq``, the per-sample squared norm of grad_u, may be passed when known.
-    """
-    if b_sq is None:
-        b_sq = np.sum(grad_u ** 2, axis=1)
-    if jac_g.shape[2] == 1:
-        return _single_residual_sq(
-            b_sq, *_single_feature_sums(grad_u, jac_g[:, :, 0]))
-    U, S, _ = np.linalg.svd(jac_g, full_matrices=False)
-    lead = S[:, :1]
-    mask = S > tol * np.where(lead > 0.0, lead, 1.0)
-    coef = np.einsum("ndm,nd->nm", U, grad_u) * mask
-    return np.maximum(b_sq - np.sum(coef ** 2, axis=1), 0.0)
-
-
-def _single_feature_sums(grad_u, col):
-    """Per-sample |col|^2, <col, grad_u>, and |col|^2 with zeros replaced by 1."""
-    nn = np.sum(col ** 2, axis=1)
-    dot = np.sum(col * grad_u, axis=1)
-    return nn, dot, np.where(nn > 0.0, nn, 1.0)
-
-
-def _single_residual_sq(b_sq, nn, dot, safe):
-    """The m = 1 case of ``_complement_residual_sq`` from ``_single_feature_sums``."""
-    return np.maximum(b_sq - np.where(nn > 0.0, dot ** 2 / safe, 0.0), 0.0)
-
-
-def _orthobasis_batch(W, tol):
-    """Per-sample orthonormal span of W (n, d, r); rank-deficient columns zeroed."""
-    if W.shape[2] == 0:
-        return W
-    U, S, _ = np.linalg.svd(W, full_matrices=False)
-    lead = S[:, :1]
-    mask = S > tol * np.where(lead > 0.0, lead, 1.0)
-    return U * mask[:, None, :]
-
-
-def _deflate(Q, V):
-    """V minus its projection onto the span held in Q; V is (n, d) or (n, d, K)."""
-    if Q.shape[2] == 0:
-        return V
-    if V.ndim == 2:
-        return V - np.einsum("ndr,nr->nd", Q, np.einsum("ndr,nd->nr", Q, V))
-    return V - np.einsum("ndr,nre->nde", Q, np.einsum("ndr,nde->nre", Q, V))
-
 
 def _pair_term(v, w):
     """||v||^2 ||P^perp_v w||^2 = ||v||^2 ||w||^2 - <v, w>^2, elementwise over samples."""
@@ -230,10 +190,6 @@ def _pair_term(v, w):
     vw = np.sum(v * w, axis=1)
     return np.maximum(vv * ww - vw ** 2, 0.0)
 
-
-# ---------------------------------------------------------------------------
-# Estimators
-# ---------------------------------------------------------------------------
 
 def poincare_loss_terms(samples, fmap, tol=DEFAULT_RANK_TOL):
     """Per-sample contributions to the Poincare loss (useful for standard errors)."""

@@ -6,7 +6,8 @@ import scipy.linalg
 
 from gradfeat.basis import (FeatureBasis, GramMatrix, Hermite, Legendre,
                             LogHermite, assemble_gram, basis_from_spec,
-                            build_index_set, gram_from_jacobian)
+                            build_index_set, family_from_spec, family_to_spec,
+                            gram_from_jacobian)
 from gradfeat.errors import InvalidInputError
 
 SQ3 = math.sqrt(3.0)
@@ -156,6 +157,38 @@ class TestFeatureBasis:
         assert clone.index_set.indices == basis.index_set.indices
         x = np.array([0.4, 1.2])
         np.testing.assert_allclose(clone.eval(x), basis.eval(x))
+
+    @pytest.mark.parametrize("fam", [Legendre(-1.0, 2.0), Hermite(0.1, 2.0),
+                                     LogHermite(7.7, 1.0)])
+    def test_family_spec_round_trip(self, fam):
+        spec = family_to_spec(fam)
+        clone = family_from_spec(spec)
+        assert type(clone) is type(fam)
+        assert family_to_spec(clone) == spec
+        x = np.array([0.5, 1.5])
+        for a, b in zip(clone.table(x, 3), fam.table(x, 3)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "chebyshev", "a": 0.0, "b": 1.0},   # unknown type
+        {"a": 0.0, "b": 1.0},                         # no type
+        {"type": "legendre", "a": 0},                 # missing parameter
+        {"type": "hermite", "mu": 0.0, "sigma": 1.0, "a": 2.0},  # extra one
+        {"type": "log_hermite", "a": 0.0, "b": 1.0},  # another family's names
+        {"type": "legendre", "a": "zero", "b": 1.0},  # non-numeric value
+        "legendre",                                   # not an object
+        ["legendre", 0.0, 1.0],
+    ])
+    def test_malformed_family_spec_rejected(self, spec):
+        with pytest.raises(InvalidInputError):
+            family_from_spec(spec)
+
+    def test_malformed_basis_spec_rejected(self):
+        good = legendre_basis(2, 1.0, 2.0).spec()
+        for bad in ({k: v for k, v in good.items() if k != "p"},
+                    dict(good, extra=1), [good]):
+            with pytest.raises(InvalidInputError):
+                basis_from_spec(bad)
 
     def test_linear_map_representable(self):
         basis = legendre_basis(3, 1.0, 2.0)

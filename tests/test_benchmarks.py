@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import gradfeat.benchmarks as bm
 from gradfeat.basis import FeatureBasis, assemble_gram, build_index_set
 from gradfeat.benchmarks import (ExperimentConfig, make_benchmark,
                                  make_samples, read_samples_csv,
                                  run_experiment, sample_inputs,
                                  write_samples_csv, _hilbert_matrix)
-from gradfeat.errors import InvalidInputError
+from gradfeat.errors import InvalidInputError, NumericError, RankDeficiencyError
 from gradfeat.regression import CvGrid
 from gradfeat.surrogate import FeatureMap, poincare_loss
 
@@ -204,6 +205,27 @@ class TestRunExperiment:
         report = run_experiment(desk_config(m=3000))
         assert all(r["failed"] for r in report.realizations)
         assert all(math.isnan(c["J_train"]) for c in report.cells)
+
+    @pytest.mark.parametrize("exc", [
+        NumericError("solve failed"), RankDeficiencyError("collapsed"),
+        InvalidInputError("bad shape"), np.linalg.LinAlgError("not PD")])
+    def test_cell_failure_classes_recorded(self, monkeypatch, exc):
+        def failing_cell(*args):
+            raise exc
+        monkeypatch.setattr(bm, "_run_cell", failing_cell)
+        report = run_experiment(desk_config(n_realizations=2))
+        assert [r["error"] for r in report.realizations] == \
+            [f"{type(exc).__name__}: {exc}"] * 2
+        assert all(r["failed"] for r in report.realizations)
+
+    @pytest.mark.parametrize("exc", [TypeError("bug"), KeyError("bug"),
+                                     ZeroDivisionError("bug")])
+    def test_other_cell_exceptions_propagate(self, monkeypatch, exc):
+        def buggy_cell(*args):
+            raise exc
+        monkeypatch.setattr(bm, "_run_cell", buggy_cell)
+        with pytest.raises(type(exc)):
+            run_experiment(desk_config())
 
     def test_csv_schema(self, tmp_path):
         report = run_experiment(desk_config())

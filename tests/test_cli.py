@@ -51,6 +51,19 @@ class TestConfig:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
 
+    def test_optimizer_seed_key_rejected(self, tmp_path, capsys):
+        # descent is deterministic; the key was removed and old configs fail
+        path = write_config(tmp_path, "old.json",
+                            {"learn": {"optimizer": {"seed": 0}}})
+        assert main(["--config", path, "--print-config"]) == 2
+        assert "unknown config key: learn.optimizer.seed" in \
+            capsys.readouterr().err
+
+    def test_threads_flag_removed(self):
+        with pytest.raises(SystemExit) as info:
+            main(["--threads", "1", "--print-config"])
+        assert info.value.code == 2
+
 
 class TestLearnCommand:
     def test_exact_recovery_metrics(self, tmp_path, u1_csv):
@@ -94,6 +107,22 @@ class TestLearnCommand:
         missing = tmp_path / "absent.csv"
         assert main(["--config", cfg, "learn", str(missing)]) == 2
         assert "cannot read samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", [
+        {"type": "legendre", "a": 0},
+        {"type": "legendre", "a": 0.0, "b": 1.0, "c": 2.0},
+        {"type": "spline", "a": 0.0, "b": 1.0},
+        "legendre",
+    ])
+    def test_malformed_family_spec_exits_2(self, tmp_path, u1_csv, capsys,
+                                           family):
+        cfg = write_config(tmp_path, "learn.json", {
+            "basis": {"families": [family] + box_families(7)},
+            "io": {"out_dir": str(tmp_path / "o")},
+        })
+        assert main(["--config", cfg, "learn", str(u1_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_families_exits_2(self, tmp_path, u1_csv):
         cfg = write_config(tmp_path, "learn.json",
@@ -194,6 +223,23 @@ class TestCheckDeviationCommand:
             "io": {"out_dir": str(tmp_path / "dev-s0")},
         })
         assert main(["--config", cfg, "check-deviation"]) == 2
+
+    @pytest.mark.parametrize("text", ["3 x\n1.0\n2.0\n3.0\n", "", "45 1\n1.0\n"],
+                             ids=["count-not-int", "empty", "short-body"])
+    def test_malformed_feature_map_exits_2(self, tmp_path, u1_csv, capsys,
+                                           text):
+        _, bspec = self.make_feature_files(tmp_path, u1_csv)
+        bad = tmp_path / "bad_map.txt"
+        bad.write_text(text)
+        cfg = write_config(tmp_path, "dev.json", {
+            "deviation": {"feature_map": str(bad), "basis_spec": bspec,
+                          "benchmark": "u1", "n_samples": 1000},
+            "io": {"out_dir": str(tmp_path / "dev-badmap")},
+        })
+        capsys.readouterr()
+        assert main(["--config", cfg, "check-deviation"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_empty_grids_exit_two(self, tmp_path, u1_csv):
         fmap, bspec = self.make_feature_files(tmp_path, u1_csv)

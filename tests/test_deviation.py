@@ -8,7 +8,6 @@ from gradfeat.deviation import (DeviationProfile, check_large_deviation,
                                 check_small_deviation, empirical_quantile,
                                 eta_constants, gamma_moment_constant,
                                 multifeature_bounds, multifeature_constants,
-                                multifeature_small_deviation_rate,
                                 objective_envelope,
                                 polynomial_remez_constants,
                                 suboptimality_constants, trig_remez_constants,
@@ -137,15 +136,6 @@ class TestMultiFeatureConstants:
                                 p1=2.0)
         with pytest.raises(InvalidInputError):
             multifeature_constants(prof)
-
-    def test_reconstructed_rate_formula(self):
-        rate = multifeature_small_deviation_rate(0.5, ell=1, m=2,
-                                                 sup_frobenius=8.0)
-        _, upper = eta_constants(4.0, 0.5)
-        assert rate == pytest.approx(upper * 1.0 ** 0.25 * 8.0 ** 0.25
-                                     * (2.0 / 2.0) ** 0.25, rel=1e-12)
-        with pytest.raises(InvalidInputError):
-            multifeature_small_deviation_rate(0.0, 1, 2, 8.0)
 
 
 class TestLemmas:

@@ -1,0 +1,122 @@
+"""Property tests of the rank-revealing projection kernel in ``gradfeat.geometry``.
+
+The one-matrix API must compute exactly what the estimators compute per
+sample, and the Poincare loss built on the kernel must stay within its
+documented range and depend only on the span of the coefficient columns.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from gradfeat.basis import FeatureBasis, Legendre, build_index_set
+from gradfeat.geometry import (DEFAULT_RANK_TOL, _deflate, _orthobasis_batch,
+                               _span_svd, complement_split,
+                               orthogonal_projector, orthonormal_span,
+                               project_complement)
+from gradfeat.surrogate import FeatureMap, SampleSet, poincare_loss
+
+# fixed example sequence, so a run is reproducible; no example database
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
+                    database=None)
+
+# small integers and their halves give exact zeros, repeated columns and
+# other exactly rank-deficient matrices alongside generic ones
+entries = st.one_of(st.integers(-3, 3).map(lambda v: v / 2.0),
+                    st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def batches(draw, min_m=1):
+    """A batch of matrices (n, d, m) and of vectors (n, d) to project."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(min_m, 4))
+    M = draw(hnp.arrays(float, (n, d, m), elements=entries))
+    x = draw(hnp.arrays(float, (n, d), elements=entries))
+    return M, x
+
+
+class TestOneRowCallsMatchTheBatchedKernel:
+    @PROPERTY
+    @given(batches())
+    def test_orthonormal_span_and_projector(self, batch):
+        M, _ = batch
+        U, _, _, mask = _span_svd(M, DEFAULT_RANK_TOL)
+        for i in range(M.shape[0]):
+            expected = U[i][:, mask[i]]
+            np.testing.assert_array_equal(orthonormal_span(M[i]), expected)
+            P = orthogonal_projector(M[i])
+            np.testing.assert_array_equal(P.Q, expected)
+            assert P.rank == int(mask[i].sum())
+
+    @PROPERTY
+    @given(batches())
+    def test_project_complement(self, batch):
+        M, x = batch
+        rows = _deflate(_orthobasis_batch(M, DEFAULT_RANK_TOL), x)
+        for i in range(M.shape[0]):
+            np.testing.assert_array_equal(project_complement(M[i], x[i]),
+                                          rows[i])
+
+    @PROPERTY
+    @given(batches(), st.data())
+    def test_complement_split(self, batch, data):
+        # the deflation the coordinate surrogate runs on every sample
+        M, x = batch
+        j = data.draw(st.integers(1, M.shape[2]))
+        Q = _orthobasis_batch(np.delete(M, j - 1, axis=2), DEFAULT_RANK_TOL)
+        w_rows = _deflate(Q, M[:, :, j - 1])
+        v_rows = _deflate(Q, x)
+        for i in range(M.shape[0]):
+            w, v = complement_split(M[i], x[i], j)
+            np.testing.assert_array_equal(w, w_rows[i])
+            np.testing.assert_array_equal(v, v_rows[i])
+
+
+@st.composite
+def loss_problems(draw):
+    """Samples, a Legendre basis and coefficients with no all-zero column."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, d))
+    basis = FeatureBasis(build_index_set(d, 1.0, 2.0),
+                         [Legendre(-1.0, 1.0) for _ in range(d)])
+    points = draw(hnp.arrays(float, (n, d), elements=st.floats(-1.0, 1.0)))
+    grads = draw(hnp.arrays(float, (n, d), elements=entries))
+    G = draw(hnp.arrays(float, (basis.size, m), elements=entries))
+    assume(np.all(np.any(G != 0.0, axis=0)))
+    return SampleSet(points, np.zeros(n), grads), basis, G
+
+
+class TestPoincareLoss:
+    @PROPERTY
+    @given(loss_problems())
+    def test_between_zero_and_gradient_energy(self, problem):
+        samples, basis, G = problem
+        loss = poincare_loss(samples, FeatureMap(basis, G))
+        assert 0.0 <= loss <= samples.mean_gradient_norm_sq()
+
+    @PROPERTY
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans())
+    def test_invariant_under_invertible_recombination(self, seed, m, repeat):
+        # generic coefficients, or ones with an exactly repeated column, so
+        # every per-sample rank is decided far from the tolerance
+        rng = np.random.default_rng(seed)
+        d = 3
+        basis = FeatureBasis(build_index_set(d, 1.0, 2.0),
+                             [Legendre(-1.0, 1.0) for _ in range(d)])
+        samples = SampleSet(rng.uniform(-1.0, 1.0, size=(20, d)), np.zeros(20),
+                            rng.normal(size=(20, d)))
+        G = rng.normal(size=(basis.size, m))
+        if repeat and m > 1:
+            G[:, -1] = G[:, 0]
+        # singular values in [1/2, 2]: condition number at most 4
+        Q1, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        Q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        A = Q1 @ np.diag(rng.uniform(0.5, 2.0, size=m)) @ Q2
+        before = poincare_loss(samples, FeatureMap(basis, G))
+        after = poincare_loss(samples, FeatureMap(basis, G @ A))
+        scale = samples.mean_gradient_norm_sq()
+        assert abs(after - before) <= 1e-9 * scale

@@ -243,6 +243,22 @@ class TestModelIO:
         q = rng.normal(size=(4, 2))
         np.testing.assert_allclose(krr_predict(clone, q), krr_predict(model, q))
 
+    @pytest.mark.parametrize("text", [
+        "2 x 0.5 1e-6\n0.1\n0.2\n1.0\n2.0\n",    # non-integer count
+        "2 1 0.5\n0.1\n0.2\n1.0\n2.0\n",         # short header
+        "",                                          # empty file
+        "0 1 0.5 1e-6\n",                           # no training points
+        "2 1 0.5 1e-6\n0.1\n0.2\n1.0\n",          # missing coefficient
+        "2 2 0.5 1e-6\n0.1 0.2\n0.3\n1.0\n2.0\n",  # ragged features
+        "2 1 0.5 1e-6\n0.1\n0.2\n1.0\n2.0\n3.0\n",  # more than announced
+    ], ids=["count-not-int", "short-header", "empty", "zero-points",
+            "short-body", "ragged-features", "trailing-data"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError):
+            KrrModel.load(path)
+
 
 class TestGridDefaults:
     def test_grids_match_protocol(self):

@@ -406,6 +406,33 @@ class TestFeatureMapIO:
         X = rng.uniform(0, 1, size=(10, 2))
         np.testing.assert_allclose(clone.evaluate(X), fmap.evaluate(X))
 
+    @pytest.mark.parametrize("text", [
+        "3 x\n1.0\n2.0\n3.0\n",       # non-integer count
+        "3\n1.0\n2.0\n3.0\n",         # one count
+        "3 1 1\n1.0\n2.0\n3.0\n",     # three counts
+        "",                             # empty file
+        "3 1\n1.0\n2.0\n",             # fewer rows than the header says
+        "3 2\n1.0 2.0\n3.0\n4.0 5.0\n",  # ragged body
+        "3 1\n1.0\nabc\n3.0\n",       # non-numeric entry
+    ], ids=["count-not-int", "one-count", "three-counts", "empty", "short-body",
+            "ragged-body", "non-numeric"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        basis = unit_box_basis(3)
+        path = tmp_path / "gmap.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError):
+            FeatureMap.load(path, basis)
+
+    def test_missing_or_malformed_basis_spec_rejected(self, tmp_path):
+        basis = unit_box_basis(2)
+        coeff = tmp_path / "gmap.txt"
+        FeatureMap(basis, np.ones(basis.size)).save(coeff)
+        bad = tmp_path / "basis.json"
+        bad.write_text("{not json")
+        for spec in (bad, tmp_path / "absent.json"):
+            with pytest.raises(InvalidInputError):
+                FeatureMap.load(coeff, str(spec))
+
     def test_zero_column_rejected(self):
         basis = unit_box_basis(2)
         with pytest.raises(InvalidInputError):
