@@ -382,63 +382,61 @@ class GramMatrix:
         return y
 
 
-def assemble_gram(basis, samples, kind="grad_gram"):
+def assemble_gram(basis, samples, kind="grad_gram", jac=None):
     """Monte-Carlo Gram matrix of the basis.
 
     ``samples`` is a SampleSet, an (n, d) array of points, or a
     ``(points, weights)`` quadrature pair.  For "grad_gram" this estimates the
     expected Jacobian cross-product (the metric used to normalize feature
     coefficients); for "value_gram" the expected outer product of values.
+    ``jac``, the basis Jacobian at the points, is read instead of evaluated
+    when given; the result is the same bit for bit.
     """
     points, weights = _points_and_weights(samples)
     n = points.shape[0]
     if n == 0:
         raise InvalidInputError("no samples provided for the Gram matrix")
-    _warn_underdetermined(n, basis.size)
+    if kind not in ("grad_gram", "value_gram"):
+        raise InvalidInputError(f"unknown Gram kind {kind!r}")
     K = basis.size
+    if n < K:
+        warnings.warn(f"Gram estimate from {n} samples for {K} basis functions "
+                      "may be poorly conditioned", stacklevel=2)
     acc = np.zeros((K, K))
-    for start in range(0, n, _EVAL_CHUNK):
-        sl = slice(start, min(start + _EVAL_CHUNK, n))
-        w = weights[sl]
-        if kind == "grad_gram":
-            acc += _grad_gram_term(basis.jacobian_batch(points[sl]), w)
-        elif kind == "value_gram":
-            V = basis.eval_batch(points[sl]) * np.sqrt(w)[:, None]
+    if kind == "grad_gram":
+        for sl, B in _jacobian_chunks(basis, points, _EVAL_CHUNK, jac):
+            M = (B * np.sqrt(weights[sl])[:, None, None]).reshape(-1, K)
+            acc += M.T @ M
+    else:
+        for start in range(0, n, _EVAL_CHUNK):
+            sl = slice(start, min(start + _EVAL_CHUNK, n))
+            V = basis.eval_batch(points[sl]) * np.sqrt(weights[sl])[:, None]
             acc += V.T @ V
-        else:
-            raise InvalidInputError(f"unknown Gram kind {kind!r}")
     return GramMatrix(acc, kind=kind)
 
 
-def gram_from_jacobian(jac):
-    """The "grad_gram" matrix of a sample set from its basis Jacobian (n, d, K).
+def _jacobian_chunks(basis, points, size, jac=None):
+    """Yield ``(rows, basis Jacobian at those rows)`` over chunks of ``size`` rows.
 
-    Equals ``assemble_gram(basis, samples)`` bit for bit when ``jac`` is
-    C-contiguous with the values ``basis.jacobian_batch(samples.points)``
-    returns, because it runs the same chunked accumulation.
+    ``jac``, the basis Jacobian at every point as an (n, d, K) array, is
+    sliced when given; otherwise each chunk is evaluated.  The Jacobian of a
+    point does not depend on the rows evaluated with it, so both ways yield
+    the same values, and a sum over the chunks is the same bit for bit.
     """
-    n, _, K = jac.shape
-    if n == 0:
-        raise InvalidInputError("no samples provided for the Gram matrix")
-    _warn_underdetermined(n, K)
-    weights = np.full(n, 1.0 / n)
-    acc = np.zeros((K, K))
-    for start in range(0, n, _EVAL_CHUNK):
-        sl = slice(start, min(start + _EVAL_CHUNK, n))
-        acc += _grad_gram_term(jac[sl], weights[sl])
-    return GramMatrix(acc)
+    n = points.shape[0]
+    if jac is not None:
+        _check_jacobian(basis, n, jac)
+    for start in range(0, n, size):
+        sl = slice(start, min(start + size, n))
+        yield sl, basis.jacobian_batch(points[sl]) if jac is None else jac[sl]
 
 
-def _grad_gram_term(B, w):
-    M = (B * np.sqrt(w)[:, None, None]).reshape(-1, B.shape[2])
-    return M.T @ M
-
-
-def _warn_underdetermined(n, K):
-    if n < K:
-        warnings.warn(
-            f"Gram estimate from {n} samples for {K} basis functions "
-            "may be poorly conditioned", stacklevel=3)
+def _check_jacobian(basis, n, jac):
+    if jac.shape != (n, basis.dim, basis.size):
+        raise InvalidInputError(
+            f"Jacobian of shape {jac.shape} does not match {n} points "
+            f"in dim {basis.dim} and K={basis.size}")
+    return jac
 
 
 def _points_and_weights(samples):

@@ -84,16 +84,40 @@ DEFAULT_CONFIG = {
 
 
 def _merge_config(defaults, override, path=""):
+    if not isinstance(override, dict):
+        raise InvalidInputError(
+            f"config {path or 'file'} must be a JSON object, got {override!r}")
     out = copy.deepcopy(defaults)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise InvalidInputError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
+        if isinstance(defaults[key], dict):
             out[key] = _merge_config(defaults[key], value, where)
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+def _setting(cfg, path, convert):
+    """``convert`` of the config value at a dotted path; a value it cannot
+    convert raises ``InvalidInputError`` naming the key."""
+    value = cfg
+    for key in path.split("."):
+        value = value[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"config {path}: cannot use {value!r} ({exc})") from None
+
+
+def _floats(values):
+    return [float(v) for v in values or ()]
+
+
+def _pk_pair(values):
+    p, k = values
+    return float(p), float(k)
 
 
 def load_config(path=None, seed=None, out_dir=None):
@@ -127,25 +151,26 @@ def _ensure_out(cfg):
 
 
 def _cv_grid(cfg):
-    reg = cfg["regression"]
-    return CvGrid(
-        log10_gamma=np.linspace(reg["log10_gamma"]["lo"], reg["log10_gamma"]["hi"],
-                                int(reg["log10_gamma"]["n"])),
-        log10_ridge=np.linspace(reg["log10_ridge"]["lo"], reg["log10_ridge"]["hi"],
-                                int(reg["log10_ridge"]["n"])),
-        folds=int(reg["folds"]),
-        pk_folds=int(reg["pk_folds"]),
-    )
+    def grid(name):
+        return np.linspace(_setting(cfg, f"regression.{name}.lo", float),
+                           _setting(cfg, f"regression.{name}.hi", float),
+                           _setting(cfg, f"regression.{name}.n", int))
+
+    return CvGrid(log10_gamma=grid("log10_gamma"), log10_ridge=grid("log10_ridge"),
+                  folds=_setting(cfg, "regression.folds", int),
+                  pk_folds=_setting(cfg, "regression.pk_folds", int))
 
 
 def _optimizer(cfg):
-    opt = cfg["learn"]["optimizer"]
-    return OptimizerConfig(max_iters=int(opt["max_iters"]),
-                           grad_tol=float(opt["grad_tol"]),
-                           step_init=float(opt["step_init"]),
-                           shrink=float(opt["shrink"]),
-                           sufficient_decrease=float(opt["sufficient_decrease"]),
-                           trace_path=opt["trace_path"])
+    def opt(key, convert):
+        return _setting(cfg, f"learn.optimizer.{key}", convert)
+
+    return OptimizerConfig(max_iters=opt("max_iters", int),
+                           grad_tol=opt("grad_tol", float),
+                           step_init=opt("step_init", float),
+                           shrink=opt("shrink", float),
+                           sufficient_decrease=opt("sufficient_decrease", float),
+                           trace_path=cfg["learn"]["optimizer"]["trace_path"])
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +178,24 @@ def _optimizer(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_learn(cfg, samples_path):
-    section = cfg["basis"]
-    if not section["families"]:
+    families = _setting(cfg, "basis.families", list)
+    if not families:
         raise InvalidInputError(
             "config basis.families is empty; list one family per input dimension")
-    families = [family_from_spec(s) for s in section["families"]]
+    families = [family_from_spec(s) for s in families]
+    p = _setting(cfg, "basis.p", float)
+    k = _setting(cfg, "basis.k", float)
+    m = _setting(cfg, "learn.m", int)
+    optimizer = _optimizer(cfg)
     samples = bm.read_samples_csv(samples_path)
     if samples.dim != len(families):
         raise InvalidInputError(
             f"samples have dim {samples.dim}, basis lists {len(families)} families")
-    basis = FeatureBasis(build_index_set(samples.dim, section["p"], section["k"]),
-                         families)
+    basis = FeatureBasis(build_index_set(samples.dim, p, k), families)
     gram = assemble_gram(basis, samples)
     t0 = time.perf_counter()
-    fmap, info = learn_features(samples, basis, int(cfg["learn"]["m"]),
-                                cfg["learn"]["method"], gram=gram,
-                                config=_optimizer(cfg))
+    fmap, info = learn_features(samples, basis, m, cfg["learn"]["method"],
+                                gram=gram, config=optimizer)
     fmap = fmap.orthonormalized(gram)
     wall = time.perf_counter() - t0
     out = _ensure_out(cfg)
@@ -176,7 +203,7 @@ def cmd_learn(cfg, samples_path):
               os.path.join(out, "basis.json"))
     metrics = {
         "method": cfg["learn"]["method"],
-        "m": int(cfg["learn"]["m"]),
+        "m": m,
         "K": basis.size,
         "loss_init": info["loss_init"],
         "loss_final": poincare_loss(samples, fmap),
@@ -191,16 +218,17 @@ def cmd_learn(cfg, samples_path):
 
 
 def cmd_benchmark(cfg, full=False):
-    exp = cfg["experiment"]
+    def exp(key, convert):
+        return _setting(cfg, f"experiment.{key}", convert)
+
     config = bm.ExperimentConfig(
-        benchmark=exp["benchmark"], m=int(exp["m"]),
-        methods=tuple(exp["methods"]),
-        ntrain_list=tuple(int(n) for n in exp["ntrain_list"]),
-        n_test=int(exp["n_test"]),
-        n_realizations=int(exp["n_realizations"]),
-        seed=int(exp["seed"]), select_pk=bool(exp["select_pk"]),
-        fixed_pk=tuple(exp["fixed_pk"]), cv=_cv_grid(cfg),
-        optimizer=_optimizer(cfg))
+        benchmark=exp("benchmark", str), m=exp("m", int),
+        methods=exp("methods", tuple),
+        ntrain_list=exp("ntrain_list", lambda v: tuple(int(n) for n in v)),
+        n_test=exp("n_test", int), n_realizations=exp("n_realizations", int),
+        seed=exp("seed", int), select_pk=exp("select_pk", bool),
+        fixed_pk=exp("fixed_pk", _pk_pair),
+        cv=_cv_grid(cfg), optimizer=_optimizer(cfg))
     if full:
         config = config.full_scale()
         cfg = copy.deepcopy(cfg)
@@ -237,7 +265,8 @@ def _deviation_h_samples(cfg):
         points = bm.read_samples_csv(dev["samples"]).points
     elif dev["benchmark"]:
         bench = bm.make_benchmark(dev["benchmark"])
-        points = bm.sample_inputs(bench, int(dev["n_samples"]), int(dev["seed"]))
+        points = bm.sample_inputs(bench, _setting(cfg, "deviation.n_samples", int),
+                                  _setting(cfg, "deviation.seed", int))
     else:
         raise InvalidInputError(
             "config deviation needs either a samples path or a benchmark id")
@@ -247,9 +276,9 @@ def _deviation_h_samples(cfg):
 
 
 def _resolve_remez(cfg, fmap):
-    dev = cfg["deviation"]
-    if dev["k"] is not None:
-        return float(dev["k"]), float(dev["A"])
+    A = _setting(cfg, "deviation.A", float)
+    if cfg["deviation"]["k"] is not None:
+        return _setting(cfg, "deviation.k", float), A
     if not fmap.basis.is_polynomial():
         raise InvalidInputError(
             "deviation.k must be given explicitly for a basis with a "
@@ -257,21 +286,22 @@ def _resolve_remez(cfg, fmap):
     ell = fmap.basis.degree() - 1
     if ell < 1:
         raise InvalidInputError("basis degree must be at least 2 to derive k")
-    return 2.0 * ell, float(dev["A"])
+    return 2.0 * ell, A
 
 
 def cmd_check_deviation(cfg):
-    dev = cfg["deviation"]
-    if not dev["eps_grid"] and not dev["t_grid"]:
+    eps_grid = _setting(cfg, "deviation.eps_grid", _floats)
+    t_grid = _setting(cfg, "deviation.t_grid", _floats)
+    if not eps_grid and not t_grid:
         raise InvalidInputError("deviation.eps_grid and t_grid are both empty")
+    s = _setting(cfg, "deviation.s", float)
     h, fmap = _deviation_h_samples(cfg)
     k, A = _resolve_remez(cfg, fmap)
-    s = float(dev["s"])
     reports = {}
-    if dev["eps_grid"]:
-        reports["small"] = check_small_deviation(h, k, A, s, dev["eps_grid"]).to_dict()
-    if dev["t_grid"]:
-        reports["large"] = check_large_deviation(h, k, A, s, dev["t_grid"]).to_dict()
+    if eps_grid:
+        reports["small"] = check_small_deviation(h, k, A, s, eps_grid).to_dict()
+    if t_grid:
+        reports["large"] = check_large_deviation(h, k, A, s, t_grid).to_dict()
     out = _ensure_out(cfg)
     payload = {"k": k, "A": A, "s": s, "reports": reports}
     _dump_json(payload, os.path.join(out, "deviation_report.json"))

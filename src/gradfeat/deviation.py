@@ -134,8 +134,6 @@ def _eta_lower_extended(A, s):
     # Continuous extension of the s > 0 small-deviation rate; the s <= 0
     # closed form is not independently established, so this is only used
     # inside the constant calculators, never by the empirical checkers.
-    if s > 0:
-        return A * (1.0 - 2.0 ** -s) / s
     if s == 0:
         return A * LN2
     return A * (1.0 - 2.0 ** -s) / s
@@ -146,6 +144,9 @@ def _eta_lower_extended(A, s):
 # ---------------------------------------------------------------------------
 
 class SuboptimalityConstants(NamedTuple):
+    """Suboptimality constants, for one feature or for several (the
+    coordinate surrogate case), or closed upper bounds on them."""
+
     gamma1: float   # loss <= gamma1 * nu_lower^(-1/(1+pk)) * surrogate^(1/(1+pk))
     gamma2: float   # surrogate <= gamma2 * nu_upper * f(loss), per s-case
     gamma3: float   # combined: loss at the surrogate minimizer vs the best loss
@@ -191,12 +192,6 @@ def uniform_suboptimality_bounds(d, ell):
     return SuboptimalityConstants(b1, b2, b3)
 
 
-class MultiFeatureConstants(NamedTuple):
-    gamma1: float
-    gamma2: float
-    gamma3: float
-
-
 def multifeature_constants(profile):
     """Exact multi-feature suboptimality constants (coordinate surrogate case).
 
@@ -216,7 +211,7 @@ def multifeature_constants(profile):
              * min(eta_up, 6.0 * A * p1 * ell * m))
     gt1 = 2.0 * inner ** expo
     gt3 = gt1 * gt2 ** (1.0 / (1.0 + 2.0 * ell * m))
-    exact = MultiFeatureConstants(gt1, gt2, gt3)
+    exact = SuboptimalityConstants(gt1, gt2, gt3)
     bounds = multifeature_bounds(profile)
     for name, value, bound in zip(exact._fields, exact, bounds):
         if value > bound * (1.0 + 1e-12):
@@ -231,9 +226,9 @@ def multifeature_bounds(profile):
     if s <= 0:
         raise InvalidInputError("multi-feature bounds are stated for s > 0 only")
     head = m ** (1.0 / (4.0 * ell)) / s * min(1.0 / s, 3.0 * ell * p1 * m)
-    return MultiFeatureConstants(2.0 ** 9 * head,
-                                 2.0 ** (1 + 6 * ell) * s ** (-2.0 * ell),
-                                 2.0 ** 10 * head)
+    return SuboptimalityConstants(2.0 ** 9 * head,
+                                  2.0 ** (1 + 6 * ell) * s ** (-2.0 * ell),
+                                  2.0 ** 10 * head)
 
 
 def objective_envelope(surrogate_value, profile):

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import assemble_gram
+from .basis import _check_jacobian, assemble_gram
 from .errors import IllConditionedError, InvalidInputError, RankDeficiencyError
 from .geometry import (DEFAULT_RANK_TOL, _complement_factors,
                        _complement_residual_sq)
-from .surrogate import (FeatureMap, _poincare_loss_on_jacobian, greedy_features,
-                        orthonormalize, poincare_loss)
+from .surrogate import FeatureMap, greedy_features, orthonormalize, poincare_loss
 
 
 @dataclass
@@ -96,12 +95,8 @@ class _LossContext:
     """
 
     def __init__(self, samples, basis, tol, jac=None):
-        if jac is None:
-            jac = basis.jacobian_batch(samples.points)
-        elif jac.shape != (samples.n, samples.dim, basis.size):
-            raise InvalidInputError(
-                f"Jacobian of shape {jac.shape} does not match "
-                f"{samples.n} samples in dim {samples.dim} and K={basis.size}")
+        jac = basis.jacobian_batch(samples.points) if jac is None else \
+            _check_jacobian(basis, samples.n, jac)
         self.flat = jac.reshape(-1, basis.size)
         self.b = samples.gradients
         self.b_sq = np.sum(self.b ** 2, axis=1)
@@ -271,32 +266,33 @@ def learn_features(samples, basis, m, method, gram=None, config=None,
 
     ``sur`` solves the greedy surrogate eigenproblems only; ``gli`` descends
     from the active-subspace start; ``gsi`` descends from the surrogate
-    start.  ``jac``, the basis Jacobian at the sample points as a
-    C-contiguous (n, d, K) array, serves the descent and the final loss; None
-    evaluates it where needed.  Returns ``(feature_map, info)`` where info
-    carries the initial and final losses and the wall time.
+    start.  ``jac`` is the basis Jacobian at the sample points as a
+    C-contiguous (n, d, K) array.  When None, the descent methods evaluate it
+    once and every step of the fit reads it, while ``sur`` streams its sums
+    chunk by chunk; results are the same bit for bit either way.  Returns
+    ``(feature_map, info)`` where info carries the initial and final losses
+    and the wall time.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
+    if jac is None and method != "sur":
+        jac = basis.jacobian_batch(samples.points)
     if gram is None:
-        gram = assemble_gram(basis, samples)
+        gram = assemble_gram(basis, samples, jac=jac)
     t0 = time.perf_counter()
     if method == "sur":
-        fmap = greedy_features(samples, basis, m, gram=gram, tol=tol)
+        fmap = greedy_features(samples, basis, m, gram=gram, tol=tol, jac=jac)
         info = {"method": method, "loss_init": None, "iterations": 0}
     else:
         if method == "gli":
             G0 = active_subspace_init(samples, basis, m, gram=gram)
         else:
-            G0 = greedy_features(samples, basis, m, gram=gram, tol=tol).coeffs
+            G0 = greedy_features(samples, basis, m, gram=gram, tol=tol,
+                                 jac=jac).coeffs
         fmap, trace = minimize_poincare_loss(samples, basis, G0, config=config,
                                              gram=gram, tol=tol, jac=jac)
         info = {"method": method, "loss_init": trace[0][1],
                 "iterations": trace[-1][0]}
-    if jac is None:
-        info["loss_final"] = poincare_loss(samples, fmap, tol)
-    else:
-        info["loss_final"] = _poincare_loss_on_jacobian(
-            samples.gradients, jac, fmap.coeffs, tol)
+    info["loss_final"] = poincare_loss(samples, fmap, tol, jac)
     info["wall_time_s"] = time.perf_counter() - t0
     return fmap, info

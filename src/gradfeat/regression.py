@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import (FeatureBasis, GramMatrix, MultiIndexSet, build_index_set,
-                    gram_from_jacobian)
+from .basis import (FeatureBasis, GramMatrix, MultiIndexSet, assemble_gram,
+                    build_index_set)
 from .errors import InvalidInputError, NumericError
 from .geometry import DEFAULT_RANK_TOL, _complement_residual_sq
 from .grassmann import learn_features
-from .surrogate import (SurrogateMatrices, _poincare_loss_on_jacobian,
-                        min_generalized_eig, surrogate_sums)
+from .surrogate import (SurrogateMatrices, min_generalized_eig, poincare_loss,
+                        surrogate_sums)
 
 _PK_CANDIDATES = ((0.8, 2), (0.8, 3), (0.8, 4), (0.8, 5),
                   (0.9, 2), (0.9, 3), (0.9, 4),
@@ -218,12 +218,12 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
             for train, val in folds:
                 # indexing the first axis copies into C order
                 jac_tr = jac_c[train]
-                fmap, _ = learn_features(samples.subset(train), basis, m, method,
-                                         gram=gram_from_jacobian(jac_tr),
+                train_set = samples.subset(train)
+                gram = assemble_gram(basis, train_set, jac=jac_tr)
+                fmap, _ = learn_features(train_set, basis, m, method, gram=gram,
                                          config=optimizer, jac=jac_tr)
-                scores.append(_poincare_loss_on_jacobian(
-                    samples.gradients[val], jac_c[val], fmap.coeffs,
-                    DEFAULT_RANK_TOL))
+                scores.append(poincare_loss(samples.subset(val), fmap,
+                                            jac=jac_c[val]))
             score = float(np.mean(scores))
         results.append((score, basis.size, (p, k)))
     _, _, best = min(results)

@@ -17,7 +17,9 @@ Terminology used throughout the package:
 
 Feature indices in the public API are 1-based.  Sample accumulations are
 sequential over fixed-size chunks, so results are bit-reproducible for given
-inputs.
+inputs.  The estimators that sum over samples take an optional ``jac``, the
+basis Jacobian at the sample points, which they slice chunk by chunk instead
+of evaluating it; their results are the same with and without it.
 """
 
 import json
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import assemble_gram, basis_from_spec
+from .basis import _jacobian_chunks, assemble_gram, basis_from_spec
 from .errors import InvalidInputError, RankDeficiencyError
 from .geometry import (DEFAULT_RANK_TOL, _complement_residual_sq, _deflate,
                        _orthobasis_batch)
@@ -107,8 +109,12 @@ class FeatureMap:
         return self.basis.eval_batch(X) @ self.coeffs
 
     def gradients(self, X):
-        """Feature Jacobians at each row of X; returns (n, d, m)."""
-        return _feature_jacobians(self.basis.jacobian_batch(X), self.coeffs)
+        """Feature Jacobians at each row of X; returns (n, d, m).
+
+        The basis Jacobian is evaluated a chunk of rows at a time, so only
+        one chunk of the (n, d, K) array is held at once.
+        """
+        return _feature_jacobians(self, self.basis._check_points(X))
 
     def orthonormalized(self, gram):
         return FeatureMap(self.basis, orthonormalize(self.coeffs, gram))
@@ -191,47 +197,25 @@ def _pair_term(v, w):
     return np.maximum(vv * ww - vw ** 2, 0.0)
 
 
-def poincare_loss_terms(samples, fmap, tol=DEFAULT_RANK_TOL):
+def poincare_loss_terms(samples, fmap, tol=DEFAULT_RANK_TOL, jac=None):
     """Per-sample contributions to the Poincare loss (useful for standard errors)."""
     _check_compat(samples, fmap)
-    out = np.empty(samples.n)
-    for sl in _chunks(samples.n):
-        jac = fmap.gradients(samples.points[sl])
-        out[sl] = _complement_residual_sq(samples.gradients[sl], jac, tol)
-    return out
+    jac_g = _feature_jacobians(fmap, samples.points, jac)
+    return _complement_residual_sq(samples.gradients, jac_g, tol)
 
 
-def _poincare_loss_on_jacobian(gradients, jac_phi, coeffs, tol):
-    """``poincare_loss`` from the basis Jacobian at the samples, (n, d, K).
-
-    Runs the chunks and arithmetic of ``poincare_loss``, so on a C-contiguous
-    ``jac_phi`` equal to ``basis.jacobian_batch(samples.points)`` the result
-    is the same bit for bit.
-    """
-    out = np.empty(gradients.shape[0])
-    for sl in _chunks(gradients.shape[0]):
-        jac = _feature_jacobians(jac_phi[sl], coeffs)
-        out[sl] = _complement_residual_sq(gradients[sl], jac, tol)
-    return float(np.mean(out))
-
-
-def poincare_loss(samples, fmap, tol=DEFAULT_RANK_TOL):
+def poincare_loss(samples, fmap, tol=DEFAULT_RANK_TOL, jac=None):
     """Monte-Carlo Poincare loss: mean squared off-span component of the gradient.
 
     Always lies between 0 and the mean squared gradient norm.
     """
-    return float(np.mean(poincare_loss_terms(samples, fmap, tol)))
+    return float(np.mean(poincare_loss_terms(samples, fmap, tol, jac)))
 
 
 def convex_surrogate_terms(samples, fmap):
-    _check_compat(samples, fmap)
     if fmap.n_features != 1:
         raise InvalidInputError("the convex surrogate is defined for a single feature")
-    out = np.empty(samples.n)
-    for sl in _chunks(samples.n):
-        jac = fmap.gradients(samples.points[sl])[:, :, 0]
-        out[sl] = _pair_term(samples.gradients[sl], jac)
-    return out
+    return coordinate_surrogate_terms(samples, fmap, 1)
 
 
 def convex_surrogate(samples, fmap):
@@ -248,14 +232,9 @@ def coordinate_surrogate_terms(samples, fmap, j, tol=DEFAULT_RANK_TOL):
     m = fmap.n_features
     if not 1 <= j <= m:
         raise InvalidInputError(f"feature index j={j} out of range 1..{m}")
-    out = np.empty(samples.n)
-    for sl in _chunks(samples.n):
-        jac = fmap.gradients(samples.points[sl])
-        Q = _orthobasis_batch(np.delete(jac, j - 1, axis=2), tol)
-        w = _deflate(Q, jac[:, :, j - 1])
-        v = _deflate(Q, samples.gradients[sl])
-        out[sl] = _pair_term(v, w)
-    return out
+    jac = fmap.gradients(samples.points)
+    Q = _orthobasis_batch(np.delete(jac, j - 1, axis=2), tol)
+    return _pair_term(_deflate(Q, samples.gradients), _deflate(Q, jac[:, :, j - 1]))
 
 
 def coordinate_surrogate(samples, fmap, j, tol=DEFAULT_RANK_TOL):
@@ -281,7 +260,7 @@ def surrogate_sums(gradients, jac_phi):
     return h1, C.T @ C
 
 
-def surrogate_matrices(samples, basis):
+def surrogate_matrices(samples, basis, jac=None):
     """K x K matrices making the single-feature surrogate a quadratic form.
 
     h1 accumulates the gradient-norm-weighted Jacobian cross-products, h2 the
@@ -291,16 +270,15 @@ def surrogate_matrices(samples, basis):
     K = basis.size
     h1 = np.zeros((K, K))
     h2 = np.zeros((K, K))
-    n = samples.n
-    for sl in _chunks(n):
-        B = basis.jacobian_batch(samples.points[sl])
+    for sl, B in _jacobian_chunks(basis, samples.points, _CHUNK, jac):
         d1, d2 = surrogate_sums(samples.gradients[sl], B)
         h1 += d1
         h2 += d2
-    return SurrogateMatrices(h1=h1 / n, h2=h2 / n)
+    return SurrogateMatrices(h1=h1 / samples.n, h2=h2 / samples.n)
 
 
-def coordinate_surrogate_matrices(samples, basis, coeffs_others, tol=DEFAULT_RANK_TOL):
+def coordinate_surrogate_matrices(samples, basis, coeffs_others, tol=DEFAULT_RANK_TOL,
+                                  jac=None):
     """Quadratic-form matrices for the next feature given prior coefficient columns.
 
     ``coeffs_others`` is K x (m-1); with zero columns this reduces exactly to
@@ -311,13 +289,11 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, tol=DEFAULT_RAN
     if coeffs_others.ndim == 1:
         coeffs_others = coeffs_others[:, None]
     if coeffs_others.shape[1] == 0:
-        return surrogate_matrices(samples, basis)
+        return surrogate_matrices(samples, basis, jac)
     K = basis.size
     h1 = np.zeros((K, K))
     h2 = np.zeros((K, K))
-    n = samples.n
-    for sl in _chunks(n, 2048):
-        B = basis.jacobian_batch(samples.points[sl])
+    for sl, B in _jacobian_chunks(basis, samples.points, 2048, jac):
         W = np.einsum("ndk,kr->ndr", B, coeffs_others)
         Q = _orthobasis_batch(W, tol)
         v = _deflate(Q, samples.gradients[sl])
@@ -325,7 +301,7 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, tol=DEFAULT_RAN
         d1, d2 = surrogate_sums(v, A)
         h1 += d1
         h2 += d2
-    return SurrogateMatrices(h1=h1 / n, h2=h2 / n)
+    return SurrogateMatrices(h1=h1 / samples.n, h2=h2 / samples.n)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +375,7 @@ def orthonormalize(coeffs, gram):
 # Greedy multi-feature learner
 # ---------------------------------------------------------------------------
 
-def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL):
+def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL, jac=None):
     """Learn m features one at a time by shifted generalized eigensolves.
 
     The first column minimizes the convex surrogate.  Each later column
@@ -407,15 +383,16 @@ def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL):
     prior-column directions pushed up by a spectral shift (the largest
     generalized eigenvalue of the weighted Jacobian Gram matrix) so the
     eigensolver cannot return them again.  The result satisfies
-    G^T R G = I_m after a final re-orthonormalization.
+    G^T R G = I_m after a final re-orthonormalization.  ``gram`` is assembled
+    when None; ``jac`` is the basis Jacobian at the sample points, or None.
     """
     if m < 1:
         raise InvalidInputError("m must be >= 1")
     if m > basis.size:
         raise InvalidInputError(f"m={m} exceeds basis size K={basis.size}")
     if gram is None:
-        gram = assemble_gram(basis, samples)
-    mats = surrogate_matrices(samples, basis)
+        gram = assemble_gram(basis, samples, jac=jac)
+    mats = surrogate_matrices(samples, basis, jac)
     _, g1 = min_generalized_eig(mats.h, gram)
     G = np.zeros((basis.size, m))
     G[:, 0] = g1
@@ -424,7 +401,7 @@ def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL):
         R = gram.matrix
         for j in range(2, m + 1):
             others = G[:, :j - 1]
-            mats_j = coordinate_surrogate_matrices(samples, basis, others, tol)
+            mats_j = coordinate_surrogate_matrices(samples, basis, others, tol, jac)
             shift = (R @ others) @ (others.T @ R)
             _, gj = min_generalized_eig(mats_j.h + alpha * shift, gram)
             # explicit re-orthogonalization against prior columns for robustness
@@ -441,13 +418,13 @@ def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL):
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _feature_jacobians(jac_phi, coeffs):
-    return np.einsum("ndk,km->ndm", jac_phi, coeffs)
-
-
-def _chunks(n, size=_CHUNK):
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
+def _feature_jacobians(fmap, points, jac=None):
+    """Feature Jacobians (n, d, m) at the points, one basis-Jacobian chunk at a
+    time; ``jac`` is the basis Jacobian at the points, or None."""
+    out = np.empty((points.shape[0], fmap.basis.dim, fmap.n_features))
+    for sl, B in _jacobian_chunks(fmap.basis, points, _CHUNK, jac):
+        out[sl] = np.einsum("ndk,km->ndm", B, fmap.coeffs)
+    return out
 
 
 def _check_compat(samples, fmap):

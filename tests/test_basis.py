@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import scipy.linalg
 
 from gradfeat.basis import (FeatureBasis, GramMatrix, Hermite, Legendre,
                             LogHermite, assemble_gram, basis_from_spec,
-                            build_index_set, family_from_spec, family_to_spec,
-                            gram_from_jacobian)
+                            build_index_set, family_from_spec, family_to_spec)
 from gradfeat.errors import InvalidInputError
+from gradfeat.surrogate import (FeatureMap, SampleSet,
+                                coordinate_surrogate_matrices, poincare_loss,
+                                surrogate_matrices)
 
 SQ3 = math.sqrt(3.0)
 
@@ -267,13 +270,52 @@ class TestGramMatrix:
             assert out.shape == rhs.shape
             assert np.array_equal(out, ref)
 
-    def test_gram_from_jacobian_matches_assemble_gram_bitwise(self):
+    def test_jacobian_of_wrong_shape_rejected(self):
+        basis = legendre_basis(2, 1.0, 2.0)
+        pts = np.random.default_rng(9).uniform(0, 1, size=(20, 2))
+        with pytest.raises(InvalidInputError):
+            assemble_gram(basis, pts, jac=basis.jacobian_batch(pts[:-1]))
+
+
+def _gram_with_warnings(samples, basis, jac):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        R = assemble_gram(basis, samples, jac=jac)
+    return R.matrix, R.chol, R.ridge_added, [str(w.message) for w in caught]
+
+
+# each estimator that sums over samples, as a tuple of its results
+_SUMS = {
+    "assemble_gram": _gram_with_warnings,
+    "surrogate_matrices": lambda samples, basis, jac: (
+        surrogate_matrices(samples, basis, jac).h,),
+    "coordinate_surrogate_matrices": lambda samples, basis, jac: (
+        coordinate_surrogate_matrices(samples, basis, _coeffs(basis, 2),
+                                      jac=jac).h,),
+    "poincare_loss": lambda samples, basis, jac: tuple(
+        poincare_loss(samples, FeatureMap(basis, _coeffs(basis, m)), jac=jac)
+        for m in (1, 2)),
+}
+
+
+def _coeffs(basis, m):
+    return np.random.default_rng(10).normal(size=(basis.size, m))
+
+
+class TestPrecomputedJacobian:
+    # 2 * 16384 + 5 rows span several chunks of every estimator; 15 rows are
+    # fewer than the K = 19 basis functions, so the Gram warns
+    @pytest.mark.parametrize("n", [15, 2 * 16384 + 5])
+    @pytest.mark.parametrize("name", sorted(_SUMS))
+    def test_sums_match_evaluated_jacobian_bitwise(self, name, n):
         basis = legendre_basis(3, 1.0, 3.0)
-        pts = np.random.default_rng(8).uniform(0, 1, size=(15, 3))
-        with pytest.warns(UserWarning, match="Gram estimate from 15 samples"):
-            ref = assemble_gram(basis, pts)
-        with pytest.warns(UserWarning, match="Gram estimate from 15 samples"):
-            out = gram_from_jacobian(basis.jacobian_batch(pts))
-        assert np.array_equal(out.matrix, ref.matrix)
-        assert np.array_equal(out.chol, ref.chol)
-        assert out.ridge_added == ref.ridge_added
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0, 1, size=(n, 3))
+        samples = SampleSet(pts, np.zeros(n), rng.normal(size=(n, 3)))
+        ref = _SUMS[name](samples, basis, None)
+        out = _SUMS[name](samples, basis, basis.jacobian_batch(pts))
+        assert len(out) == len(ref)
+        for a, b in zip(out, ref):
+            assert np.array_equal(a, b)
+        if name == "assemble_gram":
+            assert bool(out[3]) == (n < basis.size)

@@ -59,6 +59,35 @@ class TestConfig:
         assert "unknown config key: learn.optimizer.seed" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("tree, command, key", [
+        ([], ["--print-config"], "config file"),
+        ([], ["learn", "CSV"], "config file"),
+        ({"learn": ["gsi"]}, ["--print-config"], "config learn "),
+        ({"regression": {"log10_gamma": 3}}, ["--print-config"],
+         "config regression.log10_gamma "),
+        ({"basis": {"families": box_families(), "p": "x"}}, ["learn", "CSV"],
+         "config basis.p:"),
+        ({"basis": {"families": box_families()},
+          "learn": {"optimizer": {"max_iters": "many"}}}, ["learn", "CSV"],
+         "config learn.optimizer.max_iters:"),
+        ({"regression": {"folds": None}}, ["benchmark"],
+         "config regression.folds:"),
+        ({"experiment": {"fixed_pk": [1.0]}}, ["benchmark"],
+         "config experiment.fixed_pk:"),
+        ({"deviation": {"eps_grid": ["tiny"]}}, ["check-deviation"],
+         "config deviation.eps_grid:"),
+    ], ids=["list-print-config", "list-learn", "section-not-object",
+            "subsection-not-object", "basis-p", "max-iters", "folds",
+            "fixed-pk", "eps-grid"])
+    def test_value_of_wrong_type_exits_2(self, tmp_path, u1_csv, capsys,
+                                         tree, command, key):
+        path = write_config(tmp_path, "typed.json", tree)
+        command = [str(u1_csv) if word == "CSV" else word for word in command]
+        assert main(["--config", path] + command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + key), err
+        assert "Traceback" not in err
+
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit) as info:
             main(["--threads", "1", "--print-config"])

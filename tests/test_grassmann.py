@@ -173,14 +173,34 @@ class TestMinimize:
                                                 gram=gram, jac=jac)
             assert np.array_equal(out.coeffs, ref.coeffs)
             assert trace == ref_trace
-            for method in ("gli", "gsi"):
+            for method in ("sur", "gli", "gsi"):
                 ref, ref_info = learn_features(samples, basis, m, method,
                                                gram=gram, config=cfg)
                 out, info = learn_features(samples, basis, m, method,
                                            gram=gram, config=cfg, jac=jac)
                 assert np.array_equal(out.coeffs, ref.coeffs)
-                assert info["loss_final"] == ref_info["loss_final"]
+                del info["wall_time_s"], ref_info["wall_time_s"]
+                assert info == ref_info
                 assert info["loss_final"] == poincare_loss(samples, ref)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("method", ["gli", "gsi"])
+    @pytest.mark.parametrize("with_gram", [False, True])
+    def test_descent_fit_evaluates_one_jacobian(self, monkeypatch, m, method,
+                                                with_gram):
+        samples, basis, gram = u3_setup(n=60, seed=18)
+        calls = []
+        evaluate = FeatureBasis.jacobian_batch
+
+        def counted(self, X):
+            calls.append(len(X))
+            return evaluate(self, X)
+
+        monkeypatch.setattr(FeatureBasis, "jacobian_batch", counted)
+        learn_features(samples, basis, m, method,
+                       gram=gram if with_gram else None,
+                       config=OptimizerConfig(max_iters=5))
+        assert calls == [samples.n]
 
     def test_jacobian_of_wrong_shape_rejected(self):
         samples, basis, gram = u3_setup(n=60, seed=17)

@@ -1,8 +1,9 @@
 """Property tests of the rank-revealing projection kernel in ``gradfeat.geometry``.
 
 The one-matrix API must compute exactly what the estimators compute per
-sample, and the Poincare loss built on the kernel must stay within its
-documented range and depend only on the span of the coefficient columns.
+sample, the closed form for one feature must decide rank as the SVD does,
+and the Poincare loss built on the kernel must stay within its documented
+range and depend only on the span of the coefficient columns.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from gradfeat.basis import FeatureBasis, Legendre, build_index_set
 from gradfeat.geometry import (DEFAULT_RANK_TOL, _deflate, _orthobasis_batch,
+                               _single_feature_sums, _single_residual_sq,
                                _span_svd, complement_split,
                                orthogonal_projector, orthonormal_span,
                                project_complement)
@@ -73,6 +75,33 @@ class TestOneRowCallsMatchTheBatchedKernel:
             w, v = complement_split(M[i], x[i], j)
             np.testing.assert_array_equal(w, w_rows[i])
             np.testing.assert_array_equal(v, v_rows[i])
+
+
+# |v| below about 1e-154 squares to zero, which the closed form reads as a
+# zero column; such entries become exact zeros here
+squarable = entries.map(lambda v: v if abs(v) >= 1e-100 else 0.0)
+
+
+class TestSingleFeatureRankRule:
+    @PROPERTY
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        hnp.arrays(float, (6, d), elements=squarable),
+        hnp.arrays(float, (6, d), elements=entries))))
+    def test_closed_form_agrees_with_the_svd(self, batch):
+        # the mask compares each singular value with the sample's leading
+        # one, which for a single column is its norm: so only zero columns
+        # are dropped, as in the closed form's nn > 0
+        col, grad_u = batch
+        b_sq = np.sum(grad_u ** 2, axis=1)
+        nn, dot, safe = _single_feature_sums(grad_u, col)
+        U, _, _, mask = _span_svd(col[:, :, None], DEFAULT_RANK_TOL)
+        zero = np.all(col == 0.0, axis=1)
+        np.testing.assert_array_equal(nn > 0.0, ~zero)
+        np.testing.assert_array_equal(mask[:, 0], ~zero)
+        closed = _single_residual_sq(b_sq, nn, dot, safe)
+        coef = np.einsum("nd,nd->n", U[:, :, 0], grad_u) * mask[:, 0]
+        svd = np.maximum(b_sq - coef ** 2, 0.0)
+        assert np.all(np.abs(closed - svd) <= 1e-12 * b_sq)
 
 
 @st.composite

@@ -195,13 +195,13 @@ class TestCvSelectBasisSharedJacobian:
                 row.append(poincare_loss(samples.subset(val), fmap))
             reference.append(row)
         seen = []
-        scorer = regression._poincare_loss_on_jacobian
+        scorer = regression.poincare_loss
 
-        def record(*args):
-            seen.append(scorer(*args))
+        def record(*args, **kwargs):
+            seen.append(scorer(*args, **kwargs))
             return seen[-1]
 
-        monkeypatch.setattr(regression, "_poincare_loss_on_jacobian", record)
+        monkeypatch.setattr(regression, "poincare_loss", record)
         best = cv_select_basis(samples, m, method, bench.families,
                                self.GRID, seed=9, optimizer=cfg)
         assert seen == [s for row in reference for s in row]

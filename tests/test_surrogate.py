@@ -393,6 +393,23 @@ class TestGreedy:
         assert convex_surrogate(samples, fmap) <= 1e-10 * scale
 
 
+class TestFeatureMapGradients:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_streamed_equals_whole_jacobian_bitwise(self, m):
+        # 8192 + 7 rows: the streamed evaluation crosses a chunk boundary
+        basis = unit_box_basis(3, 1.0, 3.0)
+        rng = np.random.default_rng(21)
+        X = rng.uniform(0, 1, size=(8192 + 7, 3))
+        fmap = FeatureMap(basis, rng.normal(size=(basis.size, m)))
+        whole = np.einsum("ndk,km->ndm", basis.jacobian_batch(X), fmap.coeffs)
+        assert np.array_equal(fmap.gradients(X), whole)
+
+    def test_points_of_wrong_dim_rejected(self):
+        fmap = coordinate_map(unit_box_basis(3), [0])
+        with pytest.raises(InvalidInputError):
+            fmap.gradients(np.zeros((0, 2)))
+
+
 class TestFeatureMapIO:
     def test_round_trip(self, tmp_path):
         basis = unit_box_basis(2, k=2.0)
