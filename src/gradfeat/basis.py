@@ -16,6 +16,7 @@ Univariate values are computed by three-term recurrences.  Basis objects are
 immutable after construction; evaluation is pure and thread-safe.
 """
 
+import functools
 import itertools
 import math
 import warnings
@@ -238,6 +239,41 @@ class FeatureBasis:
         self._alpha = np.array(index_set.indices, dtype=int)  # (K, d)
         self._max_deg = self._alpha.max(axis=0)               # per dimension
 
+    @functools.cached_property
+    def _plan(self):
+        """Gather plans over the stacked value table [1 | vals_0 | ... | vals_{d-1}].
+
+        phi_0 = 1 and phi_0' = 0 in every family, so Phi_alpha only needs
+        the factors of supp(alpha), and d Phi_alpha / d x_nu is zero unless
+        alpha_nu > 0.  Returns ``(eval_idx, jac_plan)``: ``eval_idx``
+        (s_max, K) lists each column's support factors in dimension order;
+        ``jac_plan`` holds, per nu, the columns with alpha_nu > 0, their
+        degrees, and the other support factors in dimension order.  Short
+        lists are padded with the constant-1 column; a skipped or padded
+        factor is an exact 1.0, so every product takes the same nonzero
+        multiplications in the same order as the full d-fold product.
+
+        Built on first evaluation, since most of the bases that (p, k)
+        cross-validation builds are never evaluated.
+        """
+        alpha = self._alpha
+        offsets = 1 + np.concatenate(([0], np.cumsum(self._max_deg + 1)[:-1]))
+        table_idx = np.where(alpha > 0, offsets + alpha, 0)  # (K, d)
+
+        def packed(idx):
+            # support entries first, in dimension order; the rest index the 1s
+            order = np.argsort(idx == 0, axis=1, kind="stable")
+            width = int(np.max(np.sum(idx > 0, axis=1), initial=0))
+            return np.take_along_axis(idx, order, axis=1)[:, :width].T
+
+        jac_plan = []
+        for nu in range(self.dim):
+            cols = np.flatnonzero(alpha[:, nu] > 0)
+            others = table_idx[cols]
+            others[:, nu] = 0
+            jac_plan.append((nu, cols, alpha[cols, nu], packed(others)))
+        return packed(table_idx), jac_plan
+
     @property
     def dim(self):
         return self.index_set.dim
@@ -264,40 +300,46 @@ class FeatureBasis:
     # -- evaluation ---------------------------------------------------------
 
     def _tables(self, X):
-        vals, ders = [], []
+        """Stacked value table [1 | vals_0 | ... | vals_{d-1}] and the
+        per-dimension derivative tables at the rows of X."""
+        vals, ders = [np.ones((X.shape[0], 1))], []
         for nu, fam in enumerate(self.families):
             v, g = fam.table(X[:, nu], int(self._max_deg[nu]))
             vals.append(v)
             ders.append(g)
-        return vals, ders
+        return np.concatenate(vals, axis=1), ders
 
     def eval_batch(self, X):
         """Phi at each row of X; returns (n, K)."""
         X = self._check_points(X)
+        eval_idx, _ = self._plan
         out = np.empty((X.shape[0], self.size))
         for start in range(0, X.shape[0], _EVAL_CHUNK):
-            chunk = X[start:start + _EVAL_CHUNK]
-            vals, _ = self._tables(chunk)
-            phi = np.ones((chunk.shape[0], self.size))
-            for nu in range(self.dim):
-                phi *= vals[nu][:, self._alpha[:, nu]]
+            V, _ = self._tables(X[start:start + _EVAL_CHUNK])
+            phi = V[:, eval_idx[0]]
+            for idx in eval_idx[1:]:
+                phi *= V[:, idx]
             out[start:start + _EVAL_CHUNK] = phi
         return out
 
     def jacobian_batch(self, X):
-        """Jacobian of Phi at each row of X; returns (n, d, K) with column j = grad Phi_j."""
+        """Jacobian of Phi at each row of X; returns (n, d, K) with column j = grad Phi_j.
+
+        Only entries with alpha_nu > 0 are multiplied out; the others are
+        exact zeros (+0.0).  Each nonzero is the same product, in the same
+        order, as the full d-fold one, so it is the same bit for bit.
+        """
         X = self._check_points(X)
         n = X.shape[0]
-        out = np.empty((n, self.dim, self.size))
+        _, jac_plan = self._plan
+        out = np.zeros((n, self.dim, self.size))
         for start in range(0, n, _EVAL_CHUNK):
-            chunk = X[start:start + _EVAL_CHUNK]
-            vals, ders = self._tables(chunk)
-            for nu in range(self.dim):
-                block = ders[nu][:, self._alpha[:, nu]]
-                for rho in range(self.dim):
-                    if rho != nu:
-                        block = block * vals[rho][:, self._alpha[:, rho]]
-                out[start:start + _EVAL_CHUNK, nu, :] = block
+            V, ders = self._tables(X[start:start + _EVAL_CHUNK])
+            for nu, cols, deg, others in jac_plan:
+                block = ders[nu][:, deg]
+                for idx in others:
+                    block *= V[:, idx]
+                out[start:start + _EVAL_CHUNK, nu, cols] = block
         return out
 
     def eval(self, x):

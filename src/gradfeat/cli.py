@@ -111,6 +111,24 @@ def _setting(cfg, path, convert):
         raise InvalidInputError(f"config {path}: cannot use {value!r} ({exc})") from None
 
 
+def _path(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a path string, got {type(value).__name__}")
+    return value
+
+
+def _optional_path(value):
+    return None if value is None else _path(value)
+
+
+def _check_paths(cfg):
+    """Reject path-valued keys of the wrong type before any work is done."""
+    _setting(cfg, "io.out_dir", _path)
+    for key in ("learn.optimizer.trace_path", "deviation.feature_map",
+                "deviation.basis_spec", "deviation.samples"):
+        _setting(cfg, key, _optional_path)
+
+
 def _floats(values):
     return [float(v) for v in values or ()]
 
@@ -134,6 +152,7 @@ def load_config(path=None, seed=None, out_dir=None):
         cfg["deviation"]["seed"] = seed
     if out_dir is not None:
         cfg["io"]["out_dir"] = out_dir
+    _check_paths(cfg)
     return cfg
 
 
@@ -143,9 +162,19 @@ def _dump_json(obj, path):
         fh.write("\n")
 
 
-def _ensure_out(cfg):
+def _make_out_dir(cfg):
+    """Create the output directory, once the config is read and before any
+    work, so that an unusable one fails fast."""
     out = cfg["io"]["out_dir"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot create io.out_dir {out!r}: {exc}") from None
+
+
+def _write_config(cfg):
+    """Write the resolved config into the output directory and return the directory."""
+    out = cfg["io"]["out_dir"]
     _dump_json(cfg, os.path.join(out, "config.json"))
     return out
 
@@ -187,18 +216,21 @@ def cmd_learn(cfg, samples_path):
     k = _setting(cfg, "basis.k", float)
     m = _setting(cfg, "learn.m", int)
     optimizer = _optimizer(cfg)
+    _make_out_dir(cfg)
     samples = bm.read_samples_csv(samples_path)
     if samples.dim != len(families):
         raise InvalidInputError(
             f"samples have dim {samples.dim}, basis lists {len(families)} families")
     basis = FeatureBasis(build_index_set(samples.dim, p, k), families)
-    gram = assemble_gram(basis, samples)
+    # one training Jacobian serves the Gram, the fit and the final loss
+    jac = basis.jacobian_batch(samples.points)
+    gram = assemble_gram(basis, samples, jac=jac)
     t0 = time.perf_counter()
     fmap, info = learn_features(samples, basis, m, cfg["learn"]["method"],
-                                gram=gram, config=optimizer)
+                                gram=gram, config=optimizer, jac=jac)
     fmap = fmap.orthonormalized(gram)
     wall = time.perf_counter() - t0
-    out = _ensure_out(cfg)
+    out = _write_config(cfg)
     fmap.save(os.path.join(out, "feature_map.txt"),
               os.path.join(out, "basis.json"))
     metrics = {
@@ -206,7 +238,7 @@ def cmd_learn(cfg, samples_path):
         "m": m,
         "K": basis.size,
         "loss_init": info["loss_init"],
-        "loss_final": poincare_loss(samples, fmap),
+        "loss_final": poincare_loss(samples, fmap, jac=jac),
         "loss_scale": samples.mean_gradient_norm_sq(),
         "wall_time_s": wall,
     }
@@ -234,8 +266,9 @@ def cmd_benchmark(cfg, full=False):
         cfg = copy.deepcopy(cfg)
         cfg["experiment"]["n_realizations"] = config.n_realizations
         cfg["experiment"]["ntrain_list"] = list(config.ntrain_list)
+    _make_out_dir(cfg)
     report = bm.run_experiment(config)
-    out = _ensure_out(cfg)
+    out = _write_config(cfg)
     report.to_csv(os.path.join(out, "report.csv"))
     report.to_json(os.path.join(out, "report.json"))
     _print_summary(report)
@@ -295,6 +328,7 @@ def cmd_check_deviation(cfg):
     if not eps_grid and not t_grid:
         raise InvalidInputError("deviation.eps_grid and t_grid are both empty")
     s = _setting(cfg, "deviation.s", float)
+    _make_out_dir(cfg)
     h, fmap = _deviation_h_samples(cfg)
     k, A = _resolve_remez(cfg, fmap)
     reports = {}
@@ -302,7 +336,7 @@ def cmd_check_deviation(cfg):
         reports["small"] = check_small_deviation(h, k, A, s, eps_grid).to_dict()
     if t_grid:
         reports["large"] = check_large_deviation(h, k, A, s, t_grid).to_dict()
-    out = _ensure_out(cfg)
+    out = _write_config(cfg)
     payload = {"k": k, "A": A, "s": s, "reports": reports}
     _dump_json(payload, os.path.join(out, "deviation_report.json"))
     violations = sum(rep["n_violations"] for rep in reports.values())

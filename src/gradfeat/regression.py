@@ -18,10 +18,9 @@ import scipy.linalg
 from .basis import (FeatureBasis, GramMatrix, MultiIndexSet, assemble_gram,
                     build_index_set)
 from .errors import InvalidInputError, NumericError
-from .geometry import DEFAULT_RANK_TOL, _complement_residual_sq
 from .grassmann import learn_features
-from .surrogate import (SurrogateMatrices, min_generalized_eig, poincare_loss,
-                        surrogate_sums)
+from .surrogate import (FeatureMap, SurrogateMatrices, min_generalized_eig,
+                        poincare_loss, surrogate_sums)
 
 _PK_CANDIDATES = ((0.8, 2), (0.8, 3), (0.8, 4), (0.8, 5),
                   (0.9, 2), (0.9, 3), (0.9, 4),
@@ -196,7 +195,9 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     The basis Jacobian is evaluated once, on the union of the candidates'
     index sets, and sliced per candidate and fold.  Univariate tables do not
     depend on the highest degree tabulated, so the C-contiguous slices equal
-    fresh evaluations bit for bit, and so do the scores.
+    fresh evaluations bit for bit, and so do the scores.  A candidate whose
+    index set equals an earlier candidate's reuses that score (at d = 8,
+    (0.9, k) and (0.8, k) build the same set for k = 2, 3, 4).
     """
     grid = grid or CvGrid()
     folds = kfold_indices(samples.n, grid.pk_folds, seed)
@@ -205,29 +206,38 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     union = _union_basis(bases)
     jac = union.jacobian_batch(samples.points)
     column = {alpha: j for j, alpha in enumerate(union.index_set.indices)}
-    fast = method == "sur" and m == 1
+    scores = {}
     results = []
     for (p, k), basis in zip(grid.pk_candidates, bases):
-        cols = [column[alpha] for alpha in basis.index_set.indices]
-        jac_c = jac if cols == list(range(union.size)) else \
-            np.ascontiguousarray(jac[:, :, cols])
-        if fast:
-            score = _single_feature_surrogate_cv(samples, jac_c, folds)
-        else:
-            scores = []
-            for train, val in folds:
-                # indexing the first axis copies into C order
-                jac_tr = jac_c[train]
-                train_set = samples.subset(train)
-                gram = assemble_gram(basis, train_set, jac=jac_tr)
-                fmap, _ = learn_features(train_set, basis, m, method, gram=gram,
-                                         config=optimizer, jac=jac_tr)
-                scores.append(poincare_loss(samples.subset(val), fmap,
-                                            jac=jac_c[val]))
-            score = float(np.mean(scores))
-        results.append((score, basis.size, (p, k)))
+        indices = basis.index_set.indices
+        # a candidate with an earlier one's index set is fit and scored the
+        # same, bit for bit, so that score is reused
+        if indices not in scores:
+            cols = [column[alpha] for alpha in indices]
+            jac_c = jac if cols == list(range(union.size)) else \
+                np.ascontiguousarray(jac[:, :, cols])
+            scores[indices] = _cv_score(samples, basis, jac_c, folds, m,
+                                        method, optimizer)
+        results.append((scores[indices], basis.size, (p, k)))
     _, _, best = min(results)
     return best
+
+
+def _cv_score(samples, basis, jac, folds, m, method, optimizer):
+    """Mean validation Poincare loss of ``basis`` over the folds; ``jac`` is
+    the basis Jacobian at every sample as a C-contiguous (n, d, K) array."""
+    if method == "sur" and m == 1:
+        return _single_feature_surrogate_cv(samples, basis, jac, folds)
+    scores = []
+    for train, val in folds:
+        # indexing the first axis copies into C order
+        jac_tr = jac[train]
+        train_set = samples.subset(train)
+        gram = assemble_gram(basis, train_set, jac=jac_tr)
+        fmap, _ = learn_features(train_set, basis, m, method, gram=gram,
+                                 config=optimizer, jac=jac_tr)
+        scores.append(poincare_loss(samples.subset(val), fmap, jac=jac[val]))
+    return float(np.mean(scores))
 
 
 def _union_basis(bases):
@@ -241,10 +251,10 @@ def _union_basis(bases):
     return FeatureBasis(index_set, bases[0].families)
 
 
-def _single_feature_surrogate_cv(samples, B, folds):
+def _single_feature_surrogate_cv(samples, basis, B, folds):
     """Fold scores for the single-feature eigensolve learner in one data pass.
 
-    ``B`` is the basis Jacobian at every sample, (n, d, K).  The
+    ``B`` is the Jacobian of ``basis`` at every sample, (n, d, K).  The
     quadratic-form matrices are sums over samples, so each fold's training
     matrices are the total sums minus that fold's validation block.  Scores
     and selections match the generic path up to accumulation roundoff.
@@ -265,7 +275,6 @@ def _single_feature_surrogate_cv(samples, B, folds):
         mats = SurrogateMatrices(h1=(h1_tot - h1_v) / n_train,
                                  h2=(h2_tot - h2_v) / n_train)
         _, vec = min_generalized_eig(mats.h, gram)
-        jac_val = np.einsum("ndk,k->nd", B[val], vec)[:, :, None]
-        scores.append(float(np.mean(
-            _complement_residual_sq(g[val], jac_val, DEFAULT_RANK_TOL))))
+        scores.append(poincare_loss(samples.subset(val),
+                                    FeatureMap(basis, vec), jac=B[val]))
     return float(np.mean(scores))

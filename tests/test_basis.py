@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gradfeat.basis import (FeatureBasis, GramMatrix, Hermite, Legendre,
-                            LogHermite, assemble_gram, basis_from_spec,
-                            build_index_set, family_from_spec, family_to_spec)
+from gradfeat.basis import (_EVAL_CHUNK, FeatureBasis, GramMatrix, Hermite,
+                            Legendre, LogHermite, assemble_gram,
+                            basis_from_spec, build_index_set, family_from_spec,
+                            family_to_spec)
+from gradfeat.benchmarks import make_benchmark
 from gradfeat.errors import InvalidInputError
+from gradfeat.regression import _PK_CANDIDATES
 from gradfeat.surrogate import (FeatureMap, SampleSet,
                                 coordinate_surrogate_matrices, poincare_loss,
                                 surrogate_matrices)
@@ -116,6 +119,33 @@ class TestUnivariateFamilies:
             fam.table(np.array([-0.5]), 2)
 
 
+def _dense_reference(basis, X):
+    """Values and Jacobian by the full d x d product loop, which multiplies
+    every factor of every column, phi_0 = 1 and phi_0' = 0 included."""
+    alpha = np.array(basis.index_set.indices)
+    top = alpha.max(axis=0)
+    tables = [fam.table(X[:, nu], int(top[nu]))
+              for nu, fam in enumerate(basis.families)]
+    vals = [v[:, alpha[:, nu]] for nu, (v, _) in enumerate(tables)]
+    phi = np.ones((X.shape[0], basis.size))
+    jac = np.empty((X.shape[0], basis.dim, basis.size))
+    for nu in range(basis.dim):
+        block = tables[nu][1][:, alpha[:, nu]]
+        for rho in range(basis.dim):
+            if rho != nu:
+                block = block * vals[rho]
+        jac[:, nu, :] = block
+        phi *= vals[nu]
+    return phi, jac
+
+
+_U4 = make_benchmark("u4").families   # Hermite, LogHermite and Legendre
+_SUPPORT_CASES = (
+    [(_U4, p, k) for p, k in _PK_CANDIDATES]
+    + [((fam,), 1.0, 4.0) for fam in _U4[:3]]
+    + [((_U4[1], _U4[0]), 1.0, 4.0), ((_U4[2], _U4[1]), 0.8, 3.0)])
+
+
 class TestFeatureBasis:
     def test_tensor_product_value(self):
         basis = legendre_basis(2, 1.0, 2.0)
@@ -152,6 +182,32 @@ class TestFeatureBasis:
         basis = legendre_basis(2, 1.0, 2.0)
         jac = basis.jacobian(np.array([0.37, 0.61]))
         assert np.all(np.linalg.norm(jac, axis=0) > 0.0)
+
+    @pytest.mark.parametrize("n", [1, 50, _EVAL_CHUNK + 7])
+    @pytest.mark.parametrize("families, p, k", _SUPPORT_CASES)
+    def test_support_products_match_dense_loop_bitwise(self, families, p, k, n):
+        """The support-only products against the full d x d loop.
+
+        Entries are equal, the support's entries (every nonzero among them)
+        are equal bit for bit, off-support entries are +0.0 where the dense
+        loop writes -0.0 for a negative product, and values are equal bit
+        for bit, signed zeros included.  This holds for finite univariate
+        tables: where a table overflows, the dense loop gives 0 * inf = NaN
+        off the support and the support-only one gives 0.
+        """
+        basis = FeatureBasis(build_index_set(len(families), p, k), families)
+        rng = np.random.default_rng(21)
+        X = np.column_stack([fam.sample(rng, n) for fam in families])
+        phi_ref, jac_ref = _dense_reference(basis, X)
+        jac = basis.jacobian_batch(X)
+        support = (np.array(basis.index_set.indices) > 0).T   # (d, K)
+        assert np.array_equal(jac, jac_ref)
+        assert np.array_equal(jac[:, support].view(np.int64),
+                              jac_ref[:, support].view(np.int64))
+        off = jac[:, ~support]
+        assert not np.any(off) and not np.any(np.signbit(off))
+        assert np.array_equal(basis.eval_batch(X).view(np.int64),
+                              phi_ref.view(np.int64))
 
     def test_spec_round_trip(self):
         basis = FeatureBasis(build_index_set(2, 0.8, 3.0),

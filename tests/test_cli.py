@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gradfeat.basis import FeatureBasis
 from gradfeat.benchmarks import make_benchmark, make_samples, write_samples_csv
 from gradfeat.cli import DEFAULT_CONFIG, load_config, main
 
@@ -76,9 +77,21 @@ class TestConfig:
          "config experiment.fixed_pk:"),
         ({"deviation": {"eps_grid": ["tiny"]}}, ["check-deviation"],
          "config deviation.eps_grid:"),
+        # path-valued keys are checked before any work
+        ({"io": {"out_dir": 5}}, ["benchmark"], "config io.out_dir:"),
+        ({"basis": {"families": box_families()},
+          "learn": {"optimizer": {"trace_path": 3}}}, ["learn", "CSV"],
+         "config learn.optimizer.trace_path:"),
+        ({"deviation": {"feature_map": ["g.txt"]}}, ["check-deviation"],
+         "config deviation.feature_map:"),
+        ({"deviation": {"basis_spec": 1.5}}, ["check-deviation"],
+         "config deviation.basis_spec:"),
+        ({"deviation": {"samples": {"path": "s.csv"}}}, ["check-deviation"],
+         "config deviation.samples:"),
     ], ids=["list-print-config", "list-learn", "section-not-object",
             "subsection-not-object", "basis-p", "max-iters", "folds",
-            "fixed-pk", "eps-grid"])
+            "fixed-pk", "eps-grid", "out-dir", "trace-path", "feature-map",
+            "basis-spec", "samples"])
     def test_value_of_wrong_type_exits_2(self, tmp_path, u1_csv, capsys,
                                          tree, command, key):
         path = write_config(tmp_path, "typed.json", tree)
@@ -87,6 +100,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: " + key), err
         assert "Traceback" not in err
+
+    def test_unusable_out_dir_exits_2_before_work(self, tmp_path, u1_csv,
+                                                  capsys, monkeypatch):
+        taken = tmp_path / "a-file"
+        taken.write_text("")
+        path = write_config(tmp_path, "out.json", {
+            "basis": {"families": box_families()},
+            "io": {"out_dir": str(taken)}})
+        monkeypatch.setattr("gradfeat.benchmarks.read_samples_csv", None)
+        assert main(["--config", path, "learn", str(u1_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create io.out_dir"), err
 
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit) as info:
@@ -117,6 +142,26 @@ class TestLearnCommand:
         assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
         metrics = json.loads((tmp_path / "out-gsi" / "metrics.json").read_text())
         assert metrics["loss_final"] <= metrics["loss_init"] + 1e-12
+
+    @pytest.mark.parametrize("method, m", [("sur", 2), ("gsi", 2), ("gli", 1)])
+    def test_one_training_jacobian(self, tmp_path, u1_csv, monkeypatch,
+                                   method, m):
+        calls = []
+        evaluate = FeatureBasis.jacobian_batch
+
+        def counted(self, X):
+            calls.append(len(X))
+            return evaluate(self, X)
+
+        monkeypatch.setattr(FeatureBasis, "jacobian_batch", counted)
+        cfg = write_config(tmp_path, "one.json", {
+            "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
+            "learn": {"method": method, "m": m,
+                      "optimizer": {"max_iters": 5}},
+            "io": {"out_dir": str(tmp_path / "one")},
+        })
+        assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
+        assert calls == [120]
 
     def test_malformed_csv_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -212,7 +212,7 @@ class TestCvSelectBasisSharedJacobian:
         bench, samples, bases = self.setup()
         folds = kfold_indices(samples.n, self.GRID.pk_folds, 9)
         reference = [regression._single_feature_surrogate_cv(
-            samples, basis.jacobian_batch(samples.points), folds)
+            samples, basis, basis.jacobian_batch(samples.points), folds)
             for basis in bases]
         seen = []
         fast = regression._single_feature_surrogate_cv
@@ -226,6 +226,73 @@ class TestCvSelectBasisSharedJacobian:
                                seed=9)
         assert seen == reference
         assert best == self.pick([[s] for s in reference], bases)
+
+
+class TestCvSelectBasisDuplicates:
+    """At d = 8, (0.9, k) and (0.8, k) build the same index set for k = 2, 3;
+    a duplicate reuses the earlier candidate's score."""
+
+    # (0.9, 3) comes first, so its tie with (0.8, 3) must still go to (0.8, 3)
+    GRID = CvGrid(pk_candidates=((0.9, 3), (1.0, 1), (0.8, 2), (0.8, 3),
+                                 (0.9, 2)), pk_folds=4)
+
+    def setup(self):
+        bench = make_benchmark("u3")
+        samples = make_samples(bench, 48, 5)
+        bases = [FeatureBasis(build_index_set(8, p, k), bench.families)
+                 for p, k in self.GRID.pk_candidates]
+        distinct = {b.index_set.indices for b in bases}
+        assert len(distinct) == 3
+        return bench, samples, bases, len(distinct)
+
+    @pytest.mark.parametrize("m, method", [(1, "gli"), (2, "sur")])
+    def test_selection_unchanged_and_one_fit_per_index_set(self, monkeypatch,
+                                                           m, method):
+        bench, samples, bases, distinct = self.setup()
+        cfg = OptimizerConfig(max_iters=10)
+        folds = kfold_indices(samples.n, self.GRID.pk_folds, 4)
+        results = []
+        for (p, k), basis in zip(self.GRID.pk_candidates, bases):
+            scores = []
+            for train, val in folds:
+                train_set = samples.subset(train)
+                fmap, _ = learn_features(train_set, basis, m, method,
+                                         gram=assemble_gram(basis, train_set),
+                                         config=cfg)
+                scores.append(poincare_loss(samples.subset(val), fmap))
+            results.append((float(np.mean(scores)), basis.size, (p, k)))
+        fits = []
+        fit = regression.learn_features
+
+        def counted(*args, **kwargs):
+            fits.append(args[1].index_set.indices)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "learn_features", counted)
+        best = cv_select_basis(samples, m, method, bench.families, self.GRID,
+                               seed=4, optimizer=cfg)
+        assert best == min(results)[2] == (0.8, 3)
+        assert len(fits) == distinct * len(folds)
+        assert len(set(fits)) == distinct
+
+    def test_surrogate_fast_path_runs_once_per_index_set(self, monkeypatch):
+        bench, samples, bases, distinct = self.setup()
+        seen = []
+        fast = regression._single_feature_surrogate_cv
+
+        def record(*args):
+            seen.append(fast(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(regression, "_single_feature_surrogate_cv", record)
+        best = cv_select_basis(samples, 1, "sur", bench.families, self.GRID,
+                               seed=4)
+        assert len(seen) == distinct
+        folds = kfold_indices(samples.n, self.GRID.pk_folds, 4)
+        results = [(fast(samples, basis, basis.jacobian_batch(samples.points),
+                         folds), basis.size, pk)
+                   for pk, basis in zip(self.GRID.pk_candidates, bases)]
+        assert best == min(results)[2] == (0.8, 3)
 
 
 class TestModelIO:
