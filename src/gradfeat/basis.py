@@ -177,10 +177,6 @@ class MultiIndexSet:
     def max_total_degree(self):
         return max(sum(a) for a in self.indices)
 
-    def max_degree_per_dim(self):
-        arr = np.array(self.indices)
-        return arr.max(axis=0)
-
 
 def build_index_set(d, p, k):
     """All nonzero multi-indices alpha in N^d with ||alpha||_p <= k.
@@ -375,17 +371,14 @@ def basis_from_spec(spec):
 class GramMatrix:
     """Symmetric positive-definite K x K metric with a cached Cholesky factor.
 
-    ``kind`` records which inner product it estimates: "grad_gram" for the
-    expected Jacobian cross-product, "value_gram" for plain basis values.
     A tiny ridge is added when the raw estimate fails to factor; the amount
     is kept in ``ridge_added``.
     """
 
-    def __init__(self, matrix, kind="grad_gram", ridge_added=0.0):
+    def __init__(self, matrix):
         M = np.asarray(matrix, dtype=float)
         M = 0.5 * (M + M.T)
-        self.kind = kind
-        self.ridge_added = float(ridge_added)
+        self.ridge_added = 0.0
         try:
             chol = scipy.linalg.cholesky(M, lower=True)
         except scipy.linalg.LinAlgError:
@@ -424,37 +417,30 @@ class GramMatrix:
         return y
 
 
-def assemble_gram(basis, samples, kind="grad_gram", jac=None):
-    """Monte-Carlo Gram matrix of the basis.
+def assemble_gram(basis, samples, jac=None):
+    """Gradient Gram matrix R = E[grad Phi^T grad Phi], the sample mean over
+    the points (the metric that normalizes feature coefficients).
 
-    ``samples`` is a SampleSet, an (n, d) array of points, or a
-    ``(points, weights)`` quadrature pair.  For "grad_gram" this estimates the
-    expected Jacobian cross-product (the metric used to normalize feature
-    coefficients); for "value_gram" the expected outer product of values.
-    ``jac``, the basis Jacobian at the points, is read instead of evaluated
-    when given; the result is the same bit for bit.
+    ``samples`` is a SampleSet or an (n, d) array of points.  ``jac``, the
+    basis Jacobian at the points, is read instead of evaluated when given;
+    the result is the same bit for bit.
     """
-    points, weights = _points_and_weights(samples)
+    points = getattr(samples, "points", None)
+    if points is None:
+        points = np.asarray(samples, dtype=float)
     n = points.shape[0]
     if n == 0:
         raise InvalidInputError("no samples provided for the Gram matrix")
-    if kind not in ("grad_gram", "value_gram"):
-        raise InvalidInputError(f"unknown Gram kind {kind!r}")
     K = basis.size
     if n < K:
         warnings.warn(f"Gram estimate from {n} samples for {K} basis functions "
                       "may be poorly conditioned", stacklevel=2)
+    scale = np.sqrt(1.0 / n)
     acc = np.zeros((K, K))
-    if kind == "grad_gram":
-        for sl, B in _jacobian_chunks(basis, points, _EVAL_CHUNK, jac):
-            M = (B * np.sqrt(weights[sl])[:, None, None]).reshape(-1, K)
-            acc += M.T @ M
-    else:
-        for start in range(0, n, _EVAL_CHUNK):
-            sl = slice(start, min(start + _EVAL_CHUNK, n))
-            V = basis.eval_batch(points[sl]) * np.sqrt(weights[sl])[:, None]
-            acc += V.T @ V
-    return GramMatrix(acc, kind=kind)
+    for _, B in _jacobian_chunks(basis, points, _EVAL_CHUNK, jac):
+        M = (B * scale).reshape(-1, K)
+        acc += M.T @ M
+    return GramMatrix(acc)
 
 
 def _jacobian_chunks(basis, points, size, jac=None):
@@ -480,18 +466,3 @@ def _check_jacobian(basis, n, jac):
             f"in dim {basis.dim} and K={basis.size}")
     return jac
 
-
-def _points_and_weights(samples):
-    if isinstance(samples, tuple) and len(samples) == 2:
-        points = np.asarray(samples[0], dtype=float)
-        weights = np.asarray(samples[1], dtype=float)
-        if weights.shape[0] != points.shape[0]:
-            raise InvalidInputError("quadrature weights do not match points")
-        return points, weights
-    points = getattr(samples, "points", None)
-    if points is None:
-        points = np.asarray(samples, dtype=float)
-    n = points.shape[0]
-    if n == 0:
-        return points, np.zeros(0)
-    return points, np.full(n, 1.0 / n)

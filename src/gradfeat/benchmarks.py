@@ -264,11 +264,13 @@ def _run_cell(bench, config, method, train, test, cv_seed):
     else:
         p, k = config.fixed_pk
     basis = FeatureBasis(build_index_set(bench.dim, p, k), bench.families)
-    gram = assemble_gram(basis, train)
+    # one training Jacobian serves the Gram, the fit and the training loss
+    jac = basis.jacobian_batch(train.points)
+    gram = assemble_gram(basis, train, jac=jac)
     fmap, _ = learn_features(train, basis, config.m, method, gram=gram,
-                             config=config.optimizer)
+                             config=config.optimizer, jac=jac)
     fmap = fmap.orthonormalized(gram)
-    j_train = poincare_loss(train, fmap)
+    j_train = poincare_loss(train, fmap, jac=jac)
     j_test = poincare_loss(test, fmap)
     Z_train = fmap.evaluate(train.points)
     gamma, ridge, _ = cv_select_krr(Z_train, train.values, grid=config.cv,

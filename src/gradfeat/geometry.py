@@ -3,11 +3,13 @@
 The Poincare loss, the coordinate surrogates and the deflated greedy passes
 all project a gradient off the column span of a small d x m matrix, one
 matrix per sample.  ``_span_svd`` is the one rank-revealing kernel behind
-them: a per-sample SVD whose rank keeps the singular values above ``tol``
-times the leading one.  A zero matrix therefore yields the empty span, which
-keeps the single-feature and "remove the only column" cases total.  For one
-column the residual has a closed form (``_single_feature_sums``), which the
-estimators use instead of a one-column SVD.
+them: a per-sample SVD whose rank keeps the singular values above
+``DEFAULT_RANK_TOL`` times the leading one.  The tolerance is a constant,
+not a parameter, so every estimator applies the same rank rule.  A zero
+matrix therefore yields the empty span, which keeps the single-feature and
+"remove the only column" cases total.  For one column the residual has a
+closed form (``_single_feature_sums``), which the estimators use instead of
+a one-column SVD.
 
 The public functions take one d x m matrix and run the batched kernel on a
 batch of one, so they compute exactly what the estimators compute per
@@ -26,20 +28,20 @@ DEFAULT_RANK_TOL = 1e-10
 # Batched kernel: arrays of shape (n, d, m), one matrix per sample
 # ---------------------------------------------------------------------------
 
-def _span_svd(M, tol):
+def _span_svd(M):
     """Per-sample thin SVD of M (n, d, m) and its rank mask: (U, S, Vt, mask).
 
-    ``mask[i, r]`` keeps singular value ``S[i, r]`` when it exceeds ``tol``
-    times the sample's leading singular value.
+    ``mask[i, r]`` keeps singular value ``S[i, r]`` when it exceeds
+    ``DEFAULT_RANK_TOL`` times the sample's leading singular value.
     """
     U, S, Vt = np.linalg.svd(M, full_matrices=False)
     lead = S[:, :1]
-    return U, S, Vt, S > tol * np.where(lead > 0.0, lead, 1.0)
+    return U, S, Vt, S > DEFAULT_RANK_TOL * np.where(lead > 0.0, lead, 1.0)
 
 
-def _orthobasis_batch(W, tol):
+def _orthobasis_batch(W):
     """Per-sample orthonormal span of W (n, d, r); rank-deficient columns zeroed."""
-    U, _, _, mask = _span_svd(W, tol)
+    U, _, _, mask = _span_svd(W)
     return U * mask[:, None, :]
 
 
@@ -50,15 +52,15 @@ def _deflate(Q, V):
     return V - np.einsum("ndr,nre->nde", Q, np.einsum("ndr,nde->nre", Q, V))
 
 
-def _complement_factors(grad_u, jac_g, tol):
+def _complement_factors(grad_u, jac_g):
     """What projecting grad_u off span(jac_g) needs: for m = 1 the closed
     form's ``_single_feature_sums``, otherwise the kernel's ``_span_svd``."""
     if jac_g.shape[2] == 1:
         return _single_feature_sums(grad_u, jac_g[:, :, 0])
-    return _span_svd(jac_g, tol)
+    return _span_svd(jac_g)
 
 
-def _complement_residual_sq(grad_u, jac_g, tol, b_sq=None, factors=None):
+def _complement_residual_sq(grad_u, jac_g, b_sq=None, factors=None):
     """Per-sample squared norm of grad_u projected off span(jac_g); shapes (n,d),(n,d,m).
 
     ``b_sq``, the per-sample squared norm of grad_u, and ``factors`` (what
@@ -67,7 +69,7 @@ def _complement_residual_sq(grad_u, jac_g, tol, b_sq=None, factors=None):
     if b_sq is None:
         b_sq = np.sum(grad_u ** 2, axis=1)
     if factors is None:
-        factors = _complement_factors(grad_u, jac_g, tol)
+        factors = _complement_factors(grad_u, jac_g)
     if jac_g.shape[2] == 1:
         return _single_residual_sq(b_sq, *factors)
     U, _, _, mask = factors
@@ -102,13 +104,13 @@ def _check_matrix(M, name="M"):
     return M
 
 
-def orthonormal_span(M, tol=DEFAULT_RANK_TOL):
+def orthonormal_span(M):
     """Orthonormal basis Q (d x r) of the numerical column span of M.
 
-    Rank r counts the singular values above tol times the largest.  Returns
-    a (d, 0) array for a zero matrix.
+    Rank r counts the singular values above ``DEFAULT_RANK_TOL`` times the
+    largest.  Returns a (d, 0) array for a zero matrix.
     """
-    U, _, _, mask = _span_svd(_check_matrix(M)[None], tol)
+    U, _, _, mask = _span_svd(_check_matrix(M)[None])
     return U[0][:, mask[0]]
 
 
@@ -140,21 +142,21 @@ class Projector:
         return x - self.Q @ (self.Q.T @ x)
 
 
-def orthogonal_projector(M, tol=DEFAULT_RANK_TOL):
+def orthogonal_projector(M):
     """Orthogonal projector onto the column span of M (d x m, m >= 1)."""
-    return Projector(orthonormal_span(M, tol))
+    return Projector(orthonormal_span(M))
 
 
-def project_complement(M, x, tol=DEFAULT_RANK_TOL):
+def project_complement(M, x):
     """Component of x orthogonal to the column span of M."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("x contains non-finite entries")
-    Q = _orthobasis_batch(_check_matrix(M)[None], tol)
+    Q = _orthobasis_batch(_check_matrix(M)[None])
     return _deflate(Q, x[None])[0]
 
 
-def complement_split(jac_g, grad_u, j, tol=DEFAULT_RANK_TOL):
+def complement_split(jac_g, grad_u, j):
     """Deflate feature j's companion gradients out of (feature j, function) gradients.
 
     Given the d x m feature-gradient matrix and the function gradient, removes
@@ -171,7 +173,7 @@ def complement_split(jac_g, grad_u, j, tol=DEFAULT_RANK_TOL):
     m = J.shape[1]
     if not 1 <= j <= m:
         raise InvalidInputError(f"feature index j={j} out of range 1..{m}")
-    Q = _orthobasis_batch(np.delete(J, j - 1, axis=1)[None], tol)
+    Q = _orthobasis_batch(np.delete(J, j - 1, axis=1)[None])
     return _deflate(Q, J[None, :, j - 1])[0], _deflate(Q, grad_u[None])[0]
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .basis import _check_jacobian, assemble_gram
 from .errors import IllConditionedError, InvalidInputError, RankDeficiencyError
-from .geometry import (DEFAULT_RANK_TOL, _complement_factors,
-                       _complement_residual_sq)
+from .geometry import _complement_factors, _complement_residual_sq
 from .surrogate import FeatureMap, greedy_features, orthonormalize, poincare_loss
 
 
@@ -94,7 +93,7 @@ class _LossContext:
     by identity, so G must not be modified in place between calls.
     """
 
-    def __init__(self, samples, basis, tol, jac=None):
+    def __init__(self, samples, basis, jac=None):
         jac = basis.jacobian_batch(samples.points) if jac is None else \
             _check_jacobian(basis, samples.n, jac)
         self.flat = jac.reshape(-1, basis.size)
@@ -102,19 +101,18 @@ class _LossContext:
         self.b_sq = np.sum(self.b ** 2, axis=1)
         self.n = samples.n
         self.d = samples.dim
-        self.tol = tol
         self._point = None          # (G, feature Jacobians, factors)
 
     def _at(self, G):
         if self._point is None or self._point[0] is not G:
             M = (self.flat @ G).reshape(self.n, self.d, -1)
-            self._point = (G, M, _complement_factors(self.b, M, self.tol))
+            self._point = (G, M, _complement_factors(self.b, M))
         return self._point[1:]
 
     def loss(self, G):
         M, factors = self._at(G)
-        return float(np.mean(_complement_residual_sq(self.b, M, self.tol,
-                                                     self.b_sq, factors)))
+        return float(np.mean(_complement_residual_sq(self.b, M, self.b_sq,
+                                                     factors)))
 
     def euclidean_grad(self, G):
         m = G.shape[1]
@@ -144,7 +142,7 @@ class _LossContext:
                 f"feature Jacobian rank-collapsed at {collapsed}/{self.n} samples")
 
 
-def poincare_loss_gradient(samples, basis, G, tol=DEFAULT_RANK_TOL):
+def poincare_loss_gradient(samples, basis, G):
     """Euclidean gradient of the Monte-Carlo Poincare loss w.r.t. the coefficients.
 
     Matches central finite differences of the loss.  Raises if the feature
@@ -153,7 +151,7 @@ def poincare_loss_gradient(samples, basis, G, tol=DEFAULT_RANK_TOL):
     G = np.asarray(G, dtype=float)
     if G.ndim == 1:
         G = G[:, None]
-    return _LossContext(samples, basis, tol).euclidean_grad(G)
+    return _LossContext(samples, basis).euclidean_grad(G)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +163,7 @@ _STALL_DROP = 1e-15
 _STALL_LIMIT = 3
 
 
-def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
-                           tol=DEFAULT_RANK_TOL, jac=None):
+def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None):
     """Descend the Poincare loss from R-orthonormal coefficients G0.
 
     ``gram`` and ``jac`` (the basis Jacobian at the sample points, a
@@ -184,7 +181,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
     G = orthonormalize(np.asarray(G0, dtype=float), gram)
     if G.ndim == 1:
         G = G[:, None]
-    ctx = _LossContext(samples, basis, tol, jac)
+    ctx = _LossContext(samples, basis, jac)
     R = gram.matrix
 
     def riemannian_grad(G):
@@ -260,39 +257,37 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
 METHODS = ("sur", "gli", "gsi")
 
 
-def learn_features(samples, basis, m, method, gram=None, config=None,
-                   tol=DEFAULT_RANK_TOL, jac=None):
+def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
     """Run one of the three learning procedures and report what happened.
 
     ``sur`` solves the greedy surrogate eigenproblems only; ``gli`` descends
     from the active-subspace start; ``gsi`` descends from the surrogate
     start.  ``jac`` is the basis Jacobian at the sample points as a
-    C-contiguous (n, d, K) array.  When None, the descent methods evaluate it
-    once and every step of the fit reads it, while ``sur`` streams its sums
-    chunk by chunk; results are the same bit for bit either way.  Returns
+    C-contiguous (n, d, K) array; when None it is evaluated once.  The Gram
+    matrix (``gram``, assembled from ``jac`` when None), every step of the
+    fit and the final loss read that one array.  Returns
     ``(feature_map, info)`` where info carries the initial and final losses
     and the wall time.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
-    if jac is None and method != "sur":
+    if jac is None:
         jac = basis.jacobian_batch(samples.points)
     if gram is None:
         gram = assemble_gram(basis, samples, jac=jac)
     t0 = time.perf_counter()
     if method == "sur":
-        fmap = greedy_features(samples, basis, m, gram=gram, tol=tol, jac=jac)
+        fmap = greedy_features(samples, basis, m, gram=gram, jac=jac)
         info = {"method": method, "loss_init": None, "iterations": 0}
     else:
         if method == "gli":
             G0 = active_subspace_init(samples, basis, m, gram=gram)
         else:
-            G0 = greedy_features(samples, basis, m, gram=gram, tol=tol,
-                                 jac=jac).coeffs
+            G0 = greedy_features(samples, basis, m, gram=gram, jac=jac).coeffs
         fmap, trace = minimize_poincare_loss(samples, basis, G0, config=config,
-                                             gram=gram, tol=tol, jac=jac)
+                                             gram=gram, jac=jac)
         info = {"method": method, "loss_init": trace[0][1],
                 "iterations": trace[-1][0]}
-    info["loss_final"] = poincare_loss(samples, fmap, tol, jac)
+    info["loss_final"] = poincare_loss(samples, fmap, jac=jac)
     info["wall_time_s"] = time.perf_counter() - t0
     return fmap, info

@@ -9,14 +9,12 @@ functions of (data, grid, seed): folds come from a seeded shuffle split into
 contiguous blocks.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .basis import (FeatureBasis, GramMatrix, MultiIndexSet, assemble_gram,
-                    build_index_set)
+from .basis import FeatureBasis, GramMatrix, build_index_set
 from .errors import InvalidInputError, NumericError
 from .grassmann import learn_features
 from .surrogate import (FeatureMap, SurrogateMatrices, min_generalized_eig,
@@ -74,7 +72,7 @@ class KrrModel:
 
     def save(self, path):
         N, m = self.train_features.shape
-        lines = [f"{N} {m} {self.gamma!r} {self.ridge!r}"]
+        lines = [f"{N} {m} {float(self.gamma)!r} {float(self.ridge)!r}"]
         lines += [" ".join(repr(float(v)) for v in row) for row in self.train_features]
         lines += [repr(float(v)) for v in self.dual_coeffs]
         with open(path, "w") as fh:
@@ -192,31 +190,22 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     method and scored on the held-out fold; the candidate with the smallest
     mean validation loss wins, ties going to the smaller basis.
 
-    The basis Jacobian is evaluated once, on the union of the candidates'
-    index sets, and sliced per candidate and fold.  Univariate tables do not
-    depend on the highest degree tabulated, so the C-contiguous slices equal
-    fresh evaluations bit for bit, and so do the scores.  A candidate whose
-    index set equals an earlier candidate's reuses that score (at d = 8,
-    (0.9, k) and (0.8, k) build the same set for k = 2, 3, 4).
+    Each distinct candidate's basis Jacobian is evaluated once, at every
+    sample, and sliced per fold.  A candidate whose index set equals an
+    earlier candidate's reuses that score (at d = 8, (0.9, k) and (0.8, k)
+    build the same set for k = 2, 3, 4), since it would be fit and scored
+    the same, bit for bit.
     """
     grid = grid or CvGrid()
     folds = kfold_indices(samples.n, grid.pk_folds, seed)
-    bases = [FeatureBasis(build_index_set(samples.dim, p, k), families)
-             for p, k in grid.pk_candidates]
-    union = _union_basis(bases)
-    jac = union.jacobian_batch(samples.points)
-    column = {alpha: j for j, alpha in enumerate(union.index_set.indices)}
     scores = {}
     results = []
-    for (p, k), basis in zip(grid.pk_candidates, bases):
+    for p, k in grid.pk_candidates:
+        basis = FeatureBasis(build_index_set(samples.dim, p, k), families)
         indices = basis.index_set.indices
-        # a candidate with an earlier one's index set is fit and scored the
-        # same, bit for bit, so that score is reused
         if indices not in scores:
-            cols = [column[alpha] for alpha in indices]
-            jac_c = jac if cols == list(range(union.size)) else \
-                np.ascontiguousarray(jac[:, :, cols])
-            scores[indices] = _cv_score(samples, basis, jac_c, folds, m,
+            jac = basis.jacobian_batch(samples.points)
+            scores[indices] = _cv_score(samples, basis, jac, folds, m,
                                         method, optimizer)
         results.append((scores[indices], basis.size, (p, k)))
     _, _, best = min(results)
@@ -231,24 +220,10 @@ def _cv_score(samples, basis, jac, folds, m, method, optimizer):
     scores = []
     for train, val in folds:
         # indexing the first axis copies into C order
-        jac_tr = jac[train]
-        train_set = samples.subset(train)
-        gram = assemble_gram(basis, train_set, jac=jac_tr)
-        fmap, _ = learn_features(train_set, basis, m, method, gram=gram,
-                                 config=optimizer, jac=jac_tr)
+        fmap, _ = learn_features(samples.subset(train), basis, m, method,
+                                 config=optimizer, jac=jac[train])
         scores.append(poincare_loss(samples.subset(val), fmap, jac=jac[val]))
     return float(np.mean(scores))
-
-
-def _union_basis(bases):
-    """A basis over the union of the index sets of bases sharing their families.
-
-    Its p and k describe no norm ball; only its indices are used.
-    """
-    indices = sorted(set().union(*(b.index_set.indices for b in bases)))
-    index_set = MultiIndexSet(dim=bases[0].dim, p=math.nan, k=math.nan,
-                              indices=tuple(indices))
-    return FeatureBasis(index_set, bases[0].families)
 
 
 def _single_feature_surrogate_cv(samples, basis, B, folds):

@@ -30,8 +30,7 @@ import scipy.linalg
 
 from .basis import _jacobian_chunks, assemble_gram, basis_from_spec
 from .errors import InvalidInputError, RankDeficiencyError
-from .geometry import (DEFAULT_RANK_TOL, _complement_residual_sq, _deflate,
-                       _orthobasis_batch)
+from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 
 _CHUNK = 8192
 
@@ -197,19 +196,19 @@ def _pair_term(v, w):
     return np.maximum(vv * ww - vw ** 2, 0.0)
 
 
-def poincare_loss_terms(samples, fmap, tol=DEFAULT_RANK_TOL, jac=None):
+def poincare_loss_terms(samples, fmap, jac=None):
     """Per-sample contributions to the Poincare loss (useful for standard errors)."""
     _check_compat(samples, fmap)
     jac_g = _feature_jacobians(fmap, samples.points, jac)
-    return _complement_residual_sq(samples.gradients, jac_g, tol)
+    return _complement_residual_sq(samples.gradients, jac_g)
 
 
-def poincare_loss(samples, fmap, tol=DEFAULT_RANK_TOL, jac=None):
+def poincare_loss(samples, fmap, jac=None):
     """Monte-Carlo Poincare loss: mean squared off-span component of the gradient.
 
     Always lies between 0 and the mean squared gradient norm.
     """
-    return float(np.mean(poincare_loss_terms(samples, fmap, tol, jac)))
+    return float(np.mean(poincare_loss_terms(samples, fmap, jac)))
 
 
 def convex_surrogate_terms(samples, fmap):
@@ -227,22 +226,22 @@ def convex_surrogate(samples, fmap):
     return float(np.mean(convex_surrogate_terms(samples, fmap)))
 
 
-def coordinate_surrogate_terms(samples, fmap, j, tol=DEFAULT_RANK_TOL):
+def coordinate_surrogate_terms(samples, fmap, j):
     _check_compat(samples, fmap)
     m = fmap.n_features
     if not 1 <= j <= m:
         raise InvalidInputError(f"feature index j={j} out of range 1..{m}")
     jac = fmap.gradients(samples.points)
-    Q = _orthobasis_batch(np.delete(jac, j - 1, axis=2), tol)
+    Q = _orthobasis_batch(np.delete(jac, j - 1, axis=2))
     return _pair_term(_deflate(Q, samples.gradients), _deflate(Q, jac[:, :, j - 1]))
 
 
-def coordinate_surrogate(samples, fmap, j, tol=DEFAULT_RANK_TOL):
+def coordinate_surrogate(samples, fmap, j):
     """Surrogate for feature j (1-based) with the other features deflated out.
 
     For m = 1 this is exactly the convex surrogate.
     """
-    return float(np.mean(coordinate_surrogate_terms(samples, fmap, j, tol)))
+    return float(np.mean(coordinate_surrogate_terms(samples, fmap, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +276,7 @@ def surrogate_matrices(samples, basis, jac=None):
     return SurrogateMatrices(h1=h1 / samples.n, h2=h2 / samples.n)
 
 
-def coordinate_surrogate_matrices(samples, basis, coeffs_others, tol=DEFAULT_RANK_TOL,
-                                  jac=None):
+def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
     """Quadratic-form matrices for the next feature given prior coefficient columns.
 
     ``coeffs_others`` is K x (m-1); with zero columns this reduces exactly to
@@ -295,7 +293,7 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, tol=DEFAULT_RAN
     h2 = np.zeros((K, K))
     for sl, B in _jacobian_chunks(basis, samples.points, 2048, jac):
         W = np.einsum("ndk,kr->ndr", B, coeffs_others)
-        Q = _orthobasis_batch(W, tol)
+        Q = _orthobasis_batch(W)
         v = _deflate(Q, samples.gradients[sl])
         A = np.ascontiguousarray(_deflate(Q, B))
         d1, d2 = surrogate_sums(v, A)
@@ -375,7 +373,7 @@ def orthonormalize(coeffs, gram):
 # Greedy multi-feature learner
 # ---------------------------------------------------------------------------
 
-def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL, jac=None):
+def greedy_features(samples, basis, m, gram=None, jac=None):
     """Learn m features one at a time by shifted generalized eigensolves.
 
     The first column minimizes the convex surrogate.  Each later column
@@ -401,7 +399,7 @@ def greedy_features(samples, basis, m, gram=None, tol=DEFAULT_RANK_TOL, jac=None
         R = gram.matrix
         for j in range(2, m + 1):
             others = G[:, :j - 1]
-            mats_j = coordinate_surrogate_matrices(samples, basis, others, tol, jac)
+            mats_j = coordinate_surrogate_matrices(samples, basis, others, jac)
             shift = (R @ others) @ (others.T @ R)
             _, gj = min_generalized_eig(mats_j.h + alpha * shift, gram)
             # explicit re-orthogonalization against prior columns for robustness

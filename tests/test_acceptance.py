@@ -251,7 +251,7 @@ def test_criterion_08_grassmann_optimizer():
     samples = make_samples(bench, 150, seed=108)
     basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
     gram = assemble_gram(basis, samples)
-    ctx = _LossContext(samples, basis, 1e-10)
+    ctx = _LossContext(samples, basis)
     rng = np.random.default_rng(108)
     h = 1e-6
     worst = 0.0

@@ -265,13 +265,6 @@ class TestFeatureBasis:
 
 
 class TestGramMatrix:
-    def test_one_dim_exact_value(self):
-        basis = FeatureBasis(build_index_set(1, 1.0, 1.0), [Legendre(0.0, 1.0)])
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        pts = (0.5 * (nodes + 1.0))[:, None]
-        R = assemble_gram(basis, (pts, weights / 2.0))
-        np.testing.assert_allclose(R.matrix, [[12.0]], rtol=1e-12)
-
     def test_one_dim_monte_carlo(self):
         basis = FeatureBasis(build_index_set(1, 1.0, 1.0), [Legendre(0.0, 1.0)])
         rng = np.random.default_rng(2)
@@ -298,14 +291,6 @@ class TestGramMatrix:
         basis = legendre_basis(1, 1.0, 1.0)
         with pytest.raises(InvalidInputError):
             assemble_gram(basis, np.zeros((0, 1)))
-
-    def test_value_gram_kind(self):
-        basis = legendre_basis(1, 1.0, 2.0)
-        rng = np.random.default_rng(6)
-        pts = rng.uniform(0, 1, size=(50000, 1))
-        R = assemble_gram(basis, pts, kind="value_gram")
-        assert R.kind == "value_gram"
-        np.testing.assert_allclose(R.matrix, np.eye(2), atol=0.05)
 
     def test_ridge_recorded_for_singular_estimate(self):
         basis = legendre_basis(2, 1.0, 2.0)

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gradfeat.benchmarks as bm
 from gradfeat.basis import FeatureBasis, assemble_gram, build_index_set
@@ -11,8 +14,9 @@ from gradfeat.benchmarks import (ExperimentConfig, make_benchmark,
                                  run_experiment, sample_inputs,
                                  write_samples_csv, _hilbert_matrix)
 from gradfeat.errors import InvalidInputError, NumericError, RankDeficiencyError
+from gradfeat.grassmann import OptimizerConfig
 from gradfeat.regression import CvGrid
-from gradfeat.surrogate import FeatureMap, poincare_loss
+from gradfeat.surrogate import FeatureMap, SampleSet, poincare_loss
 
 
 class TestEvaluations:
@@ -124,16 +128,32 @@ class TestTruthContainment:
         assert loss <= 1e-10 * samples.mean_gradient_norm_sq()
 
 
+# every finite double, subnormals and -0.0 included
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sample_sets(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    return SampleSet(draw(hnp.arrays(float, (n, d), elements=any_finite)),
+                     draw(hnp.arrays(float, n, elements=any_finite)),
+                     draw(hnp.arrays(float, (n, d), elements=any_finite)))
+
+
 class TestSampleCsv:
-    def test_round_trip(self, tmp_path):
-        bench = make_benchmark("u3")
-        samples = make_samples(bench, 25, seed=3)
+    # the file is rewritten by every example
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(sample_sets(), st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: make_samples(make_benchmark("u3"), 25, seed=seed))))
+    def test_round_trip(self, tmp_path, samples):
         path = tmp_path / "samples.csv"
         write_samples_csv(samples, path)
         clone = read_samples_csv(path)
-        np.testing.assert_array_equal(clone.points, samples.points)
-        np.testing.assert_array_equal(clone.values, samples.values)
-        np.testing.assert_array_equal(clone.gradients, samples.gradients)
+        for name in ("points", "values", "gradients"):
+            assert np.array_equal(getattr(clone, name).view(np.int64),
+                                  getattr(samples, name).view(np.int64))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -226,6 +246,24 @@ class TestRunExperiment:
         monkeypatch.setattr(bm, "_run_cell", buggy_cell)
         with pytest.raises(type(exc)):
             run_experiment(desk_config())
+
+    @pytest.mark.parametrize("method, m", [("sur", 1), ("sur", 2), ("gli", 2),
+                                           ("gsi", 1)])
+    def test_one_training_jacobian(self, monkeypatch, method, m):
+        # the Gram, the fit and J_train share one evaluation on the 40
+        # training rows; J_test evaluates the 150 test rows
+        calls = []
+        evaluate = FeatureBasis.jacobian_batch
+
+        def counted(self, X):
+            calls.append(len(X))
+            return evaluate(self, X)
+
+        monkeypatch.setattr(FeatureBasis, "jacobian_batch", counted)
+        report = run_experiment(desk_config(
+            methods=(method,), m=m, optimizer=OptimizerConfig(max_iters=5)))
+        assert not report.realizations[0]["failed"]
+        assert calls == [40, 150]
 
     def test_csv_schema(self, tmp_path):
         report = run_experiment(desk_config())

@@ -83,7 +83,7 @@ class TestLossGradient:
         samples, basis, gram = u3_setup(n=120, seed=5)
         rng = np.random.default_rng(6)
         from gradfeat.grassmann import _LossContext
-        ctx = _LossContext(samples, basis, 1e-10)
+        ctx = _LossContext(samples, basis)
         for m in (1, 2):
             for _ in range(3):
                 G = rng.normal(size=(basis.size, m))

@@ -2,8 +2,10 @@
 
 The one-matrix API must compute exactly what the estimators compute per
 sample, the closed form for one feature must decide rank as the SVD does,
-and the Poincare loss built on the kernel must stay within its documented
-range and depend only on the span of the coefficient columns.
+the Poincare loss built on the kernel must stay within its documented
+range and depend only on the span of the coefficient columns, and the
+surrogates built on its deflation must equal the quadratic forms G^T h G of
+their assembled matrices.
 """
 
 import numpy as np
@@ -12,12 +14,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradfeat.basis import FeatureBasis, Legendre, build_index_set
-from gradfeat.geometry import (DEFAULT_RANK_TOL, _deflate, _orthobasis_batch,
+from gradfeat.geometry import (_deflate, _orthobasis_batch,
                                _single_feature_sums, _single_residual_sq,
                                _span_svd, complement_split,
                                orthogonal_projector, orthonormal_span,
                                project_complement)
-from gradfeat.surrogate import FeatureMap, SampleSet, poincare_loss
+from gradfeat.surrogate import (FeatureMap, SampleSet, convex_surrogate,
+                                coordinate_surrogate,
+                                coordinate_surrogate_matrices, poincare_loss,
+                                surrogate_matrices)
 
 # fixed example sequence, so a run is reproducible; no example database
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
@@ -45,7 +50,7 @@ class TestOneRowCallsMatchTheBatchedKernel:
     @given(batches())
     def test_orthonormal_span_and_projector(self, batch):
         M, _ = batch
-        U, _, _, mask = _span_svd(M, DEFAULT_RANK_TOL)
+        U, _, _, mask = _span_svd(M)
         for i in range(M.shape[0]):
             expected = U[i][:, mask[i]]
             np.testing.assert_array_equal(orthonormal_span(M[i]), expected)
@@ -57,7 +62,7 @@ class TestOneRowCallsMatchTheBatchedKernel:
     @given(batches())
     def test_project_complement(self, batch):
         M, x = batch
-        rows = _deflate(_orthobasis_batch(M, DEFAULT_RANK_TOL), x)
+        rows = _deflate(_orthobasis_batch(M), x)
         for i in range(M.shape[0]):
             np.testing.assert_array_equal(project_complement(M[i], x[i]),
                                           rows[i])
@@ -68,7 +73,7 @@ class TestOneRowCallsMatchTheBatchedKernel:
         # the deflation the coordinate surrogate runs on every sample
         M, x = batch
         j = data.draw(st.integers(1, M.shape[2]))
-        Q = _orthobasis_batch(np.delete(M, j - 1, axis=2), DEFAULT_RANK_TOL)
+        Q = _orthobasis_batch(np.delete(M, j - 1, axis=2))
         w_rows = _deflate(Q, M[:, :, j - 1])
         v_rows = _deflate(Q, x)
         for i in range(M.shape[0]):
@@ -94,7 +99,7 @@ class TestSingleFeatureRankRule:
         col, grad_u = batch
         b_sq = np.sum(grad_u ** 2, axis=1)
         nn, dot, safe = _single_feature_sums(grad_u, col)
-        U, _, _, mask = _span_svd(col[:, :, None], DEFAULT_RANK_TOL)
+        U, _, _, mask = _span_svd(col[:, :, None])
         zero = np.all(col == 0.0, axis=1)
         np.testing.assert_array_equal(nn > 0.0, ~zero)
         np.testing.assert_array_equal(mask[:, 0], ~zero)
@@ -149,3 +154,58 @@ class TestPoincareLoss:
         after = poincare_loss(samples, FeatureMap(basis, G @ A))
         scale = samples.mean_gradient_norm_sq()
         assert abs(after - before) <= 1e-9 * scale
+
+
+@st.composite
+def surrogate_problems(draw):
+    """Samples, a Legendre basis and two coefficient columns.
+
+    The points come from hypothesis, so zeros and repeated points occur.
+    The gradients and coefficients are generic draws from a seeded
+    generator, with some gradient rows and some basis rows set to exact
+    zeros: a per-sample feature gradient is then zero in every summation
+    order, so both sides of the identity decide its rank alike.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    basis = FeatureBasis(build_index_set(d, 1.0, 2.0),
+                         [Legendre(-1.0, 1.0) for _ in range(d)])
+    points = draw(hnp.arrays(float, (n, d), elements=st.floats(-1.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grads = rng.normal(size=(n, d))
+    grads[draw(hnp.arrays(bool, n))] = 0.0
+    G = rng.normal(size=(basis.size, 2))
+    G[draw(hnp.arrays(bool, basis.size))] = 0.0
+    assume(np.all(np.any(G != 0.0, axis=0)))
+    return SampleSet(points, np.zeros(n), grads), basis, G
+
+
+def _term_scale(samples, basis, g):
+    """Mean of |grad u|^2 |abs(grad Phi) abs(g)|^2: the size of the terms
+    both sides sum, before the projections and h1 - h2 cancel them."""
+    B = np.abs(basis.jacobian_batch(samples.points))
+    return float(np.mean(np.sum(samples.gradients ** 2, axis=1)
+                         * np.sum((B @ np.abs(g)) ** 2, axis=1)))
+
+
+class TestSurrogateIsQuadraticForm:
+    """G^T h G equals the surrogate estimated on the same samples, to 1e-10
+    relative to the size of the terms that cancel in either."""
+
+    @PROPERTY
+    @given(surrogate_problems())
+    def test_single_feature(self, problem):
+        samples, basis, G = problem
+        g = G[:, 0]
+        quad = g @ surrogate_matrices(samples, basis).h @ g
+        direct = convex_surrogate(samples, FeatureMap(basis, g))
+        assert abs(quad - direct) <= 1e-10 * _term_scale(samples, basis, g)
+
+    @PROPERTY
+    @given(surrogate_problems())
+    def test_second_feature_given_the_first(self, problem):
+        samples, basis, G = problem
+        g = G[:, 1]
+        quad = g @ coordinate_surrogate_matrices(samples, basis, G[:, :1]).h @ g
+        direct = coordinate_surrogate(samples, FeatureMap(basis, G), 2)
+        assert abs(quad - direct) <= 1e-10 * _term_scale(samples, basis, g)

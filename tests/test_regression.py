@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gradfeat.regression as regression
 from gradfeat.basis import FeatureBasis, assemble_gram, build_index_set
@@ -295,20 +298,41 @@ class TestCvSelectBasisDuplicates:
         assert best == min(results)[2] == (0.8, 3)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# every finite double, subnormals and -0.0 included
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def krr_models(draw):
+    N = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    Z = draw(hnp.arrays(float, (N, m), elements=any_finite))
+    a = draw(hnp.arrays(float, N, elements=any_finite))
+    # a NumPy scalar is written as a plain float too
+    scalar = st.sampled_from([float, np.float64])
+    return KrrModel(Z, a, draw(scalar)(draw(positive)),
+                    draw(scalar)(draw(positive)))
+
+
 class TestModelIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        Z = rng.normal(size=(12, 2))
-        u = rng.normal(size=12)
-        model = krr_fit(Z, u, gamma=0.3, ridge=1e-5)
+    # the file is rewritten by every example
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(krr_models())
+    def test_round_trip(self, tmp_path, model):
         path = tmp_path / "model.txt"
         model.save(path)
         clone = KrrModel.load(path)
-        assert clone.gamma == model.gamma and clone.ridge == model.ridge
-        np.testing.assert_allclose(clone.train_features, model.train_features)
-        np.testing.assert_allclose(clone.dual_coeffs, model.dual_coeffs)
-        q = rng.normal(size=(4, 2))
-        np.testing.assert_allclose(krr_predict(clone, q), krr_predict(model, q))
+        assert _bits(clone.gamma) == _bits(model.gamma)
+        assert _bits(clone.ridge) == _bits(model.ridge)
+        assert np.array_equal(_bits(clone.train_features),
+                              _bits(model.train_features))
+        assert np.array_equal(_bits(clone.dual_coeffs), _bits(model.dual_coeffs))
 
     @pytest.mark.parametrize("text", [
         "2 x 0.5 1e-6\n0.1\n0.2\n1.0\n2.0\n",    # non-integer count

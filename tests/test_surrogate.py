@@ -1,11 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gradfeat.basis import (FeatureBasis, GramMatrix, Legendre, assemble_gram,
-                            build_index_set)
+from gradfeat.basis import (FeatureBasis, GramMatrix, Hermite, Legendre,
+                            LogHermite, assemble_gram, build_index_set)
 from gradfeat.errors import InvalidInputError, RankDeficiencyError
 from gradfeat.geometry import complement_split
 from gradfeat.surrogate import (FeatureMap, SampleSet, SurrogateMatrices,
@@ -410,18 +414,47 @@ class TestFeatureMapGradients:
             fmap.gradients(np.zeros((0, 2)))
 
 
+# every finite double, subnormals and -0.0 included
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+families = st.one_of(
+    st.builds(lambda a, w: Legendre(a, a + w),
+              st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
+    st.builds(Hermite, st.floats(-10.0, 10.0), st.floats(1e-3, 10.0)),
+    st.builds(LogHermite, st.floats(-3.0, 3.0), st.floats(1e-3, 2.0)))
+
+
+@st.composite
+def feature_maps(draw):
+    fams = draw(st.lists(families, min_size=1, max_size=3))
+    p = draw(st.sampled_from([0.8, 0.9, 1.0, 2.0, math.inf]))
+    k = draw(st.floats(1.0, 3.0))
+    basis = FeatureBasis(build_index_set(len(fams), p, k), fams)
+    m = draw(st.integers(1, 3))
+    coeffs = draw(hnp.arrays(float, (basis.size, m), elements=any_finite))
+    assume(np.all(np.any(coeffs != 0.0, axis=0)))
+    return FeatureMap(basis, coeffs)
+
+
 class TestFeatureMapIO:
-    def test_round_trip(self, tmp_path):
-        basis = unit_box_basis(2, k=2.0)
-        rng = np.random.default_rng(31)
-        fmap = FeatureMap(basis, rng.normal(size=(basis.size, 2)))
+    # the files are rewritten by every example
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(feature_maps())
+    def test_round_trip(self, tmp_path, fmap):
         coeff = tmp_path / "gmap.txt"
         bspec = tmp_path / "basis.json"
         fmap.save(coeff, bspec)
         clone = FeatureMap.load(coeff, str(bspec))
-        np.testing.assert_allclose(clone.coeffs, fmap.coeffs)
-        X = rng.uniform(0, 1, size=(10, 2))
-        np.testing.assert_allclose(clone.evaluate(X), fmap.evaluate(X))
+        assert np.array_equal(clone.coeffs.view(np.int64),
+                              fmap.coeffs.view(np.int64))
+        # the spec's floats are written by repr, which tells -0.0 from 0.0
+        assert json.dumps(clone.basis.spec()) == json.dumps(fmap.basis.spec())
+        assert clone.basis.index_set == fmap.basis.index_set
+        rng = np.random.default_rng(31)
+        X = np.column_stack([f.sample(rng, 5) for f in fmap.basis.families])
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(clone.evaluate(X), fmap.evaluate(X))
 
     @pytest.mark.parametrize("text", [
         "3 x\n1.0\n2.0\n3.0\n",       # non-integer count
