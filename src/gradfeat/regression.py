@@ -55,6 +55,18 @@ def kfold_indices(n, folds, seed):
 # Kernel ridge regression
 # ---------------------------------------------------------------------------
 
+def _regression_inputs(Z, u):
+    """Features as an (N, m) array and values as an (N,) vector; mismatched
+    shapes or non-finite entries raise ``InvalidInputError``."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    u = np.asarray(u, dtype=float).ravel()
+    if Z.ndim != 2 or Z.shape[0] != u.shape[0] or Z.shape[0] < 1:
+        raise InvalidInputError(f"bad regression shapes Z {Z.shape}, u {u.shape}")
+    if not (np.isfinite(Z).all() and np.isfinite(u).all()):
+        raise InvalidInputError("regression features and values must be finite")
+    return Z, u
+
+
 def _sq_dists(A, B):
     aa = np.sum(A ** 2, axis=1)[:, None]
     bb = np.sum(B ** 2, axis=1)[None, :]
@@ -107,10 +119,7 @@ def krr_fit(Z, u, gamma, ridge):
     grid picks a near-singular corner); a failure raises with a condition
     estimate.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    u = np.asarray(u, dtype=float).ravel()
-    if Z.shape[0] != u.shape[0] or Z.shape[0] < 1:
-        raise InvalidInputError(f"bad regression shapes Z {Z.shape}, u {u.shape}")
+    Z, u = _regression_inputs(Z, u)
     if not (gamma > 0 and ridge > 0):
         raise InvalidInputError("gamma and ridge must be positive")
     K = np.exp(-gamma * _sq_dists(Z, Z))
@@ -143,34 +152,67 @@ def krr_predict(model, Z_query):
     return Kq @ model.dual_coeffs
 
 
+def _kernel_factor(Z, gamma):
+    """Greedy pivoted Cholesky factor of the Gaussian kernel of the rows of Z.
+
+    Each step pivots on the largest residual diagonal, forms that one kernel
+    column and updates the residual diagonal.  It stops once the residual
+    trace is at most ``n * eps`` (the Gaussian diagonal is 1, so that is the
+    scale of a dense eigensolver's own backward error) or at rank n, where it
+    is a full factorization.  Returns (F, trace): K ~ F F^T with F of shape
+    (n, r), and every entry of K - F F^T is at most ``trace`` in magnitude,
+    since the residual is positive semidefinite with that trace.
+    """
+    n = Z.shape[0]
+    diag = np.ones(n)
+    cols = np.empty((min(n, 8), n))     # row i is column i of F; grown by doubling
+    r = 0
+    while r < n and diag.sum() > n * np.finfo(float).eps:
+        j = int(np.argmax(diag))
+        if r == cols.shape[0]:
+            cols = np.concatenate([cols, np.empty((min(r, n - r), n))])
+        k_col = np.exp(-gamma * np.sum((Z - Z[j]) ** 2, axis=1))
+        cols[r] = (k_col - cols[:r, j] @ cols[:r]) / np.sqrt(diag[j])
+        diag = np.maximum(diag - cols[r] ** 2, 0.0)
+        diag[j] = 0.0
+        r += 1
+    return cols[:r].T, float(diag.sum())
+
+
+def _cv_rmse_table(Z, u, folds, gammas, ridges):
+    """Mean validation RMSE over the folds for every (gamma, ridge) pair.
+
+    One kernel factor per gamma serves every fold: the fold kernels are row
+    subsets, K_tr ~ F_tr F_tr^T and K_val,tr ~ F_val F_tr^T.  With the thin
+    SVD F_tr = U S W^T, the validation predictions at ridge lambda are
+    (F_val W) diag(s / (s^2 + lambda)) U^T u_tr, so one product scores every
+    ridge.
+    """
+    rmse = np.zeros((gammas.size, ridges.size))
+    for gi, gamma in enumerate(gammas):
+        F, _ = _kernel_factor(Z, gamma)
+        for train, val in folds:
+            U, s, Wt = np.linalg.svd(F[train], full_matrices=False)
+            filt = s[:, None] / (s[:, None] ** 2 + ridges)
+            pred = (F[val] @ Wt.T) @ (filt * (U.T @ u[train])[:, None])
+            rmse[gi] += np.sqrt(np.mean((pred - u[val, None]) ** 2, axis=0))
+    return rmse / len(folds)
+
+
 def cv_select_krr(Z, u, grid=None, seed=0):
     """Exhaustive (gamma, ridge) grid search by k-fold validation RMSE.
 
     Ties prefer the smoother model: larger ridge first, then smaller gamma.
-    Returns (gamma, ridge, best mean validation RMSE).
+    Returns (gamma, ridge, best mean validation RMSE).  The fold kernels
+    come from one pivoted Cholesky factor per gamma (``_kernel_factor``), so
+    the cost follows the kernel's numerical rank, not the sample count.
     """
     grid = grid or CvGrid()
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    u = np.asarray(u, dtype=float).ravel()
+    Z, u = _regression_inputs(Z, u)
     folds = kfold_indices(Z.shape[0], grid.folds, seed)
     gammas = 10.0 ** np.asarray(grid.log10_gamma, dtype=float)
     ridges = 10.0 ** np.asarray(grid.log10_ridge, dtype=float)
-    rmse = np.zeros((gammas.size, ridges.size))
-    for train, val in folds:
-        D_tr = _sq_dists(Z[train], Z[train])
-        D_val = _sq_dists(Z[val], Z[train])
-        u_tr, u_val = u[train], u[val]
-        for gi, gamma in enumerate(gammas):
-            # one eigendecomposition serves every ridge on this fold
-            evals, evecs = np.linalg.eigh(np.exp(-gamma * D_tr))
-            evals = np.maximum(evals, 0.0)
-            proj = evecs.T @ u_tr
-            K_val = np.exp(-gamma * D_val)
-            for ri, ridge in enumerate(ridges):
-                a = evecs @ (proj / (evals + ridge))
-                pred = K_val @ a
-                rmse[gi, ri] += np.sqrt(np.mean((pred - u_val) ** 2))
-    rmse /= len(folds)
+    rmse = _cv_rmse_table(Z, u, folds, gammas, ridges)
     best = min(
         ((rmse[gi, ri], -ridges[ri], gammas[gi], gi, ri)
          for gi in range(gammas.size) for ri in range(ridges.size)))

@@ -6,15 +6,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gradfeat.benchmarks as benchmarks
 import gradfeat.regression as regression
 from gradfeat.basis import FeatureBasis, assemble_gram, build_index_set
-from gradfeat.benchmarks import make_benchmark, make_samples
+from gradfeat.benchmarks import (ExperimentConfig, make_benchmark,
+                                 make_samples, run_experiment)
 from gradfeat.errors import InvalidInputError
 from gradfeat.grassmann import OptimizerConfig, learn_features
 from gradfeat.regression import (CvGrid, KrrModel, cv_select_basis,
                                  cv_select_krr, kfold_indices, krr_fit,
                                  krr_predict)
-from gradfeat.surrogate import poincare_loss
+from gradfeat.surrogate import FeatureMap, poincare_loss
 
 
 class TestKrrFit:
@@ -133,6 +135,146 @@ class TestCvSelectKrr:
         assert sorted(seen.tolist()) == list(range(23))
         for train, val in folds:
             assert set(train).isdisjoint(set(val))
+
+
+class TestRegressionInputContract:
+    @pytest.mark.parametrize("call", [
+        lambda Z, u: cv_select_krr(Z, u, CvGrid(folds=5), seed=0),
+        lambda Z, u: krr_fit(Z, u, gamma=0.1, ridge=1e-6),
+    ], ids=["cv_select_krr", "krr_fit"])
+    @pytest.mark.parametrize("case", ["nan_feature", "inf_value",
+                                      "short_values", "three_dim_features"])
+    def test_bad_inputs_rejected(self, call, case):
+        rng = np.random.default_rng(12)
+        Z = rng.uniform(size=(30, 1))
+        u = np.sin(3 * Z[:, 0])
+        if case == "nan_feature":
+            Z[4, 0] = np.nan
+        elif case == "inf_value":
+            u[7] = np.inf
+        elif case == "short_values":
+            u = u[:-1]
+        else:
+            Z = Z[:, :, None]
+        with pytest.raises(InvalidInputError):
+            call(Z, u)
+
+    def test_failed_fit_recorded_by_experiment(self, monkeypatch):
+        # a non-finite feature reaches krr_fit as InvalidInputError, which
+        # run_experiment records on the cell's row instead of propagating
+        def nan_features(self, X):
+            return np.full((X.shape[0], self.coeffs.shape[1]), np.nan)
+
+        monkeypatch.setattr(benchmarks, "cv_select_krr",
+                            lambda *a, **k: (1e-3, 1e-8, 0.0))
+        monkeypatch.setattr(FeatureMap, "evaluate", nan_features)
+        cfg = ExperimentConfig(benchmark="u1", m=1, methods=("sur",),
+                               ntrain_list=(30,), n_test=50,
+                               n_realizations=1, seed=0, select_pk=False,
+                               fixed_pk=(1.0, 2.0))
+        rep = run_experiment(cfg)
+        (row,) = rep.realizations
+        assert row["failed"] and row["error"].startswith("InvalidInputError")
+
+
+def _dense_rmse_table(Z, u, folds, gammas, ridges):
+    """The validation RMSE table by one dense eigendecomposition of every
+    fold kernel at every gamma, and one matvec pair per ridge."""
+    rmse = np.zeros((gammas.size, ridges.size))
+    for train, val in folds:
+        D_tr = regression._sq_dists(Z[train], Z[train])
+        D_val = regression._sq_dists(Z[val], Z[train])
+        u_tr, u_val = u[train], u[val]
+        for gi, gamma in enumerate(gammas):
+            evals, evecs = np.linalg.eigh(np.exp(-gamma * D_tr))
+            evals = np.maximum(evals, 0.0)
+            proj = evecs.T @ u_tr
+            K_val = np.exp(-gamma * D_val)
+            for ri, ridge in enumerate(ridges):
+                a = evecs @ (proj / (evals + ridge))
+                rmse[gi, ri] += np.sqrt(np.mean((K_val @ a - u_val) ** 2))
+    return rmse / len(folds)
+
+
+def _gaussian_kernel(Z, gamma):
+    return np.exp(-gamma * ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(-1))
+
+
+# gamma large enough that distinct lattice points (spacing 1/20) have kernel
+# entries below exp(-25), so the factor runs to one column per distinct row
+_FULL_RANK_GAMMA = 1e4
+
+
+@st.composite
+def krr_cv_cases(draw):
+    """Features on a 1/20 lattice in [-2, 2]^m, m = 1, 2, 3, with exactly
+    duplicated rows, and values in [-1, 1]."""
+    m = draw(st.integers(1, 3))
+    b = draw(st.integers(5, 20))
+    base = draw(hnp.arrays(float, (b, m), elements=st.integers(-40, 40)
+                           .map(lambda v: v / 20.0)))
+    extra = draw(st.lists(st.integers(0, b - 1), min_size=max(0, 10 - b),
+                          max_size=20 - b))
+    Z = np.concatenate([base, base[extra]])
+    u = draw(hnp.arrays(float, (Z.shape[0],), elements=st.floats(-1.0, 1.0)))
+    return Z, u
+
+
+class TestLowRankCv:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(krr_cv_cases())
+    def test_rmse_table_matches_dense_reference(self, case):
+        """The factor path agrees with the dense eigendecomposition to 1e-6
+        relative at every ridge >= 1e-8.
+
+        The factor drops a positive semidefinite residual of trace at most
+        n * eps, and the dense eigensolver's backward error is of the same
+        size.  A ridge-lambda solve carries a kernel error delta into the
+        validation RMSE by at most about 2 * delta / lambda times the RMS
+        of u (the 2 is sqrt(n_train / n_val) for 5 folds).  For n <= 20 at
+        lambda = 1e-8 that is 9e-7.  Below 1e-8 the dense path divides its
+        roundoff eigenvalues by the ridge, and the tables part at the 1e-4
+        to 1e-3 level at ridge 1e-11; neither is the exact table there.
+        """
+        Z, u = case
+        grid = CvGrid()
+        gammas = 10.0 ** np.append(grid.log10_gamma, np.log10(_FULL_RANK_GAMMA))
+        ridges = 10.0 ** grid.log10_ridge
+        folds = kfold_indices(Z.shape[0], 5, seed=0)
+        fast = regression._cv_rmse_table(Z, u, folds, gammas, ridges)
+        ref = _dense_rmse_table(Z, u, folds, gammas, ridges)
+        keep = grid.log10_ridge >= -8.0
+        np.testing.assert_allclose(fast[:, keep], ref[:, keep], rtol=1e-6,
+                                   atol=0.0)
+        F, _ = regression._kernel_factor(Z, _FULL_RANK_GAMMA)
+        assert F.shape[1] == np.unique(Z, axis=0).shape[0]
+
+
+class TestKernelFactor:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(krr_cv_cases(), st.sampled_from([1e-6, 1e-4, 1e-2, 1.0, 30.0]))
+    def test_error_within_residual_trace(self, case, gamma):
+        Z, _ = case
+        F, trace = regression._kernel_factor(Z, gamma)
+        assert trace <= Z.shape[0] * np.finfo(float).eps
+        # the entries of K and of F F^T carry their own rounding, a few eps
+        err = np.max(np.abs(_gaussian_kernel(Z, gamma) - F @ F.T))
+        assert err <= trace + 4 * np.finfo(float).eps
+
+    def test_full_rank_reproduces_kernel(self):
+        rng = np.random.default_rng(13)
+        Z = rng.uniform(-2.0, 2.0, size=(40, 2))
+        K = _gaussian_kernel(Z, 3.0)
+        F, trace = regression._kernel_factor(Z, 3.0)
+        assert F.shape == (40, 40)
+        assert trace == 0.0
+        np.testing.assert_allclose(F @ F.T, K, rtol=0.0, atol=1e-14)
+
+    def test_rank_of_a_smooth_kernel_is_small(self):
+        Z = np.linspace(-3.0, 3.0, 250)[:, None]
+        F, trace = regression._kernel_factor(Z, 1e-2)
+        assert F.shape[1] <= 10
+        assert trace <= 250 * np.finfo(float).eps
 
 
 class TestCvSelectBasis:
