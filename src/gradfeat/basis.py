@@ -270,6 +270,22 @@ class FeatureBasis:
             jac_plan.append((nu, cols, alpha[cols, nu], packed(others)))
         return packed(table_idx), jac_plan
 
+    @functools.cached_property
+    def _block_columns(self):
+        """The basis columns of the d support blocks side by side, (d, w).
+
+        Row nu lists the columns of ``_jacobian_blocks``'s block nu, then
+        pads up to the widest block's width w with columns that have
+        alpha_nu = 0, whose d Phi / d x_nu is an exact zero.  Index sets
+        from ``build_index_set`` are symmetric in the dimensions, so their
+        blocks all have the same width and need no padding.
+        """
+        alpha = self._alpha
+        width = int(np.max(np.sum(alpha > 0, axis=0)))
+        return np.array([np.concatenate((np.flatnonzero(alpha[:, nu] > 0),
+                                         np.flatnonzero(alpha[:, nu] == 0)))[:width]
+                         for nu in range(self.dim)])
+
     @property
     def dim(self):
         return self.index_set.dim
@@ -296,14 +312,16 @@ class FeatureBasis:
     # -- evaluation ---------------------------------------------------------
 
     def _tables(self, X):
-        """Stacked value table [1 | vals_0 | ... | vals_{d-1}] and the
-        per-dimension derivative tables at the rows of X."""
-        vals, ders = [np.ones((X.shape[0], 1))], []
+        """The stacked value table [1 | vals_0 | ... | vals_{d-1}] at the
+        rows of X, transposed (one row per univariate member, so that
+        gathering members copies whole rows), and the per-dimension
+        derivative tables, (n, max_degree + 1) each."""
+        vals, ders = [np.ones((1, X.shape[0]))], []
         for nu, fam in enumerate(self.families):
             v, g = fam.table(X[:, nu], int(self._max_deg[nu]))
-            vals.append(v)
+            vals.append(v.T)
             ders.append(g)
-        return np.concatenate(vals, axis=1), ders
+        return np.concatenate(vals, axis=0), ders
 
     def eval_batch(self, X):
         """Phi at each row of X; returns (n, K)."""
@@ -312,31 +330,46 @@ class FeatureBasis:
         out = np.empty((X.shape[0], self.size))
         for start in range(0, X.shape[0], _EVAL_CHUNK):
             V, _ = self._tables(X[start:start + _EVAL_CHUNK])
-            phi = V[:, eval_idx[0]]
+            phi = V[eval_idx[0]]
             for idx in eval_idx[1:]:
-                phi *= V[:, idx]
-            out[start:start + _EVAL_CHUNK] = phi
+                phi *= V[idx]
+            out[start:start + _EVAL_CHUNK] = phi.T
         return out
 
     def jacobian_batch(self, X):
         """Jacobian of Phi at each row of X; returns (n, d, K) with column j = grad Phi_j.
 
-        Only entries with alpha_nu > 0 are multiplied out; the others are
-        exact zeros (+0.0).  Each nonzero is the same product, in the same
-        order, as the full d-fold one, so it is the same bit for bit.
+        Only entries with alpha_nu > 0 are multiplied out
+        (``_jacobian_blocks``); the others are exact zeros (+0.0).  Each
+        nonzero is the same product, in the same order, as the full d-fold
+        one, so it is the same bit for bit.
         """
         X = self._check_points(X)
         n = X.shape[0]
-        _, jac_plan = self._plan
         out = np.zeros((n, self.dim, self.size))
         for start in range(0, n, _EVAL_CHUNK):
-            V, ders = self._tables(X[start:start + _EVAL_CHUNK])
-            for nu, cols, deg, others in jac_plan:
-                block = ders[nu][:, deg]
-                for idx in others:
-                    block *= V[:, idx]
-                out[start:start + _EVAL_CHUNK, nu, cols] = block
+            sl = slice(start, start + _EVAL_CHUNK)
+            for nu, cols, block in self._jacobian_blocks(X[sl]):
+                out[sl, nu, cols] = block
         return out
+
+    def _jacobian_blocks(self, X):
+        """Yield ``(nu, cols, block)`` for each input dimension nu: the
+        (n, len(cols)) block of d Phi_j / d x_nu at the rows of X for the
+        columns j in ``cols``, those with alpha_nu > 0.  Every other entry
+        of the Jacobian is zero.
+
+        X must hold checked points.  A block entry is the product of the
+        derivative factor and the other support factors in dimension order,
+        so it depends on its own row of X only.
+        """
+        _, jac_plan = self._plan
+        V, ders = self._tables(X)
+        for nu, cols, deg, others in jac_plan:
+            block = np.ascontiguousarray(ders[nu].T)[deg]
+            for idx in others:
+                block *= V[idx]
+            yield nu, cols, block.T
 
     def eval(self, x):
         """Phi(x) for a single point."""

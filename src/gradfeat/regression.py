@@ -230,7 +230,10 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
 
     Each candidate basis is fit on every training fold with the requested
     method and scored on the held-out fold; the candidate with the smallest
-    mean validation loss wins, ties going to the smaller basis.
+    mean validation loss wins, ties going to the smaller basis.  Scores
+    within the roundoff of the loss of the best score are ties
+    (``_loss_roundoff``): where every candidate recovers the function
+    exactly, the scores are roundoff and would otherwise pick by noise.
 
     Each distinct candidate's basis Jacobian is evaluated once, at every
     sample, and sliced per fold.  A candidate whose index set equals an
@@ -250,8 +253,27 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
             scores[indices] = _cv_score(samples, basis, jac, folds, m,
                                         method, optimizer)
         results.append((scores[indices], basis.size, (p, k)))
-    _, _, best = min(results)
-    return best
+    best_score, _, best = min(results)
+    limit = best_score + _loss_roundoff(samples)
+    tied = [(size, pk) for score, size, pk in results if score <= limit]
+    return min(tied)[1] if tied else best     # a NaN best ties with nothing
+
+
+def _loss_roundoff(samples):
+    """Bound on the roundoff of a mean Poincare loss over these samples.
+
+    A per-sample term is |b|^2 - <c, b>^2 / |c|^2 for the gradient b and a
+    feature gradient c in R^d.  Each of the three d-term sums is within
+    gamma_d = d u / (1 - d u) of its value, relative to the sum of absolute
+    values (u = eps / 2), and the quotient and subtraction add a few u.  With
+    |<c, b>| <= |c| |b| the term is within (4 d + 2) u |b|^2 =
+    (2 d + 1) eps |b|^2, which averages to (2 d + 1) eps times the mean
+    squared gradient norm.  The roundoff in c itself moves the projection
+    only at second order.  For several features the projection runs through
+    a backward-stable SVD, whose roundoff is of the same order.
+    """
+    return (2 * samples.dim + 1) * np.finfo(float).eps * \
+        samples.mean_gradient_norm_sq()
 
 
 def _cv_score(samples, basis, jac, folds, m, method, optimizer):

@@ -28,11 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import _jacobian_chunks, assemble_gram, basis_from_spec
+from .basis import (_check_jacobian, _jacobian_chunks, assemble_gram,
+                    basis_from_spec)
 from .errors import InvalidInputError, RankDeficiencyError
 from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 
 _CHUNK = 8192
+# rows per support-block evaluation of the feature Jacobians; their values do
+# not depend on it, and blocks this small stay in cache
+_BLOCK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +114,8 @@ class FeatureMap:
     def gradients(self, X):
         """Feature Jacobians at each row of X; returns (n, d, m).
 
-        The basis Jacobian is evaluated a chunk of rows at a time, so only
-        one chunk of the (n, d, K) array is held at once.
+        Built from the support blocks of the basis Jacobian, _BLOCK_ROWS
+        rows at a time; the (n, d, K) array is never formed.
         """
         return _feature_jacobians(self, self.basis._check_points(X))
 
@@ -417,11 +421,39 @@ def greedy_features(samples, basis, m, gram=None, jac=None):
 # ---------------------------------------------------------------------------
 
 def _feature_jacobians(fmap, points, jac=None):
-    """Feature Jacobians (n, d, m) at the points, one basis-Jacobian chunk at a
-    time; ``jac`` is the basis Jacobian at the points, or None."""
-    out = np.empty((points.shape[0], fmap.basis.dim, fmap.n_features))
-    for sl, B in _jacobian_chunks(fmap.basis, points, _CHUNK, jac):
-        out[sl] = np.einsum("ndk,km->ndm", B, fmap.coeffs)
+    """Feature Jacobians (n, d, m) at the points; ``jac`` is the basis
+    Jacobian at the points, or None.
+
+    Row nu of a point's Jacobian only involves the basis columns with
+    alpha_nu > 0, so it is built from the support blocks of the basis
+    Jacobian (``FeatureBasis._jacobian_blocks``), _BLOCK_ROWS rows at a
+    time: evaluated, or gathered from ``jac``.  Entry (nu, j) is one dot
+    product of a contiguous block row with the matching contiguous
+    coefficients of feature j.  A matrix product would let BLAS pick its
+    kernel, and so its summation order, by the number of rows; this way an
+    entry depends on its own point only, and both sources give the same
+    bits.
+    """
+    basis = fmap.basis
+    n, d = points.shape[0], basis.dim
+    columns = basis._block_columns
+    width = columns.shape[1]
+    # (d, m, w): the coefficients of each block's columns; a padding entry
+    # of a block is zero, so its coefficient does not count
+    coeffs = np.ascontiguousarray(fmap.coeffs[columns].transpose(0, 2, 1))
+    if jac is not None:
+        flat = _check_jacobian(basis, n, jac).reshape(n, -1)
+        entries = (columns + basis.size * np.arange(d)[:, None]).ravel()
+    out = np.empty((n, d, fmap.n_features))
+    for start in range(0, n, _BLOCK_ROWS):
+        sl = slice(start, start + _BLOCK_ROWS)
+        if jac is None:
+            blocks = np.zeros((points[sl].shape[0], d, width))
+            for nu, cols, block in basis._jacobian_blocks(points[sl]):
+                blocks[:, nu, :cols.size] = block
+        else:
+            blocks = np.take(flat[sl], entries, axis=1).reshape(-1, d, width)
+        np.vecdot(blocks[:, :, None, :], coeffs, out=out[sl])
     return out
 
 

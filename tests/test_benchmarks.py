@@ -251,15 +251,17 @@ class TestRunExperiment:
                                            ("gsi", 1)])
     def test_one_training_jacobian(self, monkeypatch, method, m):
         # the Gram, the fit and J_train share one evaluation on the 40
-        # training rows; J_test evaluates the 150 test rows
+        # training rows; J_test evaluates the 150 test rows.  Dense
+        # Jacobians and streamed feature Jacobians both evaluate the basis
+        # Jacobian through its support blocks, one call per chunk of rows.
         calls = []
-        evaluate = FeatureBasis.jacobian_batch
+        evaluate = FeatureBasis._jacobian_blocks
 
         def counted(self, X):
             calls.append(len(X))
             return evaluate(self, X)
 
-        monkeypatch.setattr(FeatureBasis, "jacobian_batch", counted)
+        monkeypatch.setattr(FeatureBasis, "_jacobian_blocks", counted)
         report = run_experiment(desk_config(
             methods=(method,), m=m, optimizer=OptimizerConfig(max_iters=5)))
         assert not report.realizations[0]["failed"]

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from gradfeat.basis import FeatureBasis
-from gradfeat.benchmarks import make_benchmark, make_samples, write_samples_csv
+from gradfeat.basis import FeatureBasis, family_to_spec
+from gradfeat.benchmarks import (make_benchmark, make_samples,
+                                 read_samples_csv, write_samples_csv)
 from gradfeat.cli import DEFAULT_CONFIG, load_config, main
+from gradfeat.surrogate import FeatureMap, poincare_loss
 
 HALF_PI = math.pi / 2.0
 
@@ -162,6 +164,30 @@ class TestLearnCommand:
         })
         assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
         assert calls == [120]
+
+    @pytest.mark.parametrize("method, m", [("sur", 1), ("gsi", 2)])
+    def test_reloaded_map_reproduces_loss_final(self, tmp_path, method, m):
+        # loss_final reads the training Jacobian; the reloaded map evaluates
+        # its feature Jacobians from the points, block by block of rows
+        bench = make_benchmark("u4")
+        samples = make_samples(bench, 8192 + 11, seed=3)
+        csv = tmp_path / "u4.csv"
+        write_samples_csv(samples, csv)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "u4.json", {
+            "basis": {"families": [family_to_spec(f) for f in bench.families],
+                      "p": 1.0, "k": 2.0},
+            "learn": {"method": method, "m": m,
+                      "optimizer": {"max_iters": 3}},
+            "io": {"out_dir": str(out)},
+        })
+        assert main(["--config", cfg, "learn", str(csv)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        fmap = FeatureMap.load(out / "feature_map.txt", str(out / "basis.json"))
+        assert fmap.n_features == m
+        loss = poincare_loss(read_samples_csv(csv), fmap)
+        assert np.float64(loss).view(np.int64) == \
+            np.float64(metrics["loss_final"]).view(np.int64)
 
     def test_malformed_csv_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -440,6 +440,52 @@ class TestCvSelectBasisDuplicates:
         assert best == min(results)[2] == (0.8, 3)
 
 
+class TestCvSelectBasisTies:
+    """Scores within the loss roundoff of the best one are ties, and ties go
+    to the smaller basis."""
+
+    GRID = CvGrid(pk_candidates=((1.0, 3), (1.0, 2), (1.0, 1)), pk_folds=4)
+
+    def select(self, monkeypatch, samples, by_size):
+        def score(samples, basis, *args):
+            return by_size[basis.size]
+        monkeypatch.setattr(regression, "_cv_score", score)
+        bench = make_benchmark("u1")
+        return cv_select_basis(samples, 1, "sur", bench.families, self.GRID)
+
+    @pytest.mark.parametrize("offsets, pick", [
+        ((0.0, 0.0, 2.0), (1.0, 2)),      # exactly tied
+        ((0.0, 0.9, 1e3), (1.0, 2)),      # tied within the roundoff
+        ((0.0, 1.0, 1.0), (1.0, 1)),      # the bound itself is a tie
+        ((0.0, 2.0, 1e3), (1.0, 3)),      # beyond the roundoff
+        ((0.5, 0.0, 1e3), (1.0, 2)),      # the best is the smaller basis
+    ])
+    def test_ties_go_to_the_smaller_basis(self, monkeypatch, offsets, pick):
+        samples = make_samples(make_benchmark("u1"), 40, 0)
+        tol = regression._loss_roundoff(samples)
+        # K = 164, 44 and 8 for (1, 3), (1, 2) and (1, 1) at d = 8
+        best = 3e-16
+        by_size = {164: best + offsets[0] * tol, 44: best + offsets[1] * tol,
+                   8: best + offsets[2] * tol}
+        assert self.select(monkeypatch, samples, by_size) == pick
+
+    def test_roundoff_bound(self):
+        # (2 d + 1) eps times the mean squared gradient norm
+        samples = make_samples(make_benchmark("u1"), 40, 0)
+        assert regression._loss_roundoff(samples) == \
+            17 * np.finfo(float).eps * samples.mean_gradient_norm_sq()
+
+    def test_exact_recovery_picks_the_smallest_exact_basis(self):
+        # u1 is a function of |x|^2: every basis with the squares recovers
+        # it, with validation losses at roundoff
+        bench = make_benchmark("u1")
+        samples = make_samples(bench, 100, 0)
+        grid = CvGrid(pk_candidates=((0.8, 5), (1.0, 3), (1.0, 2)),
+                      pk_folds=5)
+        assert cv_select_basis(samples, 1, "sur", bench.families,
+                               grid) == (1.0, 2)
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 

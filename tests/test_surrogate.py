@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradfeat.basis import (FeatureBasis, GramMatrix, Hermite, Legendre,
-                            LogHermite, assemble_gram, build_index_set)
+                            LogHermite, MultiIndexSet, assemble_gram,
+                            build_index_set)
+from gradfeat.benchmarks import make_benchmark
 from gradfeat.errors import InvalidInputError, RankDeficiencyError
 from gradfeat.geometry import complement_split
 from gradfeat.surrogate import (FeatureMap, SampleSet, SurrogateMatrices,
+                                _feature_jacobians,
                                 convex_surrogate, convex_surrogate_terms,
                                 coordinate_surrogate,
                                 coordinate_surrogate_matrices,
@@ -397,16 +400,67 @@ class TestGreedy:
         assert convex_surrogate(samples, fmap) <= 1e-10 * scale
 
 
+_GRADIENT_BASES = {
+    "legendre": FeatureBasis(build_index_set(3, 1.0, 3.0),
+                             [Legendre(0.0, 1.0)] * 3),
+    # Hermite, log-Hermite and Legendre
+    "u4": FeatureBasis(build_index_set(8, 1.0, 2.0),
+                       make_benchmark("u4").families),
+    # blocks of 3 and 1 columns, so the second one is padded
+    "uneven": FeatureBasis(
+        MultiIndexSet(dim=2, p=1.0, k=3.0,
+                      indices=((1, 0), (0, 1), (2, 0), (3, 0))),
+        [Hermite(0.0, 1.0), LogHermite(0.0, 0.5)]),
+}
+
+
+def _gradient_case(name, m, n=8192 + 7):
+    # 8192 + 7 rows: the evaluation crosses row-block boundaries and ends
+    # in a 7-row tail
+    basis = _GRADIENT_BASES[name]
+    rng = np.random.default_rng(21)
+    X = np.column_stack([fam.sample(rng, n) for fam in basis.families])
+    return X, FeatureMap(basis, rng.normal(size=(basis.size, m)))
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
 class TestFeatureMapGradients:
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_streamed_equals_whole_jacobian_bitwise(self, m):
-        # 8192 + 7 rows: the streamed evaluation crosses a chunk boundary
-        basis = unit_box_basis(3, 1.0, 3.0)
-        rng = np.random.default_rng(21)
-        X = rng.uniform(0, 1, size=(8192 + 7, 3))
-        fmap = FeatureMap(basis, rng.normal(size=(basis.size, m)))
-        whole = np.einsum("ndk,km->ndm", basis.jacobian_batch(X), fmap.coeffs)
-        assert np.array_equal(fmap.gradients(X), whole)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", _GRADIENT_BASES)
+    def test_streamed_equals_whole_jacobian_bitwise(self, name, m):
+        X, fmap = _gradient_case(name, m)
+        jac = fmap.basis.jacobian_batch(X)
+        streamed = fmap.gradients(X)
+        assert np.array_equal(_bits(streamed),
+                              _bits(_feature_jacobians(fmap, X, jac=jac)))
+        # the whole-array contraction is a reference up to roundoff: each
+        # entry is a sum of K products, so two evaluations differ by at most
+        # 2 K eps times the same sum over absolute values
+        ref = np.einsum("ndk,km->ndm", jac, fmap.coeffs)
+        scale = np.einsum("ndk,km->ndm", np.abs(jac), np.abs(fmap.coeffs))
+        tol = 2 * fmap.basis.size * np.finfo(float).eps
+        assert np.all(np.abs(streamed - ref) <= tol * scale)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", _GRADIENT_BASES)
+    def test_rows_evaluated_alone_give_the_same_bits(self, name, m):
+        X, fmap = _gradient_case(name, m)
+        jac = fmap.basis.jacobian_batch(X)
+        whole = fmap.gradients(X)
+        n = X.shape[0]
+        rng = np.random.default_rng(5)
+        subsets = [np.arange(n - t, n) for t in range(1, 8)]        # tails
+        subsets += [np.arange(8190, 8195), rng.choice(n, 300, replace=False)]
+        subsets += [np.array([i]) for i in rng.choice(n, 5, replace=False)]
+        for rows in subsets:
+            assert np.array_equal(_bits(fmap.gradients(X[rows])),
+                                  _bits(whole[rows]))
+            assert np.array_equal(
+                _bits(_feature_jacobians(fmap, X[rows], jac=jac[rows])),
+                _bits(whole[rows]))
 
     def test_points_of_wrong_dim_rejected(self):
         fmap = coordinate_map(unit_box_basis(3), [0])
