@@ -4,13 +4,20 @@ The loss only depends on the span of the coefficient columns, so descent runs
 on the quotient of the R-orthonormal frames: gradients are preconditioned by
 the Gram metric, projected onto the horizontal space, combined into a
 Polak-Ribiere-style direction (reset whenever it stops being a descent
-direction), and steps are retracted by re-orthonormalization under Armijo
-backtracking.  Two standard initializations are provided: the active-subspace
-start (top eigenvectors of the expected gradient outer product, embedded on
-the degree-one basis functions) and the greedy surrogate start.
+direction), and steps are retracted by re-orthonormalization under a monotone
+Armijo search.  Each search starts from twice the last accepted step, capped
+at ``step_init``, and backtracks to the minimizer of the quadratic through
+the loss, its slope and the failed trial, clamped to [0.1, ``shrink``] times
+the failed step (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.5), so
+an iteration costs about one loss evaluation.  Two standard initializations
+are provided: the active-subspace start (top eigenvectors of the expected
+gradient outer product, embedded on the degree-one basis functions) and the
+greedy surrogate start.
 """
 
 import csv
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -26,16 +33,29 @@ from .surrogate import FeatureMap, greedy_features, orthonormalize, poincare_los
 class OptimizerConfig:
     max_iters: int = 500
     grad_tol: float = 1e-9          # relative to the initial gradient norm
-    step_init: float = 1.0
-    shrink: float = 0.5
+    step_init: float = 1.0          # first step, then cap on the carried step
+    shrink: float = 0.5             # largest backtracking factor
     sufficient_decrease: float = 1e-4
     trace_path: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise InvalidInputError(
+                f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not _is_finite(self.grad_tol) or self.grad_tol < 0.0:
+            raise InvalidInputError(
+                f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
+        if not _is_finite(self.step_init) or self.step_init <= 0.0:
+            raise InvalidInputError(
+                f"step_init must be finite and > 0, got {self.step_init!r}")
         if not 0.0 < self.shrink < 1.0:
             raise InvalidInputError("line-search shrink factor must be in (0, 1)")
         if not 0.0 < self.sufficient_decrease < 1.0:
             raise InvalidInputError("sufficient-decrease constant must be in (0, 1)")
+
+
+def _is_finite(value):
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +179,7 @@ def poincare_loss_gradient(samples, basis, G):
 # ---------------------------------------------------------------------------
 
 _MIN_STEP = 1e-14
+_MIN_SHRINK = 0.1                   # floor of an interpolated backtracking factor
 _STALL_DROP = 1e-15
 _STALL_LIMIT = 3
 
@@ -171,9 +192,16 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None)
     ``(feature_map, trace)`` where trace rows are
     ``(iteration, loss, gradient_norm, step)`` and the loss column is
     non-increasing by construction (only sufficient-decrease steps are
-    accepted).  Stops on the relative gradient tolerance, the iteration cap,
-    line-search failure, or three consecutive negligible decreases.  A
-    non-finite gradient raises ``IllConditionedError``.
+    accepted).  The first search tries ``config.step_init``; each later one
+    tries twice the last accepted step, capped at ``step_init``.  A trial
+    that fails sufficient decrease is replaced by the minimizer of the
+    quadratic through the loss, the slope along the direction and the
+    trial's loss, clamped to [0.1, ``shrink``] times the failed step (to
+    ``shrink`` times it when ``shrink`` < 0.1); a rank-deficient or
+    non-finite trial is multiplied by ``shrink``.  Stops on
+    the relative gradient tolerance, the iteration cap, line-search failure
+    (the step fell below 1e-14), or three consecutive negligible decreases.
+    A non-finite gradient raises ``IllConditionedError``.
     """
     cfg = config or OptimizerConfig()
     if gram is None:
@@ -202,6 +230,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None)
     direction = -xi
     prev_xi, prev_xi_R = xi, xi_R
     stalls = 0
+    step = cfg.step_init            # so the first search starts at step_init
 
     for it in range(1, cfg.max_iters + 1):
         if gnorm <= cfg.grad_tol * gnorm0 or gnorm == 0.0:
@@ -210,7 +239,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None)
         if slope >= 0.0:
             direction = -xi
             slope = -gnorm ** 2
-        step = cfg.step_init
+        step = min(cfg.step_init, 2.0 * step)
         accepted = False
         while step >= _MIN_STEP:
             try:
@@ -219,11 +248,18 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None)
                 step *= cfg.shrink
                 continue
             loss_trial = ctx.loss(G_trial)
-            if np.isfinite(loss_trial) and \
-                    loss_trial <= loss + cfg.sufficient_decrease * step * slope:
+            if not np.isfinite(loss_trial):
+                step *= cfg.shrink
+                continue
+            if loss_trial <= loss + cfg.sufficient_decrease * step * slope:
                 accepted = True
                 break
-            step *= cfg.shrink
+            # minimizer of the quadratic through loss, slope and loss_trial;
+            # the trial's excess over the linear model is positive because
+            # sufficient decrease failed
+            excess = loss_trial - loss - step * slope
+            step = min(cfg.shrink * step,
+                       max(_MIN_SHRINK * step, -slope * step ** 2 / (2.0 * excess)))
         if not accepted:
             break
         drop = loss - loss_trial

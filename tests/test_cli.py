@@ -103,6 +103,27 @@ class TestConfig:
         assert err.startswith("error: " + key), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("step_init", math.inf), ("step_init", 0.0), ("step_init", -1.0),
+        ("step_init", math.nan), ("max_iters", -1), ("grad_tol", math.nan),
+        ("grad_tol", -1.0)])
+    @pytest.mark.parametrize("command", [["learn", "CSV"], ["benchmark"]],
+                             ids=["learn", "benchmark"])
+    def test_unusable_optimizer_setting_exits_2_before_work(
+            self, tmp_path, u1_csv, capsys, monkeypatch, key, value, command):
+        # json writes and reads Infinity and NaN
+        path = write_config(tmp_path, "opt.json", {
+            "basis": {"families": box_families()},
+            "learn": {"optimizer": {key: value}},
+            "io": {"out_dir": str(tmp_path / "out")}})
+        monkeypatch.setattr("gradfeat.benchmarks.read_samples_csv", None)
+        monkeypatch.setattr("gradfeat.benchmarks.run_experiment", None)
+        command = [str(u1_csv) if word == "CSV" else word for word in command]
+        assert main(["--config", path] + command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be"), err
+        assert not (tmp_path / "out").exists()
+
     def test_unusable_out_dir_exits_2_before_work(self, tmp_path, u1_csv,
                                                   capsys, monkeypatch):
         taken = tmp_path / "a-file"

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradfeat.basis import FeatureBasis, MultiIndexSet, assemble_gram, \
     build_index_set
 from gradfeat.benchmarks import make_benchmark, make_samples
 from gradfeat.errors import IllConditionedError, InvalidInputError
-from gradfeat.grassmann import (OptimizerConfig, active_subspace_init,
-                                learn_features, minimize_poincare_loss,
-                                poincare_loss_gradient)
+from gradfeat.grassmann import (OptimizerConfig, _LossContext,
+                                active_subspace_init, learn_features,
+                                minimize_poincare_loss, poincare_loss_gradient)
 from gradfeat.surrogate import FeatureMap, SampleSet, poincare_loss
 
 
@@ -82,7 +84,6 @@ class TestLossGradient:
     def test_matches_finite_differences(self):
         samples, basis, gram = u3_setup(n=120, seed=5)
         rng = np.random.default_rng(6)
-        from gradfeat.grassmann import _LossContext
         ctx = _LossContext(samples, basis)
         for m in (1, 2):
             for _ in range(3):
@@ -154,11 +155,69 @@ class TestMinimize:
         assert lines[0] == "iter,J,grad_norm,step"
         assert len(lines) >= 2
 
-    def test_bad_line_search_parameters_rejected(self):
+    @pytest.mark.parametrize("setting", [
+        {"shrink": 1.5}, {"sufficient_decrease": 0.0},
+        # an infinite first step never shrinks below the search's floor, so
+        # it would backtrack forever; the others would return the start
+        {"step_init": np.inf}, {"step_init": 0.0}, {"step_init": -1.0},
+        {"step_init": np.nan}, {"max_iters": -1}, {"max_iters": 2.5},
+        {"grad_tol": np.nan}, {"grad_tol": -1e-9}, {"grad_tol": np.inf},
+    ], ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()))
+    def test_bad_settings_rejected(self, setting):
         with pytest.raises(InvalidInputError):
-            OptimizerConfig(shrink=1.5)
-        with pytest.raises(InvalidInputError):
-            OptimizerConfig(sufficient_decrease=0.0)
+            OptimizerConfig(**setting)
+
+    def test_boundary_settings_accepted(self):
+        cfg = OptimizerConfig(max_iters=0, grad_tol=0.0, step_init=1e-300)
+        assert (cfg.max_iters, cfg.grad_tol, cfg.step_init) == (0, 0.0, 1e-300)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_line_search_costs_about_one_loss_per_step(self, monkeypatch, m):
+        samples, basis, gram = u3_setup(n=90, seed=16)
+        G0 = active_subspace_init(samples, basis, m, gram)
+        calls = []
+        exact = _LossContext.loss
+
+        def counted(self, G):
+            calls.append(G)
+            return exact(self, G)
+
+        monkeypatch.setattr(_LossContext, "loss", counted)
+        _, trace = minimize_poincare_loss(samples, basis, G0, gram=gram,
+                                          config=OptimizerConfig(max_iters=40))
+        assert trace[-1][0] == 40
+        # the starting point's evaluation aside
+        assert len(calls) - 1 <= 2 * 40
+
+    @pytest.mark.parametrize("step_init", [1.0, 1e-3])
+    def test_steps_never_exceed_step_init(self, step_init):
+        samples, basis, gram = u3_setup(n=90, seed=16)
+        G0 = active_subspace_init(samples, basis, 2, gram)
+        _, trace = minimize_poincare_loss(
+            samples, basis, G0, gram=gram,
+            config=OptimizerConfig(max_iters=40, step_init=step_init))
+        steps = [row[3] for row in trace[1:]]
+        assert len(steps) == 40
+        assert all(0.0 < step <= step_init for step in steps)
+        if step_init < 1.0:
+            # the cap binds after the first step, so the carried step was
+            # clamped rather than doubled
+            assert steps.count(step_init) > 1
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.floats(1e-3, 10.0), st.floats(0.01, 0.99),
+           st.integers(0, 2 ** 32 - 1))
+    def test_any_valid_search_is_monotone(self, m, step_init, shrink, seed):
+        samples, basis, gram = u3_setup(n=60, seed=19)
+        G0 = np.random.default_rng(seed).normal(size=(basis.size, m))
+        cfg = OptimizerConfig(max_iters=15, step_init=step_init, shrink=shrink)
+        fmap, trace = minimize_poincare_loss(samples, basis, G0, config=cfg,
+                                             gram=gram)
+        losses = [row[1] for row in trace]
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+        assert all(0.0 < row[3] <= step_init for row in trace[1:])
+        C = fmap.coeffs.T @ gram.matrix @ fmap.coeffs
+        assert np.linalg.norm(C - np.eye(m)) <= 1e-8
 
 
     def test_precomputed_jacobian_gives_identical_descent(self):
@@ -211,7 +270,6 @@ class TestMinimize:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_raises(self, monkeypatch, bad):
-        from gradfeat.grassmann import _LossContext
         samples, basis, gram = u3_setup(n=60, seed=18)
         G0 = active_subspace_init(samples, basis, 1, gram)
         exact = _LossContext.euclidean_grad
