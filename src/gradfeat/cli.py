@@ -129,6 +129,15 @@ def _check_paths(cfg):
         _setting(cfg, key, _optional_path)
 
 
+def _integer(value):
+    """An integral number as an int; booleans, strings and fractions raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _floats(values):
     return [float(v) for v in values or ()]
 
@@ -183,18 +192,18 @@ def _cv_grid(cfg):
     def grid(name):
         return np.linspace(_setting(cfg, f"regression.{name}.lo", float),
                            _setting(cfg, f"regression.{name}.hi", float),
-                           _setting(cfg, f"regression.{name}.n", int))
+                           _setting(cfg, f"regression.{name}.n", _integer))
 
     return CvGrid(log10_gamma=grid("log10_gamma"), log10_ridge=grid("log10_ridge"),
-                  folds=_setting(cfg, "regression.folds", int),
-                  pk_folds=_setting(cfg, "regression.pk_folds", int))
+                  folds=_setting(cfg, "regression.folds", _integer),
+                  pk_folds=_setting(cfg, "regression.pk_folds", _integer))
 
 
 def _optimizer(cfg):
     def opt(key, convert):
         return _setting(cfg, f"learn.optimizer.{key}", convert)
 
-    return OptimizerConfig(max_iters=opt("max_iters", int),
+    return OptimizerConfig(max_iters=opt("max_iters", _integer),
                            grad_tol=opt("grad_tol", float),
                            step_init=opt("step_init", float),
                            shrink=opt("shrink", float),
@@ -214,7 +223,7 @@ def cmd_learn(cfg, samples_path):
     families = [family_from_spec(s) for s in families]
     p = _setting(cfg, "basis.p", float)
     k = _setting(cfg, "basis.k", float)
-    m = _setting(cfg, "learn.m", int)
+    m = _setting(cfg, "learn.m", _integer)
     optimizer = _optimizer(cfg)
     _make_out_dir(cfg)
     samples = bm.read_samples_csv(samples_path)
@@ -254,11 +263,12 @@ def cmd_benchmark(cfg, full=False):
         return _setting(cfg, f"experiment.{key}", convert)
 
     config = bm.ExperimentConfig(
-        benchmark=exp("benchmark", str), m=exp("m", int),
+        benchmark=exp("benchmark", str), m=exp("m", _integer),
         methods=exp("methods", tuple),
-        ntrain_list=exp("ntrain_list", lambda v: tuple(int(n) for n in v)),
-        n_test=exp("n_test", int), n_realizations=exp("n_realizations", int),
-        seed=exp("seed", int), select_pk=exp("select_pk", bool),
+        ntrain_list=exp("ntrain_list", lambda v: tuple(map(_integer, v))),
+        n_test=exp("n_test", _integer),
+        n_realizations=exp("n_realizations", _integer),
+        seed=exp("seed", _integer), select_pk=exp("select_pk", bool),
         fixed_pk=exp("fixed_pk", _pk_pair),
         cv=_cv_grid(cfg), optimizer=_optimizer(cfg))
     if full:
@@ -298,8 +308,9 @@ def _deviation_h_samples(cfg):
         points = bm.read_samples_csv(dev["samples"]).points
     elif dev["benchmark"]:
         bench = bm.make_benchmark(dev["benchmark"])
-        points = bm.sample_inputs(bench, _setting(cfg, "deviation.n_samples", int),
-                                  _setting(cfg, "deviation.seed", int))
+        points = bm.sample_inputs(
+            bench, _setting(cfg, "deviation.n_samples", _integer),
+            _setting(cfg, "deviation.seed", _integer))
     else:
         raise InvalidInputError(
             "config deviation needs either a samples path or a benchmark id")

@@ -30,13 +30,18 @@ import scipy.linalg
 
 from .basis import (_check_jacobian, _jacobian_chunks, assemble_gram,
                     basis_from_spec)
-from .errors import InvalidInputError, RankDeficiencyError
+from .errors import InvalidInputError, NumericError, RankDeficiencyError
 from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 
 _CHUNK = 8192
 # rows per support-block evaluation of the feature Jacobians; their values do
 # not depend on it, and blocks this small stay in cache
 _BLOCK_ROWS = 1024
+# resolved once: one fold's eigensolve is a few milliseconds, and the
+# surrogate's matrices are always float64
+_potrf, _sygst, _syevr, _trtrs = scipy.linalg.get_lapack_funcs(
+    ("potrf", "sygst", "syevr", "trtrs"), dtype=np.float64)
+_ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("S")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,17 @@ class FeatureMap:
 
 @dataclass
 class SurrogateMatrices:
-    """Quadratic-form matrices of the convex surrogate: h = h1 - h2, PSD."""
+    """Quadratic-form matrices of the convex surrogate: h = h1 - h2, PSD.
+
+    Non-finite or asymmetric h1, h2 raise ``InvalidInputError``, and so does
+    an h that is not PSD up to roundoff: one whose smallest eigenvalue lies
+    below -(1e-8 * top + floor), with top the largest eigenvalue magnitude
+    and floor = 1e-12 * max|h1|.  A Cholesky factorization of h + tau_lo * I,
+    tau_lo = 1e-8 * max diag(h) + floor, certifies the usual case without
+    the spectrum: max diag(h) <= top, so tau_lo is below the tolerance and a
+    successful factorization means h passes.  Only when it fails are the
+    eigenvalues computed and the rule applied to them.
+    """
 
     h1: np.ndarray
     h2: np.ndarray
@@ -171,17 +186,24 @@ class SurrogateMatrices:
     def __post_init__(self):
         for name in ("h1", "h2"):
             M = getattr(self, name)
+            if not np.all(np.isfinite(M)):
+                raise InvalidInputError(f"non-finite entries in {name}")
             scale = np.max(np.abs(M)) or 1.0
             if np.max(np.abs(M - M.T)) > 1e-10 * scale:
                 raise InvalidInputError(f"{name} is not symmetric")
             setattr(self, name, 0.5 * (M + M.T))
         self.h = self.h1 - self.h2
-        evals = np.linalg.eigvalsh(self.h)
-        top = max(abs(evals[0]), abs(evals[-1]), 1e-300)
         # the difference can be exactly zero in exact arithmetic (e.g. no
         # complement directions left), leaving only accumulation roundoff at
         # the scale of h1; allow for that floor
         floor = 1e-12 * max(np.max(np.abs(self.h1)), 1e-300)
+        tau_lo = 1e-8 * max(np.max(np.diag(self.h)), 1e-300) + floor
+        shifted = np.array(self.h, order="F")
+        shifted[np.diag_indices_from(shifted)] += tau_lo
+        if _potrf(shifted, lower=1, overwrite_a=1, clean=0)[1] == 0:
+            return
+        evals = np.linalg.eigvalsh(self.h)
+        top = max(abs(evals[0]), abs(evals[-1]), 1e-300)
         if evals[0] < -(1e-8 * top + floor):
             raise InvalidInputError(
                 f"surrogate matrix is not positive semi-definite "
@@ -307,14 +329,42 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
 
 
 # ---------------------------------------------------------------------------
-# Generalized eigenproblems (Cholesky reduction to a standard symmetric solve)
+# Generalized eigenproblems (one eigenpair of the Cholesky-reduced problem)
 # ---------------------------------------------------------------------------
 
-def _reduce_to_standard(H, gram):
-    L = gram.chol
-    Y = scipy.linalg.solve_triangular(L, H, lower=True)
-    A = scipy.linalg.solve_triangular(L, Y.T, lower=True).T
-    return 0.5 * (A + A.T), L
+def _reduce(H, gram):
+    """Lower triangle of L^-1 H L^-T (LAPACK sygst) with L = gram.chol.
+
+    Reads the lower triangle of H.  A non-finite H or a failed call raises
+    ``NumericError``.
+    """
+    H = np.asarray(H, dtype=float)
+    if not np.all(np.isfinite(H)):
+        raise NumericError("non-finite entries in the eigenproblem matrix")
+    A, info = _sygst(H, gram.chol, itype=1, lower=1)
+    _check_info("sygst", info)
+    return A
+
+
+def _subset_eig(A, index, vectors):
+    """Eigenpair ``index`` (1-based, ascending) of the symmetric matrix whose
+    lower triangle A holds (LAPACK syevr); A is overwritten.
+
+    The bisection runs to LAPACK's most accurate tolerance, twice the
+    underflow threshold, rather than its default eps * ||A||, so a small
+    eigenvalue of a badly scaled pencil keeps its relative accuracy; the
+    extra bisection steps cost little next to the reduction.
+    """
+    w, z, _, _, info = _syevr(A, compute_v=int(vectors), range="I", lower=1,
+                              il=index, iu=index, abstol=_ABSTOL, overwrite_a=1)
+    _check_info("syevr", info)
+    return float(w[0]), z
+
+
+def _check_info(name, info):
+    if info != 0:
+        raise NumericError(f"generalized eigensolve failed (LAPACK {name} "
+                           f"info {info})")
 
 
 def _fix_sign(vec):
@@ -327,22 +377,23 @@ def _fix_sign(vec):
 def min_generalized_eig(H, gram):
     """Smallest generalized eigenpair of (H, R) with R the Gram metric.
 
-    Returns (eigenvalue, vector) with vector normalized to unit R-norm and
-    its first non-negligible entry positive.
+    H is symmetric; only its lower triangle is read.  The pencil is reduced
+    once with the cached Cholesky factor of R, and only the smallest pair of
+    the reduced matrix is computed.  Returns (eigenvalue, vector) with vector
+    normalized to unit R-norm and its first non-negligible entry positive.
+    A non-finite H or a failed LAPACK call raises ``NumericError``.
     """
-    H = np.asarray(H, dtype=float)
-    A, L = _reduce_to_standard(H, gram)
-    evals, evecs = np.linalg.eigh(A)
-    y = evecs[:, 0]
-    vec = scipy.linalg.solve_triangular(L, y, lower=True, trans="T")
+    lam, y = _subset_eig(_reduce(H, gram), 1, vectors=True)
+    vec, info = _trtrs(gram.chol, y[:, 0], lower=1, trans=1)
+    _check_info("trtrs", info)
     vec = vec / np.sqrt(vec @ (gram.matrix @ vec))
-    return float(evals[0]), _fix_sign(vec)
+    return lam, _fix_sign(vec)
 
 
 def max_generalized_eig(H, gram):
-    """Largest generalized eigenvalue of (H, R)."""
-    A, _ = _reduce_to_standard(np.asarray(H, dtype=float), gram)
-    return float(np.linalg.eigvalsh(A)[-1])
+    """Largest generalized eigenvalue of (H, R), from the same reduction as
+    ``min_generalized_eig`` and without eigenvectors; same contract."""
+    return _subset_eig(_reduce(H, gram), gram.size, vectors=False)[0]
 
 
 def orthonormalize(coeffs, gram):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gradfeat.benchmarks as bm
+import gradfeat.surrogate as surrogate
 from gradfeat.basis import FeatureBasis, assemble_gram, build_index_set
 from gradfeat.benchmarks import (ExperimentConfig, make_benchmark,
                                  make_samples, read_samples_csv,
@@ -237,6 +238,32 @@ class TestRunExperiment:
         assert [r["error"] for r in report.realizations] == \
             [f"{type(exc).__name__}: {exc}"] * 2
         assert all(r["failed"] for r in report.realizations)
+
+    def test_non_finite_surrogate_matrix_recorded(self, monkeypatch):
+        # a NaN in the assembled h1 fails the cell as an input error instead
+        # of reaching the eigensolve and ending the sweep
+        real = surrogate.surrogate_sums
+
+        def poisoned(gradients, jac_phi):
+            h1, h2 = real(gradients, jac_phi)
+            h1[0, 0] = np.nan
+            return h1, h2
+        monkeypatch.setattr(surrogate, "surrogate_sums", poisoned)
+        report = run_experiment(desk_config(n_realizations=2))
+        assert [r["error"] for r in report.realizations] == \
+            ["InvalidInputError: non-finite entries in h1"] * 2
+
+    def test_failed_eigensolve_recorded(self, monkeypatch):
+        real = surrogate._syevr
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+        monkeypatch.setattr(surrogate, "_syevr", failing)
+        report = run_experiment(desk_config(n_realizations=2))
+        assert [r["error"] for r in report.realizations] == \
+            ["NumericError: generalized eigensolve failed "
+             "(LAPACK syevr info 1)"] * 2
 
     @pytest.mark.parametrize("exc", [TypeError("bug"), KeyError("bug"),
                                      ZeroDivisionError("bug")])

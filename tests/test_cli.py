@@ -7,7 +7,7 @@ import pytest
 from gradfeat.basis import FeatureBasis, family_to_spec
 from gradfeat.benchmarks import (make_benchmark, make_samples,
                                  read_samples_csv, write_samples_csv)
-from gradfeat.cli import DEFAULT_CONFIG, load_config, main
+from gradfeat.cli import DEFAULT_CONFIG, _optimizer, load_config, main
 from gradfeat.surrogate import FeatureMap, poincare_loss
 
 HALF_PI = math.pi / 2.0
@@ -90,10 +90,37 @@ class TestConfig:
          "config deviation.basis_spec:"),
         ({"deviation": {"samples": {"path": "s.csv"}}}, ["check-deviation"],
          "config deviation.samples:"),
+        # integer keys take integral numbers only: no truncation, no
+        # booleans, no numeric strings
+        ({"basis": {"families": box_families()},
+          "learn": {"optimizer": {"max_iters": 2.5}}}, ["learn", "CSV"],
+         "config learn.optimizer.max_iters:"),
+        ({"learn": {"optimizer": {"max_iters": True}}}, ["benchmark"],
+         "config learn.optimizer.max_iters:"),
+        ({"basis": {"families": box_families()}, "learn": {"m": 1.5}},
+         ["learn", "CSV"], "config learn.m:"),
+        ({"experiment": {"m": True}}, ["benchmark"], "config experiment.m:"),
+        ({"regression": {"folds": "5"}}, ["benchmark"],
+         "config regression.folds:"),
+        ({"regression": {"pk_folds": 2.5}}, ["benchmark"],
+         "config regression.pk_folds:"),
+        ({"regression": {"log10_gamma": {"n": 4.5}}}, ["benchmark"],
+         "config regression.log10_gamma.n:"),
+        ({"experiment": {"n_test": 200.5}}, ["benchmark"],
+         "config experiment.n_test:"),
+        ({"experiment": {"ntrain_list": [50, 60.5]}}, ["benchmark"],
+         "config experiment.ntrain_list:"),
+        ({"experiment": {"n_realizations": "2"}}, ["benchmark"],
+         "config experiment.n_realizations:"),
+        ({"experiment": {"seed": 0.5}}, ["benchmark"],
+         "config experiment.seed:"),
     ], ids=["list-print-config", "list-learn", "section-not-object",
             "subsection-not-object", "basis-p", "max-iters", "folds",
             "fixed-pk", "eps-grid", "out-dir", "trace-path", "feature-map",
-            "basis-spec", "samples"])
+            "basis-spec", "samples", "max-iters-fraction", "max-iters-bool",
+            "m-fraction", "experiment-m-bool", "folds-string",
+            "pk-folds-fraction", "grid-n-fraction", "n-test-fraction",
+            "ntrain-fraction", "realizations-string", "seed-fraction"])
     def test_value_of_wrong_type_exits_2(self, tmp_path, u1_csv, capsys,
                                          tree, command, key):
         path = write_config(tmp_path, "typed.json", tree)
@@ -102,6 +129,12 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: " + key), err
         assert "Traceback" not in err
+
+    def test_integral_float_accepted_as_int(self, tmp_path):
+        path = write_config(tmp_path, "whole.json", {
+            "learn": {"optimizer": {"max_iters": 3.0}}})
+        max_iters = _optimizer(load_config(path)).max_iters
+        assert max_iters == 3 and type(max_iters) is int
 
     @pytest.mark.parametrize("key, value", [
         ("step_init", math.inf), ("step_init", 0.0), ("step_init", -1.0),
@@ -344,6 +377,21 @@ class TestCheckDeviationCommand:
             "io": {"out_dir": str(tmp_path / "dev-s0")},
         })
         assert main(["--config", cfg, "check-deviation"]) == 2
+
+    @pytest.mark.parametrize("key, value", [("n_samples", 1000.5),
+                                            ("seed", True)])
+    def test_non_integral_draw_setting_exits_2(self, tmp_path, u1_csv, capsys,
+                                               key, value):
+        fmap, bspec = self.make_feature_files(tmp_path, u1_csv)
+        capsys.readouterr()
+        cfg = write_config(tmp_path, "dev.json", {
+            "deviation": {"feature_map": fmap, "basis_spec": bspec,
+                          "benchmark": "u1", key: value},
+            "io": {"out_dir": str(tmp_path / "dev-int")},
+        })
+        assert main(["--config", cfg, "check-deviation"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config deviation.{key}:")
 
     @pytest.mark.parametrize("text", ["3 x\n1.0\n2.0\n3.0\n", "", "45 1\n1.0\n"],
                              ids=["count-not-int", "empty", "short-body"])

@@ -5,7 +5,9 @@ sample, the closed form for one feature must decide rank as the SVD does,
 the Poincare loss built on the kernel must stay within its documented
 range and depend only on the span of the coefficient columns, and the
 surrogates built on its deflation must equal the quadratic forms G^T h G of
-their assembled matrices.
+their assembled matrices.  The positive semi-definiteness check of those
+matrices, which certifies by a shifted Cholesky factorization, must give the
+verdict of the eigenvalue rule it stands in for.
 """
 
 import numpy as np
@@ -14,13 +16,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradfeat.basis import FeatureBasis, Legendre, build_index_set
+from gradfeat.errors import InvalidInputError
 from gradfeat.geometry import (_deflate, _orthobasis_batch,
                                _single_feature_sums, _single_residual_sq,
                                _span_svd, complement_split,
                                orthogonal_projector, orthonormal_span,
                                project_complement)
-from gradfeat.surrogate import (FeatureMap, SampleSet, convex_surrogate,
-                                coordinate_surrogate,
+from gradfeat.surrogate import (FeatureMap, SampleSet, SurrogateMatrices,
+                                convex_surrogate, coordinate_surrogate,
                                 coordinate_surrogate_matrices, poincare_loss,
                                 surrogate_matrices)
 
@@ -209,3 +212,56 @@ class TestSurrogateIsQuadraticForm:
         quad = g @ coordinate_surrogate_matrices(samples, basis, G[:, :1]).h @ g
         direct = coordinate_surrogate(samples, FeatureMap(basis, G), 2)
         assert abs(quad - direct) <= 1e-10 * _term_scale(samples, basis, g)
+
+
+def _eigenvalue_rule(h1, h2):
+    """The PSD rule on the full spectrum: (accepted, lambda_min + tau, tau)."""
+    h1 = 0.5 * (h1 + h1.T)
+    h = h1 - 0.5 * (h2 + h2.T)
+    evals = np.linalg.eigvalsh(h)
+    top = max(abs(evals[0]), abs(evals[-1]), 1e-300)
+    tau = 1e-8 * top + 1e-12 * max(np.max(np.abs(h1)), 1e-300)
+    return not evals[0] < -tau, evals[0] + tau, tau
+
+
+@st.composite
+def psd_problems(draw):
+    """(h1, h2) with h = h1 - h2 = Q diag(lams) Q^T, lambda_min on either side
+    of the rule's threshold -tau and the other eigenvalues in [0, scale]."""
+    K = draw(st.integers(1, 8))
+    Q, _ = np.linalg.qr(draw(hnp.arrays(float, (K, K),
+                                        elements=st.floats(-1.0, 1.0))))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    lams = scale * draw(hnp.arrays(float, K, elements=st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+    # lambda_min in units of 1e-8 * scale, from inside the tolerance to far
+    # outside it.  The rule's tau is about one unit when no eigenvalue is
+    # larger than scale; the certificate's shift is max diag(h) / scale
+    # units, at least 1 / K, so ratios just below one need the fallback
+    ratio = draw(st.one_of(st.floats(0.0, 1.5), st.floats(1.5, 8.0),
+                           st.floats(8.0, 1e9)))
+    lams[0] = -ratio * 1e-8 * scale
+    h = (Q * lams) @ Q.T
+    h = 0.5 * (h + h.T)
+    # h2 = 0 or a multiple of I up to 1e3 * scale, which raises max|h1| and
+    # with it the floor that both the rule and the certificate add
+    P = draw(st.sampled_from([0.0, 1.0, 1e3])) * scale * np.eye(K)
+    return h + P, P
+
+
+class TestPsdCheck:
+    # the examples are small, and the verdicts that tell the certificate's
+    # shift apart from the rule's tolerance are a thin slice of them
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(psd_problems())
+    def test_verdict_equals_the_eigenvalue_rule(self, problem):
+        h1, h2 = problem
+        accepted, margin, tau = _eigenvalue_rule(h1, h2)
+        # roundoff decides the verdict only within a relative 1e-3 of -tau
+        assume(abs(margin) > 1e-3 * tau)
+        try:
+            SurrogateMatrices(h1=h1, h2=h2)
+        except InvalidInputError:
+            assert not accepted
+        else:
+            assert accepted

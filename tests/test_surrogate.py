@@ -12,7 +12,8 @@ from gradfeat.basis import (FeatureBasis, GramMatrix, Hermite, Legendre,
                             LogHermite, MultiIndexSet, assemble_gram,
                             build_index_set)
 from gradfeat.benchmarks import make_benchmark
-from gradfeat.errors import InvalidInputError, RankDeficiencyError
+import gradfeat.surrogate as surrogate
+from gradfeat.errors import InvalidInputError, NumericError, RankDeficiencyError
 from gradfeat.geometry import complement_split
 from gradfeat.surrogate import (FeatureMap, SampleSet, SurrogateMatrices,
                                 _feature_jacobians,
@@ -233,6 +234,23 @@ class TestSurrogateMatrices:
         with pytest.raises(InvalidInputError):
             SurrogateMatrices(h1=M, h2=np.zeros((2, 2)))
 
+    def test_indefinite_difference_rejected(self):
+        # h = diag(0, 12) exactly (see test_constant_jacobian_exact), so a
+        # 1% larger h2 leaves the eigenvalue -0.12 at scale 12
+        mats = surrogate_matrices(first_coordinate_samples(2, 100, 14),
+                                  unit_box_basis(2))
+        SurrogateMatrices(h1=mats.h1, h2=mats.h2)
+        with pytest.raises(InvalidInputError, match="positive semi-definite"):
+            SurrogateMatrices(h1=mats.h1, h2=1.01 * mats.h2)
+
+    @pytest.mark.parametrize("name", ["h1", "h2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, name, bad):
+        mats = {"h1": np.eye(3), "h2": np.zeros((3, 3))}
+        mats[name][1, 2] = bad
+        with pytest.raises(InvalidInputError, match=f"non-finite entries in {name}"):
+            SurrogateMatrices(**mats)
+
 
 class TestCoordinateSurrogateMatrices:
     def test_empty_prior_reduces_to_single_feature(self):
@@ -314,6 +332,67 @@ class TestGeneralizedEig:
             assert vec @ R @ vec == pytest.approx(1.0, abs=1e-10)
             nz = np.nonzero(np.abs(vec) > 1e-12 * np.max(np.abs(vec)))[0]
             assert vec[nz[0]] > 0
+            assert max_generalized_eig(H, gram) == \
+                pytest.approx(oracle[-1], rel=1e-10)
+
+    def test_one_by_one(self):
+        gram = GramMatrix([[4.0]])
+        lam, vec = min_generalized_eig([[2.0]], gram)
+        assert lam == pytest.approx(0.5, rel=1e-15)
+        np.testing.assert_allclose(vec, [0.5], rtol=1e-15)
+        assert max_generalized_eig([[2.0]], gram) == pytest.approx(0.5, rel=1e-15)
+
+    def test_gram_that_needed_a_ridge(self):
+        # [[1, 1], [1, 1]] is singular, so the Gram carries a ridge; with
+        # eps the ridge as rounded into the diagonal, the pencil
+        # (2 I, R + eps I) has eigenvalues 2 / (2 + eps) and 2 / eps
+        gram = GramMatrix([[1.0, 1.0], [1.0, 1.0]])
+        assert gram.ridge_added > 0.0
+        eps = gram.matrix[0, 0] - 1.0
+        H = 2.0 * np.eye(2)
+        lam, vec = min_generalized_eig(H, gram)
+        assert lam == pytest.approx(2.0 / (2.0 + eps), rel=1e-12)
+        np.testing.assert_allclose(vec, np.full(2, 1.0 / np.sqrt(4.0 + 2.0 * eps)),
+                                   rtol=1e-9)
+        assert vec @ gram.matrix @ vec == pytest.approx(1.0, rel=1e-12)
+        assert max_generalized_eig(H, gram) == pytest.approx(2.0 / eps, rel=1e-12)
+
+    def test_repeated_smallest_eigenvalue(self):
+        # H = L Q diag(lams) Q^T L^T has generalized eigenvalues lams; the
+        # vector of a double eigenvalue is any in a plane, so only the value
+        # and the residual are fixed
+        rng = np.random.default_rng(26)
+        K = 7
+        B = rng.normal(size=(K, K))
+        gram = GramMatrix(B @ B.T + K * np.eye(K))
+        Q, _ = np.linalg.qr(rng.normal(size=(K, K)))
+        LQ = gram.chol @ Q
+        H = (LQ * [1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0]) @ LQ.T
+        H = 0.5 * (H + H.T)
+        lam, vec = min_generalized_eig(H, gram)
+        assert lam == pytest.approx(1.0, rel=1e-12)
+        res = np.linalg.norm(H @ vec - lam * (gram.matrix @ vec))
+        assert res <= 1e-12 * np.linalg.norm(H, 2) * np.linalg.norm(vec)
+        assert vec @ gram.matrix @ vec == pytest.approx(1.0, rel=1e-12)
+        assert max_generalized_eig(H, gram) == pytest.approx(13.0, rel=1e-12)
+
+    @pytest.mark.parametrize("solve", [min_generalized_eig, max_generalized_eig])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_raises_numeric_error(self, solve, bad):
+        H = np.eye(3)
+        H[2, 0] = H[0, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            solve(H, GramMatrix(np.eye(3)))
+
+    @pytest.mark.parametrize("solve", [min_generalized_eig, max_generalized_eig])
+    def test_failed_lapack_call_raises_numeric_error(self, monkeypatch, solve):
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 2)
+        real = surrogate._syevr
+        monkeypatch.setattr(surrogate, "_syevr", failing)
+        with pytest.raises(NumericError, match="LAPACK syevr info 2"):
+            solve(np.diag([2.0, 1.0]), GramMatrix(np.eye(2)))
 
     def test_shift_dominates_rayleigh_quotients(self):
         rng = np.random.default_rng(23)
