@@ -456,7 +456,8 @@ def assemble_gram(basis, samples, jac=None):
 
     ``samples`` is a SampleSet or an (n, d) array of points.  ``jac``, the
     basis Jacobian at the points, is read instead of evaluated when given;
-    the result is the same bit for bit.
+    the result is the same bit for bit.  The sum is one matrix product over
+    the whole Jacobian.
     """
     points = getattr(samples, "points", None)
     if points is None:
@@ -468,34 +469,18 @@ def assemble_gram(basis, samples, jac=None):
     if n < K:
         warnings.warn(f"Gram estimate from {n} samples for {K} basis functions "
                       "may be poorly conditioned", stacklevel=2)
-    scale = np.sqrt(1.0 / n)
-    acc = np.zeros((K, K))
-    for _, B in _jacobian_chunks(basis, points, _EVAL_CHUNK, jac):
-        M = (B * scale).reshape(-1, K)
-        acc += M.T @ M
-    return GramMatrix(acc)
+    M = (_jacobian_at(basis, points, jac) * np.sqrt(1.0 / n)).reshape(-1, K)
+    return GramMatrix(M.T @ M)
 
 
-def _jacobian_chunks(basis, points, size, jac=None):
-    """Yield ``(rows, basis Jacobian at those rows)`` over chunks of ``size`` rows.
-
-    ``jac``, the basis Jacobian at every point as an (n, d, K) array, is
-    sliced when given; otherwise each chunk is evaluated.  The Jacobian of a
-    point does not depend on the rows evaluated with it, so both ways yield
-    the same values, and a sum over the chunks is the same bit for bit.
-    """
-    n = points.shape[0]
-    if jac is not None:
-        _check_jacobian(basis, n, jac)
-    for start in range(0, n, size):
-        sl = slice(start, min(start + size, n))
-        yield sl, basis.jacobian_batch(points[sl]) if jac is None else jac[sl]
-
-
-def _check_jacobian(basis, n, jac):
-    if jac.shape != (n, basis.dim, basis.size):
+def _jacobian_at(basis, points, jac=None):
+    """The basis Jacobian at the points, (n, d, K): ``jac`` after a shape
+    check, or evaluated when None.  Every sum over samples reads this one
+    array, so a public call evaluates the Jacobian at most once."""
+    if jac is None:
+        return basis.jacobian_batch(points)
+    if jac.shape != (points.shape[0], basis.dim, basis.size):
         raise InvalidInputError(
-            f"Jacobian of shape {jac.shape} does not match {n} points "
-            f"in dim {basis.dim} and K={basis.size}")
+            f"Jacobian of shape {jac.shape} does not match {points.shape[0]} "
+            f"points in dim {basis.dim} and K={basis.size}")
     return jac
-

@@ -25,7 +25,7 @@ from .basis import FeatureBasis, assemble_gram, build_index_set, \
     family_from_spec
 from .deviation import check_large_deviation, check_small_deviation
 from .errors import InvalidInputError, NumericError
-from .grassmann import OptimizerConfig, learn_features
+from .grassmann import METHODS, OptimizerConfig, learn_features
 from .regression import CvGrid
 from .surrogate import FeatureMap, poincare_loss
 
@@ -111,22 +111,42 @@ def _setting(cfg, path, convert):
         raise InvalidInputError(f"config {path}: cannot use {value!r} ({exc})") from None
 
 
-def _path(value):
-    if not isinstance(value, str):
-        raise TypeError(f"expected a path string, got {type(value).__name__}")
+def _of_type(kind, expected):
+    """A converter that passes values of ``kind`` through and raises on any
+    other: a string is never read as its characters, nor a number as a
+    boolean."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {expected}, got {type(value).__name__}")
+        return value
+    return check
+
+
+_path = _of_type(str, "a path string")
+_optional_path = _of_type((str, type(None)), "a path string or null")
+_boolean = _of_type(bool, "true or false")
+_list = _of_type(list, "a list")
+
+
+def _method(value):
+    if value not in METHODS:
+        raise ValueError(f"expected one of {METHODS}")
     return value
 
 
-def _optional_path(value):
-    return None if value is None else _path(value)
+def _methods(values):
+    return tuple(map(_method, _list(values)))
 
 
-def _check_paths(cfg):
-    """Reject path-valued keys of the wrong type before any work is done."""
+def _check_keys(cfg):
+    """Reject path-valued keys of the wrong type and unknown method names
+    before any work is done."""
     _setting(cfg, "io.out_dir", _path)
     for key in ("learn.optimizer.trace_path", "deviation.feature_map",
                 "deviation.basis_spec", "deviation.samples"):
         _setting(cfg, key, _optional_path)
+    _setting(cfg, "learn.method", _method)
+    _setting(cfg, "experiment.methods", _methods)
 
 
 def _integer(value):
@@ -139,11 +159,11 @@ def _integer(value):
 
 
 def _floats(values):
-    return [float(v) for v in values or ()]
+    return [float(v) for v in _list(values)]
 
 
 def _pk_pair(values):
-    p, k = values
+    p, k = _list(values)
     return float(p), float(k)
 
 
@@ -161,7 +181,7 @@ def load_config(path=None, seed=None, out_dir=None):
         cfg["deviation"]["seed"] = seed
     if out_dir is not None:
         cfg["io"]["out_dir"] = out_dir
-    _check_paths(cfg)
+    _check_keys(cfg)
     return cfg
 
 
@@ -216,7 +236,7 @@ def _optimizer(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_learn(cfg, samples_path):
-    families = _setting(cfg, "basis.families", list)
+    families = _setting(cfg, "basis.families", _list)
     if not families:
         raise InvalidInputError(
             "config basis.families is empty; list one family per input dimension")
@@ -262,13 +282,18 @@ def cmd_benchmark(cfg, full=False):
     def exp(key, convert):
         return _setting(cfg, f"experiment.{key}", convert)
 
+    if cfg["learn"]["optimizer"]["trace_path"] is not None:
+        # every descent of the sweep would rewrite the one file
+        raise InvalidInputError(
+            "config learn.optimizer.trace_path: applies to learn only; "
+            "set it to null for benchmark")
     config = bm.ExperimentConfig(
         benchmark=exp("benchmark", str), m=exp("m", _integer),
-        methods=exp("methods", tuple),
-        ntrain_list=exp("ntrain_list", lambda v: tuple(map(_integer, v))),
+        methods=exp("methods", _methods),
+        ntrain_list=exp("ntrain_list", lambda v: tuple(map(_integer, _list(v)))),
         n_test=exp("n_test", _integer),
         n_realizations=exp("n_realizations", _integer),
-        seed=exp("seed", _integer), select_pk=exp("select_pk", bool),
+        seed=exp("seed", _integer), select_pk=exp("select_pk", _boolean),
         fixed_pk=exp("fixed_pk", _pk_pair),
         cv=_cv_grid(cfg), optimizer=_optimizer(cfg))
     if full:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_jacobian, assemble_gram
+from .basis import _jacobian_at, assemble_gram
 from .errors import IllConditionedError, InvalidInputError, RankDeficiencyError
 from .geometry import _complement_factors, _complement_residual_sq
 from .surrogate import FeatureMap, greedy_features, orthonormalize, poincare_loss
@@ -114,9 +114,7 @@ class _LossContext:
     """
 
     def __init__(self, samples, basis, jac=None):
-        jac = basis.jacobian_batch(samples.points) if jac is None else \
-            _check_jacobian(basis, samples.n, jac)
-        self.flat = jac.reshape(-1, basis.size)
+        self.flat = _jacobian_at(basis, samples.points, jac).reshape(-1, basis.size)
         self.b = samples.gradients
         self.b_sq = np.sum(self.b ** 2, axis=1)
         self.n = samples.n
@@ -204,8 +202,9 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None)
     A non-finite gradient raises ``IllConditionedError``.
     """
     cfg = config or OptimizerConfig()
+    jac = _jacobian_at(basis, samples.points, jac)
     if gram is None:
-        gram = assemble_gram(basis, samples)
+        gram = assemble_gram(basis, samples, jac=jac)
     G = orthonormalize(np.asarray(G0, dtype=float), gram)
     if G.ndim == 1:
         G = G[:, None]
@@ -307,8 +306,7 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
-    if jac is None:
-        jac = basis.jacobian_batch(samples.points)
+    jac = _jacobian_at(basis, samples.points, jac)
     if gram is None:
         gram = assemble_gram(basis, samples, jac=jac)
     t0 = time.perf_counter()

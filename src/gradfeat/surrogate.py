@@ -15,11 +15,11 @@ Terminology used throughout the package:
   after deflating the other feature gradients out of both sides; the greedy
   learner builds the coefficient matrix one column per pass.
 
-Feature indices in the public API are 1-based.  Sample accumulations are
-sequential over fixed-size chunks, so results are bit-reproducible for given
-inputs.  The estimators that sum over samples take an optional ``jac``, the
-basis Jacobian at the sample points, which they slice chunk by chunk instead
-of evaluating it; their results are the same with and without it.
+Feature indices in the public API are 1-based.  The estimators that sum
+over samples take an optional ``jac``, the basis Jacobian at the sample
+points, and evaluate it once when it is None; each sum is one pass over that
+whole array, so results are bit-reproducible for given inputs and the same
+with and without ``jac``.
 """
 
 import json
@@ -28,12 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import (_check_jacobian, _jacobian_chunks, assemble_gram,
-                    basis_from_spec)
+from .basis import _jacobian_at, assemble_gram, basis_from_spec
 from .errors import InvalidInputError, NumericError, RankDeficiencyError
 from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 
-_CHUNK = 8192
 # rows per support-block evaluation of the feature Jacobians; their values do
 # not depend on it, and blocks this small stay in cache
 _BLOCK_ROWS = 1024
@@ -292,13 +290,8 @@ def surrogate_matrices(samples, basis, jac=None):
     rank-one terms from the function gradient; h = h1 - h2 is PSD and
     satisfies G^T h G = convex surrogate of G^T Phi on the same samples.
     """
-    K = basis.size
-    h1 = np.zeros((K, K))
-    h2 = np.zeros((K, K))
-    for sl, B in _jacobian_chunks(basis, samples.points, _CHUNK, jac):
-        d1, d2 = surrogate_sums(samples.gradients[sl], B)
-        h1 += d1
-        h2 += d2
+    h1, h2 = surrogate_sums(samples.gradients,
+                            _jacobian_at(basis, samples.points, jac))
     return SurrogateMatrices(h1=h1 / samples.n, h2=h2 / samples.n)
 
 
@@ -314,17 +307,10 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
         coeffs_others = coeffs_others[:, None]
     if coeffs_others.shape[1] == 0:
         return surrogate_matrices(samples, basis, jac)
-    K = basis.size
-    h1 = np.zeros((K, K))
-    h2 = np.zeros((K, K))
-    for sl, B in _jacobian_chunks(basis, samples.points, 2048, jac):
-        W = np.einsum("ndk,kr->ndr", B, coeffs_others)
-        Q = _orthobasis_batch(W)
-        v = _deflate(Q, samples.gradients[sl])
-        A = np.ascontiguousarray(_deflate(Q, B))
-        d1, d2 = surrogate_sums(v, A)
-        h1 += d1
-        h2 += d2
+    B = _jacobian_at(basis, samples.points, jac)
+    Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", B, coeffs_others))
+    h1, h2 = surrogate_sums(_deflate(Q, samples.gradients),
+                            np.ascontiguousarray(_deflate(Q, B)))
     return SurrogateMatrices(h1=h1 / samples.n, h2=h2 / samples.n)
 
 
@@ -436,13 +422,15 @@ def greedy_features(samples, basis, m, gram=None, jac=None):
     prior-column directions pushed up by a spectral shift (the largest
     generalized eigenvalue of the weighted Jacobian Gram matrix) so the
     eigensolver cannot return them again.  The result satisfies
-    G^T R G = I_m after a final re-orthonormalization.  ``gram`` is assembled
-    when None; ``jac`` is the basis Jacobian at the sample points, or None.
+    G^T R G = I_m after a final re-orthonormalization.  ``jac``, the basis
+    Jacobian at the sample points, is evaluated once when None, and ``gram``
+    is assembled from it when None.
     """
     if m < 1:
         raise InvalidInputError("m must be >= 1")
     if m > basis.size:
         raise InvalidInputError(f"m={m} exceeds basis size K={basis.size}")
+    jac = _jacobian_at(basis, samples.points, jac)
     if gram is None:
         gram = assemble_gram(basis, samples, jac=jac)
     mats = surrogate_matrices(samples, basis, jac)
@@ -493,7 +481,7 @@ def _feature_jacobians(fmap, points, jac=None):
     # of a block is zero, so its coefficient does not count
     coeffs = np.ascontiguousarray(fmap.coeffs[columns].transpose(0, 2, 1))
     if jac is not None:
-        flat = _check_jacobian(basis, n, jac).reshape(n, -1)
+        flat = _jacobian_at(basis, points, jac).reshape(n, -1)
         entries = (columns + basis.size * np.arange(d)[:, None]).ravel()
     out = np.empty((n, d, fmap.n_features))
     for start in range(0, n, _BLOCK_ROWS):

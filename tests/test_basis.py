@@ -11,10 +11,12 @@ from gradfeat.basis import (_EVAL_CHUNK, FeatureBasis, GramMatrix, Hermite,
                             family_to_spec)
 from gradfeat.benchmarks import make_benchmark
 from gradfeat.errors import InvalidInputError
+from gradfeat.grassmann import (OptimizerConfig, learn_features,
+                                minimize_poincare_loss)
 from gradfeat.regression import _PK_CANDIDATES
 from gradfeat.surrogate import (FeatureMap, SampleSet,
-                                coordinate_surrogate_matrices, poincare_loss,
-                                surrogate_matrices)
+                                coordinate_surrogate_matrices, greedy_features,
+                                poincare_loss, surrogate_matrices)
 
 SQ3 = math.sqrt(3.0)
 
@@ -344,8 +346,9 @@ def _coeffs(basis, m):
 
 
 class TestPrecomputedJacobian:
-    # 2 * 16384 + 5 rows span several chunks of every estimator; 15 rows are
-    # fewer than the K = 19 basis functions, so the Gram warns
+    # 2 * 16384 + 5 rows span several of the Jacobian's evaluation chunks and
+    # of the feature Jacobians' row blocks; 15 rows are fewer than the K = 19
+    # basis functions, so the Gram warns
     @pytest.mark.parametrize("n", [15, 2 * 16384 + 5])
     @pytest.mark.parametrize("name", sorted(_SUMS))
     def test_sums_match_evaluated_jacobian_bitwise(self, name, n):
@@ -360,3 +363,48 @@ class TestPrecomputedJacobian:
             assert np.array_equal(a, b)
         if name == "assemble_gram":
             assert bool(out[3]) == (n < basis.size)
+
+
+_FEW_ITERS = OptimizerConfig(max_iters=3)
+
+# each public call that reads the basis Jacobian at the sample points, given
+# no ``jac`` and no ``gram``
+_CALLS = {
+    "assemble_gram": lambda samples, basis: assemble_gram(basis, samples),
+    "surrogate_matrices": lambda samples, basis: surrogate_matrices(
+        samples, basis),
+    "coordinate_surrogate_matrices": lambda samples, basis:
+        coordinate_surrogate_matrices(samples, basis, _coeffs(basis, 1)),
+    "greedy_features-m1": lambda samples, basis: greedy_features(
+        samples, basis, 1),
+    "greedy_features-m2": lambda samples, basis: greedy_features(
+        samples, basis, 2),
+    "minimize_poincare_loss": lambda samples, basis: minimize_poincare_loss(
+        samples, basis, _coeffs(basis, 2), config=_FEW_ITERS),
+    **{f"learn_features-{method}": (
+        lambda samples, basis, method=method: learn_features(
+            samples, basis, 2, method, config=_FEW_ITERS))
+       for method in ("sur", "gli", "gsi")},
+}
+
+
+class TestJacobianEvaluations:
+    # the Gram runs at 2 * 16384 + 5 rows, so a sum that evaluated the
+    # Jacobian in row chunks would show as several calls
+    @pytest.mark.parametrize("name", sorted(_CALLS))
+    def test_public_call_evaluates_jacobian_once(self, name, monkeypatch):
+        n = 2 * 16384 + 5 if name == "assemble_gram" else 60
+        basis = legendre_basis(3, 1.0, 3.0)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0, 1, size=(n, 3))
+        samples = SampleSet(pts, np.zeros(n), rng.normal(size=(n, 3)))
+        rows = []
+        evaluate = FeatureBasis.jacobian_batch
+
+        def counted(self, X):
+            rows.append(len(X))
+            return evaluate(self, X)
+
+        monkeypatch.setattr(FeatureBasis, "jacobian_batch", counted)
+        _CALLS[name](samples, basis)
+        assert rows == [n]

@@ -114,13 +114,48 @@ class TestConfig:
          "config experiment.n_realizations:"),
         ({"experiment": {"seed": 0.5}}, ["benchmark"],
          "config experiment.seed:"),
+        # the boolean key takes JSON true or false only
+        ({"experiment": {"select_pk": "false"}}, ["benchmark"],
+         "config experiment.select_pk:"),
+        ({"experiment": {"select_pk": 0.5}}, ["benchmark"],
+         "config experiment.select_pk:"),
+        ({"experiment": {"select_pk": [0]}}, ["benchmark"],
+         "config experiment.select_pk:"),
+        # list-valued keys take JSON lists only: a string is not read as
+        # its characters
+        ({"experiment": {"methods": "sur"}}, ["benchmark"],
+         "config experiment.methods:"),
+        ({"experiment": {"fixed_pk": "12"}}, ["benchmark"],
+         "config experiment.fixed_pk:"),
+        ({"experiment": {"ntrain_list": "50"}}, ["benchmark"],
+         "config experiment.ntrain_list:"),
+        ({"deviation": {"eps_grid": "5"}}, ["check-deviation"],
+         "config deviation.eps_grid:"),
+        ({"deviation": {"t_grid": "2"}}, ["check-deviation"],
+         "config deviation.t_grid:"),
+        ({"basis": {"families": "legendre"}}, ["learn", "CSV"],
+         "config basis.families:"),
+        # method names are checked when the config is read
+        ({"experiment": {"methods": ["foo"]}}, ["benchmark"],
+         "config experiment.methods:"),
+        ({"experiment": {"methods": ["sur", "foo"]}}, ["--print-config"],
+         "config experiment.methods:"),
+        ({"learn": {"method": "foo"}}, ["--print-config"],
+         "config learn.method:"),
+        ({"learn": {"method": ["gsi"]}}, ["learn", "CSV"],
+         "config learn.method:"),
     ], ids=["list-print-config", "list-learn", "section-not-object",
             "subsection-not-object", "basis-p", "max-iters", "folds",
             "fixed-pk", "eps-grid", "out-dir", "trace-path", "feature-map",
             "basis-spec", "samples", "max-iters-fraction", "max-iters-bool",
             "m-fraction", "experiment-m-bool", "folds-string",
             "pk-folds-fraction", "grid-n-fraction", "n-test-fraction",
-            "ntrain-fraction", "realizations-string", "seed-fraction"])
+            "ntrain-fraction", "realizations-string", "seed-fraction",
+            "select-pk-string", "select-pk-fraction", "select-pk-list",
+            "methods-string", "fixed-pk-string", "ntrain-string",
+            "eps-grid-string", "t-grid-string", "families-string",
+            "methods-unknown", "methods-unknown-print-config",
+            "method-unknown", "method-list"])
     def test_value_of_wrong_type_exits_2(self, tmp_path, u1_csv, capsys,
                                          tree, command, key):
         path = write_config(tmp_path, "typed.json", tree)
@@ -155,6 +190,19 @@ class TestConfig:
         assert main(["--config", path] + command) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_path_rejected_by_benchmark_before_work(
+            self, tmp_path, capsys, monkeypatch):
+        # a sweep runs many descents, and each would rewrite the one file
+        path = write_config(tmp_path, "trace.json", {
+            "learn": {"optimizer": {"trace_path": str(tmp_path / "t.csv")}},
+            "io": {"out_dir": str(tmp_path / "out")}})
+        monkeypatch.setattr("gradfeat.benchmarks.run_experiment", None)
+        assert main(["--config", path, "benchmark"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config learn.optimizer.trace_path:"), err
+        assert "learn only" in err
         assert not (tmp_path / "out").exists()
 
     def test_unusable_out_dir_exits_2_before_work(self, tmp_path, u1_csv,
