@@ -138,15 +138,23 @@ def _methods(values):
     return tuple(map(_method, _list(values)))
 
 
+def _benchmark_id(value):
+    """A benchmark id that ``make_benchmark`` knows; anything else raises."""
+    return bm.make_benchmark(_of_type(str, "a benchmark id")(value)).id
+
+
 def _check_keys(cfg):
-    """Reject path-valued keys of the wrong type and unknown method names
-    before any work is done."""
+    """Reject path-valued keys of the wrong type, unknown method names and
+    unknown benchmark ids before any work is done."""
     _setting(cfg, "io.out_dir", _path)
     for key in ("learn.optimizer.trace_path", "deviation.feature_map",
                 "deviation.basis_spec", "deviation.samples"):
         _setting(cfg, key, _optional_path)
     _setting(cfg, "learn.method", _method)
     _setting(cfg, "experiment.methods", _methods)
+    _setting(cfg, "experiment.benchmark", _benchmark_id)
+    if cfg["deviation"]["benchmark"] is not None:
+        _setting(cfg, "deviation.benchmark", _benchmark_id)
 
 
 def _integer(value):
@@ -269,6 +277,9 @@ def cmd_learn(cfg, samples_path):
         "loss_init": info["loss_init"],
         "loss_final": poincare_loss(samples, fmap, jac=jac),
         "loss_scale": samples.mean_gradient_norm_sq(),
+        "iterations": info["iterations"],
+        "stop_reason": info["stop_reason"],
+        "grad_rel_final": info["grad_rel_final"],
         "wall_time_s": wall,
     }
     _dump_json(metrics, os.path.join(out, "metrics.json"))
@@ -288,7 +299,7 @@ def cmd_benchmark(cfg, full=False):
             "config learn.optimizer.trace_path: applies to learn only; "
             "set it to null for benchmark")
     config = bm.ExperimentConfig(
-        benchmark=exp("benchmark", str), m=exp("m", _integer),
+        benchmark=cfg["experiment"]["benchmark"], m=exp("m", _integer),
         methods=exp("methods", _methods),
         ntrain_list=exp("ntrain_list", lambda v: tuple(map(_integer, _list(v)))),
         n_test=exp("n_test", _integer),

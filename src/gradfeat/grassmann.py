@@ -1,16 +1,20 @@
 """Direct minimization of the Poincare loss over subspaces of coefficient space.
 
 The loss only depends on the span of the coefficient columns, so descent runs
-on the quotient of the R-orthonormal frames: gradients are preconditioned by
-the Gram metric, projected onto the horizontal space, combined into a
-Polak-Ribiere-style direction (reset whenever it stops being a descent
-direction), and steps are retracted by re-orthonormalization under a monotone
-Armijo search.  Each search starts from twice the last accepted step, capped
-at ``step_init``, and backtracks to the minimizer of the quadratic through
-the loss, its slope and the failed trial, clamped to [0.1, ``shrink``] times
-the failed step (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.5), so
-an iteration costs about one loss evaluation.  Two standard initializations
-are provided: the active-subspace start (top eigenvectors of the expected
+on the quotient of the R-orthonormal frames, R the Gram metric.  The
+Euclidean gradient is preconditioned by a fixed SPD matrix P: for one
+feature P = h + mu R, with h the convex surrogate's matrix (the loss is the
+surrogate weighted by 1 / |grad g|^2 per sample, so h models its
+curvature), and for several features P = R.  The preconditioned gradient is
+projected onto the horizontal space, combined into a Polak-Ribiere-style
+direction (reset whenever it stops being a descent direction), and steps are
+retracted by re-orthonormalization under a monotone Armijo search.  Each
+search starts from twice the last accepted step, capped at ``step_init``,
+and backtracks to the minimizer of the quadratic through the loss, its slope
+and the failed trial, clamped to [0.1, ``shrink``] times the failed step
+(Nocedal & Wright, Numerical Optimization, 2nd ed., 3.5), so an iteration
+costs about one loss evaluation.  Two standard initializations are
+provided: the active-subspace start (top eigenvectors of the expected
 gradient outer product, embedded on the degree-one basis functions) and the
 greedy surrogate start.
 """
@@ -23,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _jacobian_at, assemble_gram
-from .errors import IllConditionedError, InvalidInputError, RankDeficiencyError
+from .basis import GramMatrix, _jacobian_at, assemble_gram
+from .errors import (IllConditionedError, InvalidInputError, NumericError,
+                     RankDeficiencyError)
 from .geometry import _complement_factors, _complement_residual_sq
-from .surrogate import FeatureMap, greedy_features, orthonormalize, poincare_loss
+from .surrogate import (FeatureMap, greedy_features, orthonormalize,
+                        poincare_loss, surrogate_matrices, surrogate_sums)
 
 
 @dataclass
@@ -180,26 +186,81 @@ _MIN_STEP = 1e-14
 _MIN_SHRINK = 0.1                   # floor of an interpolated backtracking factor
 _STALL_DROP = 1e-15
 _STALL_LIMIT = 3
+_MU = 1e-3                          # weight of R in P = h + mu R, relative to tr(h)/tr(R)
 
 
-def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None):
+class _Trace(list):
+    """Descent trace rows ``(iteration, loss, gradient_norm, step)``, plus
+    ``stop_reason``: why the descent stopped."""
+
+    stop_reason = None
+
+
+def _metric_solve(gram, h):
+    """P^-1 B for the descent's metric P: h + mu R for one feature, R when h
+    is None.
+
+    mu = 1e-3 tr(h) / tr(R) weighs R a thousandth of h on average, so P
+    follows the surrogate's curvature, and P is positive definite on the
+    null space of h (the directions of exact recovery), where the loss is
+    still curved.  The rule is invariant under scaling u or the basis.  When
+    h + mu R does not factor (tr(h) = 0, or roundoff in h outweighs mu R on
+    an ill-conditioned R), P is R.
+    """
+    if h is not None:
+        mu = _MU * np.trace(h) / np.trace(gram.matrix)
+        if mu > 0.0:
+            try:
+                return GramMatrix(h + mu * gram.matrix).solve
+            except NumericError:
+                pass
+    return gram.solve
+
+
+def _riemannian_grad(ctx, G, solve, R):
+    """The Euclidean gradient E at G, the descent's gradient
+    xi = Z - G G^T R Z with Z = P^-1 E (``solve``), and sqrt(<E, xi>)."""
+    E = ctx.euclidean_grad(G)
+    Z = solve(E)
+    xi = Z - G @ (G.T @ (R @ Z))
+    norm_sq = np.sum(E * xi)
+    if not np.isfinite(norm_sq):
+        raise IllConditionedError("non-finite Riemannian gradient")
+    return E, xi, float(np.sqrt(max(norm_sq, 0.0)))
+
+
+def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
+                           surrogate=None):
     """Descend the Poincare loss from R-orthonormal coefficients G0.
 
     ``gram`` and ``jac`` (the basis Jacobian at the sample points, a
-    C-contiguous (n, d, K) array) are computed when None.  Returns
-    ``(feature_map, trace)`` where trace rows are
-    ``(iteration, loss, gradient_norm, step)`` and the loss column is
-    non-increasing by construction (only sufficient-decrease steps are
-    accepted).  The first search tries ``config.step_init``; each later one
-    tries twice the last accepted step, capped at ``step_init``.  A trial
-    that fails sufficient decrease is replaced by the minimizer of the
-    quadratic through the loss, the slope along the direction and the
-    trial's loss, clamped to [0.1, ``shrink``] times the failed step (to
-    ``shrink`` times it when ``shrink`` < 0.1); a rank-deficient or
-    non-finite trial is multiplied by ``shrink``.  Stops on
-    the relative gradient tolerance, the iteration cap, line-search failure
-    (the step fell below 1e-14), or three consecutive negligible decreases.
-    A non-finite gradient raises ``IllConditionedError``.
+    C-contiguous (n, d, K) array) are computed when None.  For one feature
+    the Euclidean gradient E is preconditioned by P = h + mu R
+    (``_metric_solve``), with h = h1 - h2 the convex surrogate's matrix on
+    these samples: ``surrogate.h`` when the ``SurrogateMatrices`` are given,
+    else summed once from ``jac``, with the same bits.  P is factored once.
+    For several features P = R: on u2 and u3 at m = 2 the single-feature h
+    ended some descents higher, up to 2.6x, so it is not the metric for
+    several columns.  Each iteration solves Z = P^-1 E and steps along
+    xi = Z - G G^T R Z, which keeps G^T R xi = 0; the loss depends only on
+    the span of G, so G^T E = 0 and the slope along -xi is -<E, xi> for any
+    SPD P.  The Armijo slope and the Polak-Ribiere beta pair with E.
+
+    Returns ``(feature_map, trace)`` where trace rows are
+    ``(iteration, loss, gradient_norm, step)``, the gradient norm being
+    sqrt(<E, xi>), the P^-1-norm of E, and the loss column is non-increasing
+    by construction (only sufficient-decrease steps are accepted).  The
+    first search tries ``config.step_init``; each later one tries twice the
+    last accepted step, capped at ``step_init``.  A trial that fails
+    sufficient decrease is replaced by the minimizer of the quadratic through
+    the loss, the slope along the direction and the trial's loss, clamped to
+    [0.1, ``shrink``] times the failed step (to ``shrink`` times it when
+    ``shrink`` < 0.1); a rank-deficient or non-finite trial is multiplied by
+    ``shrink``.  ``trace.stop_reason`` says why the descent stopped:
+    ``grad_tol`` (the gradient norm fell to ``grad_tol`` times its initial
+    value, or to zero), ``max_iters`` (the iteration cap), ``line_search``
+    (the step fell below 1e-14) or ``stall`` (three consecutive negligible
+    decreases).  A non-finite gradient raises ``IllConditionedError``.
     """
     cfg = config or OptimizerConfig()
     jac = _jacobian_at(basis, samples.points, jac)
@@ -210,31 +271,33 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None)
         G = G[:, None]
     ctx = _LossContext(samples, basis, jac)
     R = gram.matrix
+    h = None
+    if G.shape[1] == 1:
+        if surrogate is None:
+            h1, h2 = surrogate_sums(samples.gradients, jac)
+            h = h1 / samples.n - h2 / samples.n
+        else:
+            h = surrogate.h
+    solve = _metric_solve(gram, h)
 
-    def riemannian_grad(G):
-        E = ctx.euclidean_grad(G)
-        xi = gram.solve(E) - G @ (G.T @ E)
-        xi_R = R @ xi
-        norm_sq = np.sum(xi * xi_R)
-        if not np.isfinite(norm_sq):
-            raise IllConditionedError("non-finite Riemannian gradient")
-        return xi, xi_R, float(np.sqrt(max(norm_sq, 0.0)))
+    def converged(gnorm):
+        return gnorm <= cfg.grad_tol * gnorm0 or gnorm == 0.0
 
     loss = ctx.loss(G)
     if not np.isfinite(loss):
         raise IllConditionedError("non-finite loss at the starting point")
-    xi, xi_R, gnorm = riemannian_grad(G)
+    E, xi, gnorm = _riemannian_grad(ctx, G, solve, R)
     gnorm0 = gnorm
-    trace = [(0, loss, gnorm, 0.0)]
+    trace = _Trace([(0, loss, gnorm, 0.0)])
     direction = -xi
-    prev_xi, prev_xi_R = xi, xi_R
     stalls = 0
     step = cfg.step_init            # so the first search starts at step_init
 
     for it in range(1, cfg.max_iters + 1):
-        if gnorm <= cfg.grad_tol * gnorm0 or gnorm == 0.0:
+        if converged(gnorm):
+            trace.stop_reason = "grad_tol"
             break
-        slope = float(np.sum(xi_R * direction))
+        slope = float(np.sum(E * direction))
         if slope >= 0.0:
             direction = -xi
             slope = -gnorm ** 2
@@ -260,22 +323,25 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None)
             step = min(cfg.shrink * step,
                        max(_MIN_SHRINK * step, -slope * step ** 2 / (2.0 * excess)))
         if not accepted:
+            trace.stop_reason = "line_search"
             break
         drop = loss - loss_trial
+        prev_xi, prev_sq = xi, gnorm ** 2
         G, loss = G_trial, loss_trial
-        xi, xi_R, gnorm = riemannian_grad(G)
+        E, xi, gnorm = _riemannian_grad(ctx, G, solve, R)
         trace.append((it, loss, gnorm, step))
-        beta = float(np.sum(xi_R * (xi - prev_xi)))
-        denom = float(np.sum(prev_xi_R * prev_xi))
-        beta = max(0.0, beta / denom) if denom > 0.0 else 0.0
+        beta = float(np.sum(E * (xi - prev_xi)))
+        beta = max(0.0, beta / prev_sq) if prev_sq > 0.0 else 0.0
         direction = -xi + beta * direction
-        prev_xi, prev_xi_R = xi, xi_R
         if drop <= _STALL_DROP * max(1.0, abs(loss)):
             stalls += 1
             if stalls >= _STALL_LIMIT:
+                trace.stop_reason = "stall"
                 break
         else:
             stalls = 0
+    else:
+        trace.stop_reason = "grad_tol" if converged(gnorm) else "max_iters"
 
     if cfg.trace_path:
         with open(cfg.trace_path, "w", newline="") as fh:
@@ -300,9 +366,13 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
     start.  ``jac`` is the basis Jacobian at the sample points as a
     C-contiguous (n, d, K) array; when None it is evaluated once.  The Gram
     matrix (``gram``, assembled from ``jac`` when None), every step of the
-    fit and the final loss read that one array.  Returns
-    ``(feature_map, info)`` where info carries the initial and final losses
-    and the wall time.
+    fit and the final loss read that one array; ``gsi`` assembles the
+    surrogate's matrices once, for its start and its descent.  Returns
+    ``(feature_map, info)`` where info carries the initial and final losses,
+    the wall time, and for the descents the iteration count, the stop reason
+    (``trace.stop_reason`` of ``minimize_poincare_loss``) and the final
+    gradient norm relative to the initial one; ``sur`` reports 0 iterations
+    and None for the rest.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -312,16 +382,22 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
     t0 = time.perf_counter()
     if method == "sur":
         fmap = greedy_features(samples, basis, m, gram=gram, jac=jac)
-        info = {"method": method, "loss_init": None, "iterations": 0}
+        info = {"method": method, "loss_init": None, "iterations": 0,
+                "stop_reason": None, "grad_rel_final": None}
     else:
+        mats = None
         if method == "gli":
             G0 = active_subspace_init(samples, basis, m, gram=gram)
         else:
-            G0 = greedy_features(samples, basis, m, gram=gram, jac=jac).coeffs
+            mats = surrogate_matrices(samples, basis, jac)
+            G0 = greedy_features(samples, basis, m, gram=gram, jac=jac,
+                                 surrogate=mats).coeffs
         fmap, trace = minimize_poincare_loss(samples, basis, G0, config=config,
-                                             gram=gram, jac=jac)
+                                             gram=gram, jac=jac, surrogate=mats)
+        gnorm0 = trace[0][2]
         info = {"method": method, "loss_init": trace[0][1],
-                "iterations": trace[-1][0]}
+                "iterations": trace[-1][0], "stop_reason": trace.stop_reason,
+                "grad_rel_final": trace[-1][2] / gnorm0 if gnorm0 > 0.0 else 0.0}
     info["loss_final"] = poincare_loss(samples, fmap, jac=jac)
     info["wall_time_s"] = time.perf_counter() - t0
     return fmap, info

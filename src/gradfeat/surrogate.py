@@ -414,7 +414,7 @@ def orthonormalize(coeffs, gram):
 # Greedy multi-feature learner
 # ---------------------------------------------------------------------------
 
-def greedy_features(samples, basis, m, gram=None, jac=None):
+def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
     """Learn m features one at a time by shifted generalized eigensolves.
 
     The first column minimizes the convex surrogate.  Each later column
@@ -424,7 +424,8 @@ def greedy_features(samples, basis, m, gram=None, jac=None):
     eigensolver cannot return them again.  The result satisfies
     G^T R G = I_m after a final re-orthonormalization.  ``jac``, the basis
     Jacobian at the sample points, is evaluated once when None, and ``gram``
-    is assembled from it when None.
+    and ``surrogate`` (the ``surrogate_matrices`` of the samples) are
+    assembled from it when None.
     """
     if m < 1:
         raise InvalidInputError("m must be >= 1")
@@ -433,7 +434,9 @@ def greedy_features(samples, basis, m, gram=None, jac=None):
     jac = _jacobian_at(basis, samples.points, jac)
     if gram is None:
         gram = assemble_gram(basis, samples, jac=jac)
-    mats = surrogate_matrices(samples, basis, jac)
+    mats = surrogate
+    if mats is None:
+        mats = surrogate_matrices(samples, basis, jac)
     _, g1 = min_generalized_eig(mats.h, gram)
     G = np.zeros((basis.size, m))
     G[:, 0] = g1

@@ -144,6 +144,15 @@ class TestConfig:
          "config learn.method:"),
         ({"learn": {"method": ["gsi"]}}, ["learn", "CSV"],
          "config learn.method:"),
+        # benchmark ids are checked when the config is read
+        ({"experiment": {"benchmark": ["u1"]}}, ["benchmark"],
+         "config experiment.benchmark:"),
+        ({"experiment": {"benchmark": "u9"}}, ["--print-config"],
+         "config experiment.benchmark:"),
+        ({"deviation": {"benchmark": ["u1"]}}, ["check-deviation"],
+         "config deviation.benchmark:"),
+        ({"deviation": {"benchmark": "u9"}}, ["--print-config"],
+         "config deviation.benchmark:"),
     ], ids=["list-print-config", "list-learn", "section-not-object",
             "subsection-not-object", "basis-p", "max-iters", "folds",
             "fixed-pk", "eps-grid", "out-dir", "trace-path", "feature-map",
@@ -155,7 +164,9 @@ class TestConfig:
             "methods-string", "fixed-pk-string", "ntrain-string",
             "eps-grid-string", "t-grid-string", "families-string",
             "methods-unknown", "methods-unknown-print-config",
-            "method-unknown", "method-list"])
+            "method-unknown", "method-list", "benchmark-list",
+            "benchmark-unknown", "deviation-benchmark-list",
+            "deviation-benchmark-unknown"])
     def test_value_of_wrong_type_exits_2(self, tmp_path, u1_csv, capsys,
                                          tree, command, key):
         path = write_config(tmp_path, "typed.json", tree)
@@ -246,6 +257,11 @@ class TestLearnCommand:
         assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
         metrics = json.loads((tmp_path / "out-gsi" / "metrics.json").read_text())
         assert metrics["loss_final"] <= metrics["loss_init"] + 1e-12
+        # the descent says why it stopped
+        assert metrics["stop_reason"] in ("grad_tol", "max_iters",
+                                          "line_search", "stall")
+        assert 0.0 <= metrics["grad_rel_final"]
+        assert 0 <= metrics["iterations"] <= 500
 
     @pytest.mark.parametrize("method, m", [("sur", 2), ("gsi", 2), ("gli", 1)])
     def test_one_training_jacobian(self, tmp_path, u1_csv, monkeypatch,

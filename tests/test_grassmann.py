@@ -3,14 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradfeat.grassmann as grassmann
+import gradfeat.surrogate as surrogate
 from gradfeat.basis import FeatureBasis, MultiIndexSet, assemble_gram, \
     build_index_set
-from gradfeat.benchmarks import make_benchmark, make_samples
+from gradfeat.benchmarks import _realization_seeds, make_benchmark, \
+    make_samples
 from gradfeat.errors import IllConditionedError, InvalidInputError
-from gradfeat.grassmann import (OptimizerConfig, _LossContext,
-                                active_subspace_init, learn_features,
-                                minimize_poincare_loss, poincare_loss_gradient)
-from gradfeat.surrogate import FeatureMap, SampleSet, poincare_loss
+from gradfeat.grassmann import (OptimizerConfig, _LossContext, _metric_solve,
+                                _riemannian_grad, active_subspace_init,
+                                learn_features, minimize_poincare_loss,
+                                poincare_loss_gradient)
+from gradfeat.regression import _loss_roundoff
+from gradfeat.surrogate import (FeatureMap, SampleSet, orthonormalize,
+                                poincare_loss, surrogate_matrices)
 
 
 def u3_setup(n=150, seed=1, k=2.0):
@@ -19,6 +25,15 @@ def u3_setup(n=150, seed=1, k=2.0):
     basis = FeatureBasis(build_index_set(8, 1.0, k), bench.families)
     gram = assemble_gram(basis, samples)
     return samples, basis, gram
+
+
+def sweep_setup(bench_id, n, p, k, realization=0):
+    """The training set and basis of one desk-sweep cell at seed 0."""
+    bench = make_benchmark(bench_id)
+    train_ss, _, _ = _realization_seeds(0, n, realization)
+    samples = make_samples(bench, n, train_ss)
+    basis = FeatureBasis(build_index_set(bench.dim, p, k), bench.families)
+    return samples, basis, assemble_gram(basis, samples)
 
 
 def first_coordinate_samples(basis, n, seed):
@@ -282,6 +297,129 @@ class TestMinimize:
         monkeypatch.setattr(_LossContext, "euclidean_grad", poisoned)
         with pytest.raises(IllConditionedError):
             minimize_poincare_loss(samples, basis, G0, gram=gram)
+
+
+class TestPreconditionedDirection:
+    @pytest.mark.parametrize("n, p, k", [(60, 1.0, 2.0), (50, 0.8, 5.0)])
+    def test_slope_matches_finite_differences(self, n, p, k):
+        samples, basis, gram = sweep_setup("u3", n, p, k)
+        G = active_subspace_init(samples, basis, 1, gram)
+        ctx = _LossContext(samples, basis)
+        solve = _metric_solve(gram, surrogate_matrices(samples, basis).h)
+        E, xi, gnorm = _riemannian_grad(ctx, G, solve, gram.matrix)
+        # the first search of the descent pairs -xi with E
+        _, trace = minimize_poincare_loss(samples, basis, G, gram=gram,
+                                          config=OptimizerConfig(max_iters=1))
+        assert trace[0][2] == pytest.approx(gnorm, rel=1e-10)
+        slope = float(np.sum(E * -xi))
+        assert slope == pytest.approx(-gnorm ** 2, rel=1e-12)
+        # horizontal: xi keeps the R-orthonormality of G to first order
+        assert abs(float(G[:, 0] @ gram.matrix @ xi[:, 0])) <= \
+            1e-10 * np.sqrt(float(xi[:, 0] @ gram.matrix @ xi[:, 0]))
+        t = 1e-5 / np.sqrt(float(xi[:, 0] @ gram.matrix @ xi[:, 0]))
+        fd = (ctx.loss(orthonormalize(G - t * xi, gram))
+              - ctx.loss(orthonormalize(G + t * xi, gram))) / (2.0 * t)
+        assert fd == pytest.approx(slope, rel=1e-6)
+
+    def test_metric_is_the_gram_without_surrogate_curvature(self):
+        samples, basis, gram = u3_setup(n=60, seed=21)
+        # several features, or tr(h) = 0
+        assert _metric_solve(gram, None) == gram.solve
+        assert _metric_solve(gram, np.zeros_like(gram.matrix)) == gram.solve
+        h = surrogate_matrices(samples, basis).h
+        assert _metric_solve(gram, h) != gram.solve
+
+    def test_u4_descent_no_longer_stalls(self):
+        # with the Gram metric alone this descent stopped after 22
+        # iterations at 1.22e-4, its steps near 2e-11 (cond(R) ~ 1e13)
+        samples, basis, gram = sweep_setup("u4", 50, 0.8, 5.0)
+        _, info = learn_features(samples, basis, 1, "gli", gram=gram)
+        assert info["loss_final"] <= 1e-6
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_u1_exact_recovery_kept(self, n):
+        samples, basis, gram = sweep_setup("u1", n, 0.8, 2.0)
+        _, info = learn_features(samples, basis, 1, "gli", gram=gram)
+        assert info["loss_final"] <= _loss_roundoff(samples)
+
+    def test_given_surrogate_gives_identical_descent(self):
+        samples, basis, gram = u3_setup(n=90, seed=16)
+        G0 = active_subspace_init(samples, basis, 1, gram)
+        cfg = OptimizerConfig(max_iters=40)
+        ref, ref_trace = minimize_poincare_loss(samples, basis, G0,
+                                                config=cfg, gram=gram)
+        out, trace = minimize_poincare_loss(
+            samples, basis, G0, config=cfg, gram=gram,
+            surrogate=surrogate_matrices(samples, basis))
+        assert np.array_equal(out.coeffs, ref.coeffs)
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("method", ["sur", "gli", "gsi"])
+    def test_surrogate_sums_formed_once_per_fit(self, monkeypatch, method):
+        samples, basis, gram = u3_setup(n=60, seed=18)
+        calls = []
+        exact = surrogate.surrogate_sums
+
+        def counted(*args):
+            calls.append(1)
+            return exact(*args)
+
+        for module in (surrogate, grassmann):
+            monkeypatch.setattr(module, "surrogate_sums", counted)
+        learn_features(samples, basis, 1, method, gram=gram,
+                       config=OptimizerConfig(max_iters=5))
+        assert len(calls) == 1
+
+
+class TestStopReason:
+    def run(self, **settings):
+        samples, basis, gram = u3_setup(n=60, seed=22)
+        G0 = active_subspace_init(samples, basis, 1, gram)
+        return minimize_poincare_loss(samples, basis, G0, gram=gram,
+                                      config=OptimizerConfig(**settings))[1]
+
+    def test_grad_tol(self):
+        trace = self.run(grad_tol=1e-2)
+        assert trace.stop_reason == "grad_tol"
+        assert trace[-1][2] <= 1e-2 * trace[0][2]
+        assert trace[-1][0] < 500
+
+    def test_max_iters(self):
+        trace = self.run(max_iters=3)
+        assert trace.stop_reason == "max_iters"
+        assert trace[-1][0] == 3
+
+    def test_line_search(self, monkeypatch):
+        exact = _LossContext.loss
+        calls = []
+
+        def only_start_is_finite(self, G):
+            calls.append(G)
+            return exact(self, G) if len(calls) == 1 else np.nan
+
+        monkeypatch.setattr(_LossContext, "loss", only_start_is_finite)
+        trace = self.run()
+        assert trace.stop_reason == "line_search"
+        assert len(trace) == 1
+        # every trial halved the step, from 1 to below 1e-14
+        assert len(calls) == 1 + 47
+
+    def test_stall(self, monkeypatch):
+        # every decrease counts as negligible
+        monkeypatch.setattr(grassmann, "_STALL_DROP", 1.0)
+        trace = self.run()
+        assert trace.stop_reason == "stall"
+        assert trace[-1][0] == 3
+
+    def test_learn_features_reports_it(self):
+        samples, basis, gram = u3_setup(n=60, seed=22)
+        _, info = learn_features(samples, basis, 1, "gli", gram=gram,
+                                 config=OptimizerConfig(max_iters=3))
+        assert info["stop_reason"] == "max_iters"
+        assert info["iterations"] == 3
+        assert 0.0 < info["grad_rel_final"] < 1.0
+        _, info = learn_features(samples, basis, 1, "sur", gram=gram)
+        assert (info["stop_reason"], info["grad_rel_final"]) == (None, None)
 
 
 class TestLearnFeatures:
