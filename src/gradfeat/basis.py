@@ -12,8 +12,10 @@ benchmarks:
   under the lognormal law by change of variables (and therefore not a polynomial
   in x itself)
 
-Univariate values are computed by three-term recurrences.  Basis objects are
-immutable after construction; evaluation is pure and thread-safe.
+Univariate values are computed by three-term recurrences, one contiguous
+row per degree; a basis runs one recurrence per family kind over all of its
+dimensions of that kind.  Basis objects are immutable after construction;
+evaluation is pure and thread-safe.
 """
 
 import functools
@@ -27,14 +29,31 @@ import scipy.linalg
 
 from .errors import InvalidInputError, NumericError
 
+# rows per pass over the univariate tables
 _EVAL_CHUNK = 16384
+# rows per support-block product; a (rows, d, w) block this small stays in
+# cache, and the values do not depend on it
+_BLOCK_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
 # Univariate families
 # ---------------------------------------------------------------------------
 
-class Legendre:
+class _Family:
+    """What the univariate families share.  ``rows(x, max_degree, *params)``
+    evaluates one family kind for any shape of x, its parameters (named in
+    ``fields``) broadcasting against x, so a basis evaluates all of its
+    dimensions of one kind in one recurrence."""
+
+    def table(self, x, max_degree):
+        """Values and x-derivatives, shapes (n, max_degree + 1)."""
+        vals, ders = self.rows(np.asarray(x, dtype=float), max_degree,
+                               *(getattr(self, name) for name in self.fields))
+        return vals.T, ders.T
+
+
+class Legendre(_Family):
     """Normalized Legendre polynomials on (a, b), orthonormal under U(a, b)."""
 
     kind = "legendre"
@@ -50,31 +69,53 @@ class Legendre:
     def linear_slope(self):
         return 2.0 * math.sqrt(3.0) / (self.b - self.a)
 
-    def table(self, x, max_degree):
-        """Values and x-derivatives, shapes (n, max_degree + 1)."""
-        x = np.asarray(x, dtype=float)
-        t = (2.0 * x - self.a - self.b) / (self.b - self.a)
-        n = x.shape[0]
-        vals = np.empty((n, max_degree + 1))
-        ders = np.empty((n, max_degree + 1))
-        vals[:, 0] = 1.0
-        ders[:, 0] = 0.0
+    @staticmethod
+    def rows(x, max_degree, a, b):
+        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape."""
+        t = (2.0 * x - a - b) / (b - a)
+        vals = np.empty((max_degree + 1,) + t.shape)
+        ders = np.empty_like(vals)
+        vals[0] = 1.0
+        ders[0] = 0.0
         if max_degree >= 1:
-            vals[:, 1] = t
-            ders[:, 1] = 1.0
+            vals[1] = t
+            ders[1] = 1.0
         for i in range(1, max_degree):
-            vals[:, i + 1] = ((2 * i + 1) * t * vals[:, i] - i * vals[:, i - 1]) / (i + 1)
-            ders[:, i + 1] = ((2 * i + 1) * (vals[:, i] + t * ders[:, i])
-                              - i * ders[:, i - 1]) / (i + 1)
-        scale = np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
-        dt_dx = 2.0 / (self.b - self.a)
-        return vals * scale, ders * scale * dt_dx
+            vals[i + 1] = ((2 * i + 1) * t * vals[i] - i * vals[i - 1]) / (i + 1)
+            ders[i + 1] = ((2 * i + 1) * (vals[i] + t * ders[i])
+                           - i * ders[i - 1]) / (i + 1)
+        scale = np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0) \
+            .reshape((-1,) + (1,) * t.ndim)
+        vals *= scale
+        ders *= scale
+        ders *= 2.0 / (b - a)     # dt/dx
+        return vals, ders
 
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, size=n)
 
 
-class Hermite:
+def _hermite_rows(t, max_degree):
+    """Scaled Hermite values and t-derivatives, one row per degree."""
+    vals = np.empty((max_degree + 1,) + t.shape)
+    ders = np.empty_like(vals)
+    vals[0] = 1.0
+    ders[0] = 0.0
+    if max_degree >= 1:
+        vals[1] = t
+        ders[1] = 1.0
+    for i in range(1, max_degree):
+        vals[i + 1] = t * vals[i] - i * vals[i - 1]
+        # He_{n}' = n He_{n-1}
+        ders[i + 1] = (i + 1) * vals[i]
+    scale = np.array([1.0 / math.sqrt(math.factorial(i))
+                      for i in range(max_degree + 1)]).reshape((-1,) + (1,) * t.ndim)
+    vals *= scale
+    ders *= scale
+    return vals, ders
+
+
+class Hermite(_Family):
     """Probabilists' Hermite scaled by 1/sqrt(i!), orthonormal under N(mu, sigma^2)."""
 
     kind = "hermite"
@@ -89,27 +130,12 @@ class Hermite:
     def linear_slope(self):
         return 1.0 / self.sigma
 
-    def _hermite_table(self, t, max_degree):
-        n = t.shape[0]
-        vals = np.empty((n, max_degree + 1))
-        ders = np.empty((n, max_degree + 1))
-        vals[:, 0] = 1.0
-        ders[:, 0] = 0.0
-        if max_degree >= 1:
-            vals[:, 1] = t
-            ders[:, 1] = 1.0
-        for i in range(1, max_degree):
-            vals[:, i + 1] = t * vals[:, i] - i * vals[:, i - 1]
-            # He_{n}' = n He_{n-1}
-            ders[:, i + 1] = (i + 1) * vals[:, i]
-        scale = np.array([1.0 / math.sqrt(math.factorial(i)) for i in range(max_degree + 1)])
-        return vals * scale, ders * scale
-
-    def table(self, x, max_degree):
-        x = np.asarray(x, dtype=float)
-        t = (x - self.mu) / self.sigma
-        vals, ders = self._hermite_table(t, max_degree)
-        return vals, ders / self.sigma
+    @staticmethod
+    def rows(x, max_degree, mu, sigma):
+        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape."""
+        vals, ders = _hermite_rows((x - mu) / sigma, max_degree)
+        ders /= sigma
+        return vals, ders
 
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, size=n)
@@ -120,13 +146,14 @@ class LogHermite(Hermite):
 
     kind = "log_hermite"
 
-    def table(self, x, max_degree):
-        x = np.asarray(x, dtype=float)
+    @staticmethod
+    def rows(x, max_degree, mu, sigma):
+        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape."""
         if np.any(x <= 0.0):
             raise InvalidInputError("log-domain family evaluated at x <= 0")
-        t = (np.log(x) - self.mu) / self.sigma
-        vals, ders = self._hermite_table(t, max_degree)
-        return vals, ders / (self.sigma * x[:, None])
+        vals, ders = _hermite_rows((np.log(x) - mu) / sigma, max_degree)
+        ders /= sigma * x
+        return vals, ders
 
     def sample(self, rng, n):
         return np.exp(rng.normal(self.mu, self.sigma, size=n))
@@ -236,25 +263,47 @@ class FeatureBasis:
         self._max_deg = self._alpha.max(axis=0)               # per dimension
 
     @functools.cached_property
+    def _table_groups(self):
+        """``(kind, dims, top, params)`` per family kind, in order of first
+        appearance: the dimensions of that kind, their highest degree, and
+        each of the kind's parameters as a (len(dims), 1) column."""
+        dims_of = {}
+        for nu, fam in enumerate(self.families):
+            dims_of.setdefault(type(fam), []).append(nu)
+        return [(kind, dims, int(self._max_deg[dims].max()),
+                 [np.array([getattr(self.families[nu], name) for nu in dims])[:, None]
+                  for name in kind.fields])
+                for kind, dims in dims_of.items()]
+
+    @functools.cached_property
     def _plan(self):
-        """Gather plans over the stacked value table [1 | vals_0 | ... | vals_{d-1}].
+        """Gather plans over the stacked tables of ``_tables``.
 
         phi_0 = 1 and phi_0' = 0 in every family, so Phi_alpha only needs
         the factors of supp(alpha), and d Phi_alpha / d x_nu is zero unless
         alpha_nu > 0.  Returns ``(eval_idx, jac_plan)``: ``eval_idx``
         (s_max, K) lists each column's support factors in dimension order;
-        ``jac_plan`` holds, per nu, the columns with alpha_nu > 0, their
-        degrees, and the other support factors in dimension order.  Short
-        lists are padded with the constant-1 column; a skipped or padded
-        factor is an exact 1.0, so every product takes the same nonzero
-        multiplications in the same order as the full d-fold product.
+        ``jac_plan`` holds, per nu, for the columns with alpha_nu > 0 in
+        the order of ``_block_columns``, the derivative-table rows of their
+        nu factors and the value-table rows of their other support factors
+        in dimension order.  Short lists are padded with the constant-1 row;
+        a skipped or padded factor is an exact 1.0, so every product takes
+        the same nonzero multiplications in the same order as the full
+        d-fold product.
 
         Built on first evaluation, since most of the bases that (p, k)
         cross-validation builds are never evaluated.
         """
         alpha = self._alpha
-        offsets = 1 + np.concatenate(([0], np.cumsum(self._max_deg + 1)[:-1]))
-        table_idx = np.where(alpha > 0, offsets + alpha, 0)  # (K, d)
+        # table row of degree i in dimension nu: a kind's rows are stacked
+        # degree by degree, each degree holding one row per dimension
+        row = np.zeros((self.dim, int(self._max_deg.max()) + 1), dtype=int)
+        start = 1
+        for _, dims, top, _ in self._table_groups:
+            row[dims, :top + 1] = (start + len(dims) * np.arange(top + 1)
+                                   + np.arange(len(dims))[:, None])
+            start += len(dims) * (top + 1)
+        table_idx = np.where(alpha > 0, row[np.arange(self.dim), alpha], 0)
 
         def packed(idx):
             # support entries first, in dimension order; the rest index the 1s
@@ -267,17 +316,17 @@ class FeatureBasis:
             cols = np.flatnonzero(alpha[:, nu] > 0)
             others = table_idx[cols]
             others[:, nu] = 0
-            jac_plan.append((nu, cols, alpha[cols, nu], packed(others)))
+            jac_plan.append((table_idx[cols, nu], packed(others)))
         return packed(table_idx), jac_plan
 
     @functools.cached_property
     def _block_columns(self):
         """The basis columns of the d support blocks side by side, (d, w).
 
-        Row nu lists the columns of ``_jacobian_blocks``'s block nu, then
-        pads up to the widest block's width w with columns that have
-        alpha_nu = 0, whose d Phi / d x_nu is an exact zero.  Index sets
-        from ``build_index_set`` are symmetric in the dimensions, so their
+        Row nu lists the columns with alpha_nu > 0, then pads up to the
+        widest block's width w with columns that have alpha_nu = 0, whose
+        d Phi / d x_nu is an exact zero.  Index sets from
+        ``build_index_set`` are symmetric in the dimensions, so their
         blocks all have the same width and need no padding.
         """
         alpha = self._alpha
@@ -312,16 +361,18 @@ class FeatureBasis:
     # -- evaluation ---------------------------------------------------------
 
     def _tables(self, X):
-        """The stacked value table [1 | vals_0 | ... | vals_{d-1}] at the
-        rows of X, transposed (one row per univariate member, so that
-        gathering members copies whole rows), and the per-dimension
-        derivative tables, (n, max_degree + 1) each."""
-        vals, ders = [np.ones((1, X.shape[0]))], []
-        for nu, fam in enumerate(self.families):
-            v, g = fam.table(X[:, nu], int(self._max_deg[nu]))
-            vals.append(v.T)
-            ders.append(g)
-        return np.concatenate(vals, axis=0), ders
+        """The stacked value table [1 | vals] and derivative table
+        [0 | ders] at the rows of X, one row per univariate member and
+        dimension (laid out as ``_plan`` indexes them), so that gathering
+        members copies whole rows.  Each family kind runs one recurrence
+        over all of its dimensions."""
+        n = X.shape[0]
+        vals, ders = [np.ones((1, n))], [np.zeros((1, n))]
+        for kind, dims, top, params in self._table_groups:
+            v, g = kind.rows(X.T[dims], top, *params)
+            vals.append(v.reshape(-1, n))
+            ders.append(g.reshape(-1, n))
+        return np.concatenate(vals, axis=0), np.concatenate(ders, axis=0)
 
     def eval_batch(self, X):
         """Phi at each row of X; returns (n, K)."""
@@ -339,37 +390,50 @@ class FeatureBasis:
     def jacobian_batch(self, X):
         """Jacobian of Phi at each row of X; returns (n, d, K) with column j = grad Phi_j.
 
-        Only entries with alpha_nu > 0 are multiplied out
-        (``_jacobian_blocks``); the others are exact zeros (+0.0).  Each
-        nonzero is the same product, in the same order, as the full d-fold
-        one, so it is the same bit for bit.
+        The support blocks of ``_support_blocks`` are scattered along
+        ``_block_columns``; every other entry is an exact zero (+0.0).
+        Each nonzero is the same product, in the same order, as the full
+        d-fold one, so it is the same bit for bit.
         """
         X = self._check_points(X)
-        n = X.shape[0]
-        out = np.zeros((n, self.dim, self.size))
-        for start in range(0, n, _EVAL_CHUNK):
-            sl = slice(start, start + _EVAL_CHUNK)
-            for nu, cols, block in self._jacobian_blocks(X[sl]):
-                out[sl, nu, cols] = block
+        out = np.zeros((X.shape[0], self.dim, self.size))
+        dims, columns = np.arange(self.dim)[:, None], self._block_columns
+        for rows, blocks in self._support_blocks(X):
+            out[rows, dims, columns] = blocks
         return out
 
-    def _jacobian_blocks(self, X):
-        """Yield ``(nu, cols, block)`` for each input dimension nu: the
-        (n, len(cols)) block of d Phi_j / d x_nu at the rows of X for the
-        columns j in ``cols``, those with alpha_nu > 0.  Every other entry
-        of the Jacobian is zero.
+    def _support_blocks(self, X):
+        """Yield ``(rows, blocks)`` over consecutive slices of the rows of X:
+        ``blocks[i, nu, c]`` is d Phi_j / d x_nu at row ``rows.start + i``
+        for the column j = ``_block_columns[nu, c]``.
 
-        X must hold checked points.  A block entry is the product of the
-        derivative factor and the other support factors in dimension order,
-        so it depends on its own row of X only.
+        X must hold checked points.  The univariate tables are computed once
+        per _EVAL_CHUNK rows and the products _BLOCK_ROWS rows at a time,
+        the last factor of each written straight into one (rows, d, w)
+        buffer that every slice reuses: a caller reads ``blocks`` before it
+        advances.  Padding entries are never written and stay +0.0.  An
+        entry is the product of the derivative factor and the other support
+        factors in dimension order, so it depends on its own row only.
         """
         _, jac_plan = self._plan
-        V, ders = self._tables(X)
-        for nu, cols, deg, others in jac_plan:
-            block = np.ascontiguousarray(ders[nu].T)[deg]
-            for idx in others:
-                block *= V[idx]
-            yield nu, cols, block.T
+        n = X.shape[0]
+        buffer = np.zeros((min(n, _BLOCK_ROWS), self.dim,
+                           self._block_columns.shape[1]))
+        for chunk in range(0, n, _EVAL_CHUNK):
+            V, D = self._tables(X[chunk:chunk + _EVAL_CHUNK])
+            for start in range(0, V.shape[1], _BLOCK_ROWS):
+                sl = slice(start, start + _BLOCK_ROWS)
+                blocks = buffer[:V.shape[1] - start]
+                for nu, (first, others) in enumerate(jac_plan):
+                    block = D[first, sl]
+                    for idx in others[:-1]:
+                        block *= V[idx, sl]
+                    target = blocks[:, nu, :first.size].T
+                    if len(others):
+                        np.multiply(block, V[others[-1], sl], out=target)
+                    else:                       # k = 1: no other factor
+                        target[...] = block
+                yield slice(chunk + start, chunk + start + len(blocks)), blocks
 
     def eval(self, x):
         """Phi(x) for a single point."""

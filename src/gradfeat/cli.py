@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage or input problem, 3 numeric failure,
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 import time
@@ -166,8 +167,29 @@ def _integer(value):
     return int(value)
 
 
-def _floats(values):
-    return [float(v) for v in _list(values)]
+def _count(value):
+    value = _integer(value)
+    if value < 1:
+        raise ValueError("expected at least 1")
+    return value
+
+
+def _finite(value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _positive(value):
+    value = _finite(value)
+    if not value > 0:
+        raise ValueError("expected a positive number")
+    return value
+
+
+def _positives(values):
+    return [_positive(v) for v in _list(values)]
 
 
 def _pk_pair(values):
@@ -280,6 +302,7 @@ def cmd_learn(cfg, samples_path):
         "iterations": info["iterations"],
         "stop_reason": info["stop_reason"],
         "grad_rel_final": info["grad_rel_final"],
+        "gram_ridge_added": info["gram_ridge_added"],
         "wall_time_s": wall,
     }
     _dump_json(metrics, os.path.join(out, "metrics.json"))
@@ -334,7 +357,7 @@ def _print_summary(report):
         print(f"{len(failed)} cell(s) failed; see report.json")
 
 
-def _deviation_h_samples(cfg):
+def _deviation_h_samples(cfg, n_samples):
     dev = cfg["deviation"]
     if not dev["feature_map"] or not dev["basis_spec"]:
         raise InvalidInputError(
@@ -344,9 +367,8 @@ def _deviation_h_samples(cfg):
         points = bm.read_samples_csv(dev["samples"]).points
     elif dev["benchmark"]:
         bench = bm.make_benchmark(dev["benchmark"])
-        points = bm.sample_inputs(
-            bench, _setting(cfg, "deviation.n_samples", _integer),
-            _setting(cfg, "deviation.seed", _integer))
+        points = bm.sample_inputs(bench, n_samples,
+                                  _setting(cfg, "deviation.seed", _integer))
     else:
         raise InvalidInputError(
             "config deviation needs either a samples path or a benchmark id")
@@ -355,10 +377,8 @@ def _deviation_h_samples(cfg):
     return h, fmap
 
 
-def _resolve_remez(cfg, fmap):
-    A = _setting(cfg, "deviation.A", float)
-    if cfg["deviation"]["k"] is not None:
-        return _setting(cfg, "deviation.k", float), A
+def _polynomial_remez_exponent(fmap):
+    """k = 2 ell for polynomial features of total degree ell + 1."""
     if not fmap.basis.is_polynomial():
         raise InvalidInputError(
             "deviation.k must be given explicitly for a basis with a "
@@ -366,18 +386,28 @@ def _resolve_remez(cfg, fmap):
     ell = fmap.basis.degree() - 1
     if ell < 1:
         raise InvalidInputError("basis degree must be at least 2 to derive k")
-    return 2.0 * ell, A
+    return 2.0 * ell
 
 
 def cmd_check_deviation(cfg):
-    eps_grid = _setting(cfg, "deviation.eps_grid", _floats)
-    t_grid = _setting(cfg, "deviation.t_grid", _floats)
+    eps_grid = _setting(cfg, "deviation.eps_grid", _positives)
+    t_grid = _setting(cfg, "deviation.t_grid", _positives)
     if not eps_grid and not t_grid:
         raise InvalidInputError("deviation.eps_grid and t_grid are both empty")
-    s = _setting(cfg, "deviation.s", float)
+    s = _setting(cfg, "deviation.s", _finite)
+    if eps_grid and not s > 0:
+        raise InvalidInputError(
+            "config deviation.s: small-deviation checking needs s > 0; "
+            "set deviation.eps_grid to [] to check large deviations only")
+    A = _setting(cfg, "deviation.A", _finite)
+    k = cfg["deviation"]["k"]
+    if k is not None:
+        k = _setting(cfg, "deviation.k", _positive)
+    n_samples = _setting(cfg, "deviation.n_samples", _count)
     _make_out_dir(cfg)
-    h, fmap = _deviation_h_samples(cfg)
-    k, A = _resolve_remez(cfg, fmap)
+    h, fmap = _deviation_h_samples(cfg, n_samples)
+    if k is None:
+        k = _polynomial_remez_exponent(fmap)
     reports = {}
     if eps_grid:
         reports["small"] = check_small_deviation(h, k, A, s, eps_grid).to_dict()

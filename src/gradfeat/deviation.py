@@ -302,6 +302,23 @@ class DeviationReport:
                 "rows": [row.to_dict() for row in self.rows]}
 
 
+def _check_inputs(k, A, s, grid, name):
+    """The checkers' constants and threshold grid as floats; a non-finite
+    constant, k <= 0, or a grid that is empty or holds an entry that is not
+    a finite positive real raises ``InvalidInputError``."""
+    k, A, s = float(k), float(A), float(s)
+    for key, value in (("k", k), ("A", A), ("s", s)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{key}={value} must be finite")
+    if not k > 0:
+        raise InvalidInputError(f"k={k} must be positive")
+    grid = [float(v) for v in grid]
+    if not grid or not all(math.isfinite(v) and v > 0 for v in grid):
+        raise InvalidInputError(
+            f"{name} must be a nonempty list of positive finite reals")
+    return k, A, s, grid
+
+
 def _prepare_samples(h_samples):
     h = np.abs(np.asarray(h_samples, dtype=float).ravel())
     if h.size == 0 or not np.all(np.isfinite(h)):
@@ -318,14 +335,14 @@ def check_small_deviation(h_samples, k, A, s, eps_grid):
     Only s > 0 is supported: the small-deviation rate constant for s <= 0 is
     not available in closed form here.  A row is flagged violated when the
     empirical probability exceeds the bound by more than three standard errors.
+    k, A and s must be finite with k > 0, and every grid entry a finite
+    positive real; otherwise ``InvalidInputError`` is raised.
     """
+    k, A, s, eps_grid = _check_inputs(k, A, s, eps_grid, "eps_grid")
     if s <= 0:
         raise InvalidInputError(
             "small-deviation checking is unsupported for s <= 0 "
             "(no closed-form rate constant available)")
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or any(e <= 0 for e in eps_grid):
-        raise InvalidInputError("eps_grid must be a nonempty list of positive reals")
     h, q = _prepare_samples(h_samples)
     eta_lo = eta_constants(A, s).lower
     rows = []
@@ -342,11 +359,9 @@ def check_large_deviation(h_samples, k, A, s, t_grid):
 
     For s > 0 the linearized bound goes negative once t exceeds the essential
     range; it is clamped at zero there (any mass above would be a genuine
-    violation).
+    violation).  The inputs are checked as in ``check_small_deviation``.
     """
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid or any(t <= 0 for t in t_grid):
-        raise InvalidInputError("t_grid must be a nonempty list of positive reals")
+    k, A, s, t_grid = _check_inputs(k, A, s, t_grid, "t_grid")
     h, q = _prepare_samples(h_samples)
     eta_up = eta_constants(A, s).upper
     rows = []

@@ -369,10 +369,11 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
     fit and the final loss read that one array; ``gsi`` assembles the
     surrogate's matrices once, for its start and its descent.  Returns
     ``(feature_map, info)`` where info carries the initial and final losses,
-    the wall time, and for the descents the iteration count, the stop reason
-    (``trace.stop_reason`` of ``minimize_poincare_loss``) and the final
-    gradient norm relative to the initial one; ``sur`` reports 0 iterations
-    and None for the rest.
+    the wall time, the ridge the Gram matrix needed to factor
+    (``GramMatrix.ridge_added``, 0.0 when none), and for the descents the
+    iteration count, the stop reason (``trace.stop_reason`` of
+    ``minimize_poincare_loss``) and the final gradient norm relative to the
+    initial one; ``sur`` reports 0 iterations and None for the rest.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -399,5 +400,6 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
                 "iterations": trace[-1][0], "stop_reason": trace.stop_reason,
                 "grad_rel_final": trace[-1][2] / gnorm0 if gnorm0 > 0.0 else 0.0}
     info["loss_final"] = poincare_loss(samples, fmap, jac=jac)
+    info["gram_ridge_added"] = gram.ridge_added
     info["wall_time_s"] = time.perf_counter() - t0
     return fmap, info

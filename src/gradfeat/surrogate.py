@@ -28,13 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import _jacobian_at, assemble_gram, basis_from_spec
+from .basis import _BLOCK_ROWS, _jacobian_at, assemble_gram, basis_from_spec
 from .errors import InvalidInputError, NumericError, RankDeficiencyError
 from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 
-# rows per support-block evaluation of the feature Jacobians; their values do
-# not depend on it, and blocks this small stay in cache
-_BLOCK_ROWS = 1024
 # resolved once: one fold's eigensolve is a few milliseconds, and the
 # surrogate's matrices are always float64
 _potrf, _sygst, _syevr, _trtrs = scipy.linalg.get_lapack_funcs(
@@ -117,8 +114,10 @@ class FeatureMap:
     def gradients(self, X):
         """Feature Jacobians at each row of X; returns (n, d, m).
 
-        Built from the support blocks of the basis Jacobian, _BLOCK_ROWS
-        rows at a time; the (n, d, K) array is never formed.
+        Built from the support blocks of the basis Jacobian: the univariate
+        tables once per _EVAL_CHUNK rows, the block products and their
+        contraction with the coefficients _BLOCK_ROWS rows at a time, in one
+        reused buffer; the (n, d, K) array is never formed.
         """
         return _feature_jacobians(self, self.basis._check_points(X))
 
@@ -468,13 +467,14 @@ def _feature_jacobians(fmap, points, jac=None):
 
     Row nu of a point's Jacobian only involves the basis columns with
     alpha_nu > 0, so it is built from the support blocks of the basis
-    Jacobian (``FeatureBasis._jacobian_blocks``), _BLOCK_ROWS rows at a
-    time: evaluated, or gathered from ``jac``.  Entry (nu, j) is one dot
-    product of a contiguous block row with the matching contiguous
-    coefficients of feature j.  A matrix product would let BLAS pick its
-    kernel, and so its summation order, by the number of rows; this way an
-    entry depends on its own point only, and both sources give the same
-    bits.
+    Jacobian, _BLOCK_ROWS rows at a time: evaluated by
+    ``FeatureBasis._support_blocks``, whose tables are computed once per
+    _EVAL_CHUNK rows and whose blocks land in one reused buffer, or
+    gathered from ``jac``.  Entry (nu, j) is one dot product of a
+    contiguous block row with the matching contiguous coefficients of
+    feature j.  A matrix product would let BLAS pick its kernel, and so its
+    summation order, by the number of rows; this way an entry depends on
+    its own point only, and both sources give the same bits.
     """
     basis = fmap.basis
     n, d = points.shape[0], basis.dim
@@ -483,19 +483,18 @@ def _feature_jacobians(fmap, points, jac=None):
     # (d, m, w): the coefficients of each block's columns; a padding entry
     # of a block is zero, so its coefficient does not count
     coeffs = np.ascontiguousarray(fmap.coeffs[columns].transpose(0, 2, 1))
-    if jac is not None:
+    if jac is None:
+        pieces = basis._support_blocks(points)
+    else:
         flat = _jacobian_at(basis, points, jac).reshape(n, -1)
         entries = (columns + basis.size * np.arange(d)[:, None]).ravel()
+        pieces = ((slice(start, start + _BLOCK_ROWS),
+                   np.take(flat[start:start + _BLOCK_ROWS], entries, axis=1)
+                   .reshape(-1, d, width))
+                  for start in range(0, n, _BLOCK_ROWS))
     out = np.empty((n, d, fmap.n_features))
-    for start in range(0, n, _BLOCK_ROWS):
-        sl = slice(start, start + _BLOCK_ROWS)
-        if jac is None:
-            blocks = np.zeros((points[sl].shape[0], d, width))
-            for nu, cols, block in basis._jacobian_blocks(points[sl]):
-                blocks[:, nu, :cols.size] = block
-        else:
-            blocks = np.take(flat[sl], entries, axis=1).reshape(-1, d, width)
-        np.vecdot(blocks[:, :, None, :], coeffs, out=out[sl])
+    for rows, blocks in pieces:
+        np.vecdot(blocks[:, :, None, :], coeffs, out=out[rows])
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from gradfeat.basis import (_EVAL_CHUNK, FeatureBasis, GramMatrix, Hermite,
-                            Legendre, LogHermite, assemble_gram,
+                            Legendre, LogHermite, MultiIndexSet, assemble_gram,
                             basis_from_spec, build_index_set, family_from_spec,
                             family_to_spec)
 from gradfeat.benchmarks import make_benchmark
@@ -208,6 +208,25 @@ class TestFeatureBasis:
                               jac_ref[:, support].view(np.int64))
         off = jac[:, ~support]
         assert not np.any(off) and not np.any(np.signbit(off))
+        assert np.array_equal(basis.eval_batch(X).view(np.int64),
+                              phi_ref.view(np.int64))
+
+    def test_one_recurrence_per_kind_with_uneven_degrees(self):
+        # two Legendre dimensions with different supports and maximal
+        # degrees 3 and 1 share one recurrence up to degree 3, and a
+        # Hermite dimension sits between them
+        indices = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 0, 1),
+                   (3, 0, 0), (1, 1, 1))
+        families = [Legendre(-1.0, 2.0), Hermite(0.3, 1.5), Legendre(10.0, 13.0)]
+        basis = FeatureBasis(MultiIndexSet(dim=3, p=1.0, k=3.0, indices=indices),
+                             families)
+        rng = np.random.default_rng(8)
+        X = np.column_stack([fam.sample(rng, 700) for fam in families])
+        phi_ref, jac_ref = _dense_reference(basis, X)
+        support = (np.array(indices) > 0).T
+        jac = basis.jacobian_batch(X)
+        assert np.array_equal(jac[:, support].view(np.int64),
+                              jac_ref[:, support].view(np.int64))
         assert np.array_equal(basis.eval_batch(X).view(np.int64),
                               phi_ref.view(np.int64))
 

@@ -280,15 +280,15 @@ class TestRunExperiment:
         # the Gram, the fit and J_train share one evaluation on the 40
         # training rows; J_test evaluates the 150 test rows.  Dense
         # Jacobians and streamed feature Jacobians both evaluate the basis
-        # Jacobian through its support blocks, one call per chunk of rows.
+        # Jacobian through its support blocks, one call per evaluation.
         calls = []
-        evaluate = FeatureBasis._jacobian_blocks
+        evaluate = FeatureBasis._support_blocks
 
         def counted(self, X):
             calls.append(len(X))
             return evaluate(self, X)
 
-        monkeypatch.setattr(FeatureBasis, "_jacobian_blocks", counted)
+        monkeypatch.setattr(FeatureBasis, "_support_blocks", counted)
         report = run_experiment(desk_config(
             methods=(method,), m=m, optimizer=OptimizerConfig(max_iters=5)))
         assert not report.realizations[0]["failed"]

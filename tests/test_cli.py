@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gradfeat.basis import FeatureBasis, family_to_spec
+from gradfeat.basis import (FeatureBasis, assemble_gram, build_index_set,
+                            family_from_spec, family_to_spec)
 from gradfeat.benchmarks import (make_benchmark, make_samples,
                                  read_samples_csv, write_samples_csv)
 from gradfeat.cli import DEFAULT_CONFIG, _optimizer, load_config, main
@@ -307,6 +308,31 @@ class TestLearnCommand:
         assert np.float64(loss).view(np.int64) == \
             np.float64(metrics["loss_final"]).view(np.int64)
 
+    @pytest.mark.parametrize("n", [3, 120])
+    def test_gram_ridge_reported(self, tmp_path, n):
+        # 3 samples give a Gram of rank 24 for K = 44, which factors only
+        # after a ridge; 120 samples need none.  Apart from the wall time,
+        # metrics.json is the same byte for byte on a re-run.
+        csv = tmp_path / "s.csv"
+        write_samples_csv(make_samples(make_benchmark("u1"), n, seed=0), csv)
+        texts = []
+        for run in ("a", "b"):
+            cfg = write_config(tmp_path, f"{run}.json", {
+                "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
+                "learn": {"method": "sur", "m": 1},
+                "io": {"out_dir": str(tmp_path / run)}})
+            assert main(["--config", cfg, "learn", str(csv)]) == 0
+            texts.append([line for line in
+                          (tmp_path / run / "metrics.json").read_text().splitlines()
+                          if not line.lstrip().startswith('"wall_time_s"')])
+        assert texts[0] == texts[1]
+        metrics = json.loads((tmp_path / "a" / "metrics.json").read_text())
+        basis = FeatureBasis(build_index_set(8, 1.0, 2.0),
+                             [family_from_spec(f) for f in box_families()])
+        ridge = assemble_gram(basis, read_samples_csv(csv)).ridge_added
+        assert metrics["gram_ridge_added"] == ridge
+        assert (ridge > 0.0) == (n == 3)
+
     def test_malformed_csv_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,u,du1\n0.1,0.2,0.3\nbroken\n")
@@ -456,6 +482,28 @@ class TestCheckDeviationCommand:
         assert main(["--config", cfg, "check-deviation"]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: config deviation.{key}:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("A", math.nan), ("A", math.inf), ("k", math.nan), ("k", 0.0),
+        ("k", -1.0), ("s", math.nan), ("s", -math.inf), ("s", 0.0),
+        ("s", -0.5), ("n_samples", -3),
+        ("n_samples", 0), ("eps_grid", [0.5, math.nan]),
+        ("eps_grid", [math.inf]), ("t_grid", [math.nan]),
+        ("t_grid", [2.0, -1.0])])
+    def test_unusable_setting_exits_2_before_work(self, tmp_path, capsys,
+                                                  monkeypatch, key, value):
+        # json writes and reads NaN and Infinity; nothing is loaded or drawn
+        cfg = write_config(tmp_path, "dev.json", {
+            "deviation": {"feature_map": str(tmp_path / "map.txt"),
+                          "basis_spec": str(tmp_path / "basis.json"),
+                          "benchmark": "u1", "s": 0.125, key: value},
+            "io": {"out_dir": str(tmp_path / "dev-out")}})
+        monkeypatch.setattr(FeatureMap, "load", None)
+        monkeypatch.setattr("gradfeat.benchmarks.sample_inputs", None)
+        assert main(["--config", cfg, "check-deviation"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config deviation.{key}:"), err
+        assert not (tmp_path / "dev-out").exists()
 
     @pytest.mark.parametrize("text", ["3 x\n1.0\n2.0\n3.0\n", "", "45 1\n1.0\n"],
                              ids=["count-not-int", "empty", "short-body"])

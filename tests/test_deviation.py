@@ -220,6 +220,17 @@ class TestCheckers:
         with pytest.raises(InvalidInputError):
             check_large_deviation(np.ones(10), 2.0, 4.0, 1.0, [])
 
+    @pytest.mark.parametrize("k, A, s, grid", [
+        (math.nan, 4.0, 1.0, [0.5]), (0.0, 4.0, 1.0, [0.5]),
+        (-1.0, 4.0, 1.0, [0.5]), (2.0, math.nan, 1.0, [0.5]),
+        (2.0, math.inf, 1.0, [0.5]), (2.0, 4.0, math.nan, [0.5]),
+        (2.0, 4.0, 1.0, [0.5, math.nan]), (2.0, 4.0, 1.0, [math.inf])])
+    @pytest.mark.parametrize("check", [check_small_deviation,
+                                       check_large_deviation])
+    def test_unusable_constants_and_grids_rejected(self, check, k, A, s, grid):
+        with pytest.raises(InvalidInputError):
+            check(np.ones(10), k, A, s, grid)
+
     def test_zero_median_rejected(self):
         with pytest.raises(NumericError):
             check_small_deviation(np.zeros(100), 2.0, 4.0, 1.0, [0.5])

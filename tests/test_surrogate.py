@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gradfeat.basis import (FeatureBasis, GramMatrix, Hermite, Legendre,
-                            LogHermite, MultiIndexSet, assemble_gram,
-                            build_index_set)
+from gradfeat.basis import (_BLOCK_ROWS, _EVAL_CHUNK, FeatureBasis,
+                            GramMatrix, Hermite, Legendre, LogHermite,
+                            MultiIndexSet, assemble_gram, build_index_set)
 from gradfeat.benchmarks import make_benchmark
 import gradfeat.surrogate as surrogate
 from gradfeat.errors import InvalidInputError, NumericError, RankDeficiencyError
@@ -490,6 +490,10 @@ _GRADIENT_BASES = {
         MultiIndexSet(dim=2, p=1.0, k=3.0,
                       indices=((1, 0), (0, 1), (2, 0), (3, 0))),
         [Hermite(0.0, 1.0), LogHermite(0.0, 0.5)]),
+    # k = 1: each block entry is its derivative factor alone
+    "linear": FeatureBasis(build_index_set(3, 1.0, 1.0),
+                           [Legendre(0.0, 1.0), Hermite(0.5, 2.0),
+                            LogHermite(0.0, 0.5)]),
 }
 
 
@@ -540,6 +544,38 @@ class TestFeatureMapGradients:
             assert np.array_equal(
                 _bits(_feature_jacobians(fmap, X[rows], jac=jac[rows])),
                 _bits(whole[rows]))
+
+    def test_tables_once_per_chunk(self, monkeypatch):
+        X, fmap = _gradient_case("u4", 1, n=20000)
+        calls = []
+        tables = FeatureBasis._tables
+
+        def counted(self, X):
+            calls.append(len(X))
+            return tables(self, X)
+
+        monkeypatch.setattr(FeatureBasis, "_tables", counted)
+        fmap.gradients(X)
+        assert calls == [_EVAL_CHUNK, 20000 - _EVAL_CHUNK]
+
+    def test_streamed_equals_gathered_across_table_chunks(self):
+        X, fmap = _gradient_case("u4", 2, n=_EVAL_CHUNK + 7)
+        jac = fmap.basis.jacobian_batch(X)
+        assert np.array_equal(_bits(fmap.gradients(X)),
+                              _bits(_feature_jacobians(fmap, X, jac=jac)))
+
+    def test_padding_entries_are_positive_zeros(self):
+        # block 1 of "uneven" holds one column and two padding entries,
+        # over more than one slice of rows
+        X, fmap = _gradient_case("uneven", 1, n=2 * _BLOCK_ROWS + 3)
+        basis = fmap.basis
+        jac = basis.jacobian_batch(X)
+        support = (np.array(basis.index_set.indices) > 0).T     # (d, K)
+        assert basis._block_columns.shape == (2, 3)
+        assert np.array_equal(_bits(jac[:, ~support]),
+                              np.zeros((X.shape[0], np.sum(~support)),
+                                       dtype=np.int64))
+        assert np.all(jac[:, support] != 0.0)
 
     def test_points_of_wrong_dim_rejected(self):
         fmap = coordinate_map(unit_box_basis(3), [0])
