@@ -121,6 +121,8 @@ def make_benchmark(bench_id):
 
 def sample_inputs(benchmark, n, seed):
     """Input points drawn from the benchmark's law; deterministic given seed."""
+    if n < 0:
+        raise InvalidInputError(f"n={n} must be >= 0")
     rng = np.random.default_rng(seed)
     cols = [fam.sample(rng, n) for fam in benchmark.families]
     return np.column_stack(cols)

@@ -2,22 +2,27 @@
 deviation bounds.
 
 Configuration is a JSON tree with sections basis / learn / regression /
-experiment / deviation / io; unknown keys are rejected and every default is
-visible through --print-config.  Each run writes the fully resolved config
-next to its outputs, and re-running on that file reproduces the outputs byte
-for byte.
+experiment / deviation / io.  One table, ``_SCHEMA``, gives every key its
+default and its check.  ``load_config`` resolves a file against it in one
+walk, with ``--seed`` and ``--out`` applied first, so an unknown key, a
+section that is not an object or a value outside its key's domain exits 2
+naming the key, whatever the subcommand (--print-config included).  The
+commands read the checked, typed values; only the rules that tie keys
+together stay with the command that needs them.  Every default is visible
+through --print-config.  Each run writes the resolved config next to its
+outputs, and re-running on that file reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 usage or input problem, 3 numeric failure,
 4 deviation-bound violation.
 """
 
 import argparse
-import copy
 import json
 import math
 import os
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,90 +35,13 @@ from .grassmann import METHODS, OptimizerConfig, learn_features
 from .regression import CvGrid
 from .surrogate import FeatureMap, poincare_loss
 
-DEFAULT_CONFIG = {
-    "basis": {
-        "families": [],
-        "p": 1.0,
-        "k": 2.0,
-    },
-    "learn": {
-        "method": "sur",
-        "m": 1,
-        "optimizer": {
-            "max_iters": 500,
-            "grad_tol": 1e-9,
-            "step_init": 1.0,
-            "shrink": 0.5,
-            "sufficient_decrease": 1e-4,
-            "trace_path": None,
-        },
-    },
-    "regression": {
-        "folds": 10,
-        "log10_gamma": {"lo": -6.0, "hi": -2.0, "n": 30},
-        "log10_ridge": {"lo": -11.0, "hi": -5.0, "n": 40},
-        "pk_folds": 5,
-    },
-    "experiment": {
-        "benchmark": "u1",
-        "m": 1,
-        "methods": ["sur"],
-        "ntrain_list": [50, 100, 250],
-        "n_test": 1000,
-        "n_realizations": 5,
-        "seed": 0,
-        "select_pk": True,
-        "fixed_pk": [1.0, 2.0],
-    },
-    "deviation": {
-        "feature_map": None,
-        "basis_spec": None,
-        "samples": None,
-        "benchmark": None,
-        "n_samples": 100000,
-        "seed": 0,
-        "s": 1.0,
-        "A": 4.0,
-        "k": None,
-        "eps_grid": [0.001, 0.01, 0.1, 0.5, 1.0],
-        "t_grid": [1.5, 2.0, 3.0, 5.0],
-    },
-    "io": {
-        "out_dir": "gradfeat-out",
-    },
-}
 
-
-def _merge_config(defaults, override, path=""):
-    if not isinstance(override, dict):
-        raise InvalidInputError(
-            f"config {path or 'file'} must be a JSON object, got {override!r}")
-    out = copy.deepcopy(defaults)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise InvalidInputError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict):
-            out[key] = _merge_config(defaults[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _setting(cfg, path, convert):
-    """``convert`` of the config value at a dotted path; a value it cannot
-    convert raises ``InvalidInputError`` naming the key."""
-    value = cfg
-    for key in path.split("."):
-        value = value[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"config {path}: cannot use {value!r} ({exc})") from None
-
+# ---------------------------------------------------------------------------
+# Config checks: each returns the value it accepts, typed, or raises
+# ---------------------------------------------------------------------------
 
 def _of_type(kind, expected):
-    """A converter that passes values of ``kind`` through and raises on any
+    """A check that passes values of ``kind`` through and raises on any
     other: a string is never read as its characters, nor a number as a
     boolean."""
     def check(value):
@@ -124,9 +52,66 @@ def _of_type(kind, expected):
 
 
 _path = _of_type(str, "a path string")
-_optional_path = _of_type((str, type(None)), "a path string or null")
 _boolean = _of_type(bool, "true or false")
 _list = _of_type(list, "a list")
+
+
+def _optional(check):
+    return lambda value: None if value is None else check(value)
+
+
+def _list_of(check):
+    """A JSON list with ``check`` applied to every entry, as a tuple."""
+    return lambda values: tuple(map(check, _list(values)))
+
+
+def _integer(least=-math.inf):
+    """A check for integral numbers >= ``least``, returned as ints; booleans,
+    strings and fractions raise."""
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"expected an integer, got {type(value).__name__}")
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError("expected an integer")
+        if value < least:
+            raise ValueError(f"expected at least {least}")
+        return int(value)
+    return check
+
+
+_count = _integer(1)
+_seed = _integer(0)
+
+
+def _real(accept=None, expected=None):
+    """A check for JSON numbers that ``accept`` takes (any, when None),
+    returned as floats; booleans and strings raise."""
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"expected a number, got {type(value).__name__}")
+        value = float(value)
+        if accept is not None and not accept(value):
+            raise ValueError(f"expected {expected}")
+        return value
+    return check
+
+
+_number = _real()
+_finite = _real(math.isfinite, "a finite number")
+_positive = _real(lambda v: 0 < v < math.inf, "a finite number > 0")
+_basis_p = _real(lambda v: v > 0, "a number > 0 or Infinity")
+_basis_k = _real(lambda v: 1 <= v < math.inf, "a finite number >= 1")
+
+
+def _pk_pair(values):
+    p, k = _list(values)
+    return _basis_p(p), _basis_k(k)
+
+
+def _family_spec(spec):
+    """A family spec, checked by building its family, as given."""
+    family_from_spec(spec)
+    return spec
 
 
 def _method(value):
@@ -135,83 +120,126 @@ def _method(value):
     return value
 
 
-def _methods(values):
-    return tuple(map(_method, _list(values)))
-
-
 def _benchmark_id(value):
     """A benchmark id that ``make_benchmark`` knows; anything else raises."""
     return bm.make_benchmark(_of_type(str, "a benchmark id")(value)).id
 
 
-def _check_keys(cfg):
-    """Reject path-valued keys of the wrong type, unknown method names and
-    unknown benchmark ids before any work is done."""
-    _setting(cfg, "io.out_dir", _path)
-    for key in ("learn.optimizer.trace_path", "deviation.feature_map",
-                "deviation.basis_spec", "deviation.samples"):
-        _setting(cfg, key, _optional_path)
-    _setting(cfg, "learn.method", _method)
-    _setting(cfg, "experiment.methods", _methods)
-    _setting(cfg, "experiment.benchmark", _benchmark_id)
-    if cfg["deviation"]["benchmark"] is not None:
-        _setting(cfg, "deviation.benchmark", _benchmark_id)
+# ---------------------------------------------------------------------------
+# The config: one default and one check per key
+# ---------------------------------------------------------------------------
+
+_Key = namedtuple("_Key", "default check")
 
 
-def _integer(value):
-    """An integral number as an int; booleans, strings and fractions raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("expected an integer")
-    return int(value)
+def _grid(lo, hi, n):
+    return {"lo": _Key(lo, _finite), "hi": _Key(hi, _finite), "n": _Key(n, _count)}
 
 
-def _count(value):
-    value = _integer(value)
-    if value < 1:
-        raise ValueError("expected at least 1")
-    return value
+_SCHEMA = {
+    "basis": {
+        "families": _Key([], _list_of(_family_spec)),
+        "p": _Key(1.0, _basis_p),
+        "k": _Key(2.0, _basis_k),
+    },
+    "learn": {
+        "method": _Key("sur", _method),
+        "m": _Key(1, _count),
+        # the ranges of the descent settings are OptimizerConfig's, checked
+        # by load_config
+        "optimizer": {
+            "max_iters": _Key(500, _integer()),
+            "grad_tol": _Key(1e-9, _number),
+            "step_init": _Key(1.0, _number),
+            "shrink": _Key(0.5, _number),
+            "sufficient_decrease": _Key(1e-4, _number),
+            "trace_path": _Key(None, _optional(_path)),
+        },
+    },
+    "regression": {
+        "folds": _Key(10, _integer(2)),
+        "log10_gamma": _grid(-6.0, -2.0, 30),
+        "log10_ridge": _grid(-11.0, -5.0, 40),
+        "pk_folds": _Key(5, _integer(2)),
+    },
+    "experiment": {
+        "benchmark": _Key("u1", _benchmark_id),
+        "m": _Key(1, _count),
+        "methods": _Key(["sur"], _list_of(_method)),
+        "ntrain_list": _Key([50, 100, 250], _list_of(_count)),
+        "n_test": _Key(1000, _count),
+        "n_realizations": _Key(5, _count),
+        "seed": _Key(0, _seed),
+        "select_pk": _Key(True, _boolean),
+        "fixed_pk": _Key([1.0, 2.0], _pk_pair),
+    },
+    "deviation": {
+        "feature_map": _Key(None, _optional(_path)),
+        "basis_spec": _Key(None, _optional(_path)),
+        "samples": _Key(None, _optional(_path)),
+        "benchmark": _Key(None, _optional(_benchmark_id)),
+        "n_samples": _Key(100000, _count),
+        "seed": _Key(0, _seed),
+        "s": _Key(1.0, _finite),
+        "A": _Key(4.0, _finite),
+        "k": _Key(None, _optional(_positive)),
+        "eps_grid": _Key([0.001, 0.01, 0.1, 0.5, 1.0], _list_of(_positive)),
+        "t_grid": _Key([1.5, 2.0, 3.0, 5.0], _list_of(_positive)),
+    },
+    "io": {
+        "out_dir": _Key("gradfeat-out", _path),
+    },
+}
 
 
-def _finite(value):
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("expected a finite number")
-    return value
+def _resolve(schema, tree, overrides, path=""):
+    """The checked values of a config tree: keys it leaves out take their
+    default, and ``overrides`` (dotted key -> value) replace its values."""
+    if not isinstance(tree, dict):
+        raise InvalidInputError(
+            f"config {path or 'file'} must be a JSON object, got {tree!r}")
+    prefix = f"{path}." if path else ""
+    for key in tree:
+        if key not in schema:
+            raise InvalidInputError(f"unknown config key: {prefix}{key}")
+    out = {}
+    for key, entry in schema.items():
+        where = prefix + key
+        if isinstance(entry, dict):
+            out[key] = _resolve(entry, tree.get(key, {}), overrides, where)
+            continue
+        value = overrides.get(where, tree.get(key, entry.default))
+        try:
+            out[key] = entry.check(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(
+                f"config {where}: cannot use {value!r} ({exc})") from None
+    return out
 
 
-def _positive(value):
-    value = _finite(value)
-    if not value > 0:
-        raise ValueError("expected a positive number")
-    return value
+DEFAULT_CONFIG = _resolve(_SCHEMA, {}, {})
 
 
-def _positives(values):
-    return [_positive(v) for v in _list(values)]
-
-
-def _pk_pair(values):
-    p, k = _list(values)
-    return float(p), float(k)
+def _optimizer(cfg):
+    return OptimizerConfig(**cfg["learn"]["optimizer"])
 
 
 def load_config(path=None, seed=None, out_dir=None):
-    override = {}
+    """The config file at ``path`` (every default when None), checked.
+    ``seed`` replaces both seeds and ``out_dir`` io.out_dir, before the
+    checks."""
+    tree = {}
     if path is not None:
         try:
             with open(path) as fh:
-                override = json.load(fh)
+                tree = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInputError(f"cannot read config {path}: {exc}") from None
-    cfg = _merge_config(DEFAULT_CONFIG, override)
+    overrides = {} if out_dir is None else {"io.out_dir": out_dir}
     if seed is not None:
-        cfg["experiment"]["seed"] = seed
-        cfg["deviation"]["seed"] = seed
-    if out_dir is not None:
-        cfg["io"]["out_dir"] = out_dir
-    _check_keys(cfg)
+        overrides.update({"experiment.seed": seed, "deviation.seed": seed})
+    cfg = _resolve(_SCHEMA, tree, overrides)
+    _optimizer(cfg)
     return cfg
 
 
@@ -238,27 +266,13 @@ def _write_config(cfg):
     return out
 
 
-def _cv_grid(cfg):
-    def grid(name):
-        return np.linspace(_setting(cfg, f"regression.{name}.lo", float),
-                           _setting(cfg, f"regression.{name}.hi", float),
-                           _setting(cfg, f"regression.{name}.n", _integer))
+def _cv_grid(regression):
+    def grid(g):
+        return np.linspace(g["lo"], g["hi"], g["n"])
 
-    return CvGrid(log10_gamma=grid("log10_gamma"), log10_ridge=grid("log10_ridge"),
-                  folds=_setting(cfg, "regression.folds", _integer),
-                  pk_folds=_setting(cfg, "regression.pk_folds", _integer))
-
-
-def _optimizer(cfg):
-    def opt(key, convert):
-        return _setting(cfg, f"learn.optimizer.{key}", convert)
-
-    return OptimizerConfig(max_iters=opt("max_iters", _integer),
-                           grad_tol=opt("grad_tol", float),
-                           step_init=opt("step_init", float),
-                           shrink=opt("shrink", float),
-                           sufficient_decrease=opt("sufficient_decrease", float),
-                           trace_path=cfg["learn"]["optimizer"]["trace_path"])
+    return CvGrid(log10_gamma=grid(regression["log10_gamma"]),
+                  log10_ridge=grid(regression["log10_ridge"]),
+                  folds=regression["folds"], pk_folds=regression["pk_folds"])
 
 
 # ---------------------------------------------------------------------------
@@ -266,34 +280,32 @@ def _optimizer(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_learn(cfg, samples_path):
-    families = _setting(cfg, "basis.families", _list)
-    if not families:
+    spec = cfg["basis"]
+    if not spec["families"]:
         raise InvalidInputError(
             "config basis.families is empty; list one family per input dimension")
-    families = [family_from_spec(s) for s in families]
-    p = _setting(cfg, "basis.p", float)
-    k = _setting(cfg, "basis.k", float)
-    m = _setting(cfg, "learn.m", _integer)
-    optimizer = _optimizer(cfg)
+    families = [family_from_spec(s) for s in spec["families"]]
+    method, m = cfg["learn"]["method"], cfg["learn"]["m"]
     _make_out_dir(cfg)
     samples = bm.read_samples_csv(samples_path)
     if samples.dim != len(families):
         raise InvalidInputError(
             f"samples have dim {samples.dim}, basis lists {len(families)} families")
-    basis = FeatureBasis(build_index_set(samples.dim, p, k), families)
+    basis = FeatureBasis(build_index_set(samples.dim, spec["p"], spec["k"]),
+                         families)
     # one training Jacobian serves the Gram, the fit and the final loss
     jac = basis.jacobian_batch(samples.points)
     gram = assemble_gram(basis, samples, jac=jac)
     t0 = time.perf_counter()
-    fmap, info = learn_features(samples, basis, m, cfg["learn"]["method"],
-                                gram=gram, config=optimizer, jac=jac)
+    fmap, info = learn_features(samples, basis, m, method, gram=gram,
+                                config=_optimizer(cfg), jac=jac)
     fmap = fmap.orthonormalized(gram)
     wall = time.perf_counter() - t0
     out = _write_config(cfg)
     fmap.save(os.path.join(out, "feature_map.txt"),
               os.path.join(out, "basis.json"))
     metrics = {
-        "method": cfg["learn"]["method"],
+        "method": method,
         "m": m,
         "K": basis.size,
         "loss_init": info["loss_init"],
@@ -313,28 +325,19 @@ def cmd_learn(cfg, samples_path):
 
 
 def cmd_benchmark(cfg, full=False):
-    def exp(key, convert):
-        return _setting(cfg, f"experiment.{key}", convert)
-
     if cfg["learn"]["optimizer"]["trace_path"] is not None:
         # every descent of the sweep would rewrite the one file
         raise InvalidInputError(
             "config learn.optimizer.trace_path: applies to learn only; "
             "set it to null for benchmark")
-    config = bm.ExperimentConfig(
-        benchmark=cfg["experiment"]["benchmark"], m=exp("m", _integer),
-        methods=exp("methods", _methods),
-        ntrain_list=exp("ntrain_list", lambda v: tuple(map(_integer, _list(v)))),
-        n_test=exp("n_test", _integer),
-        n_realizations=exp("n_realizations", _integer),
-        seed=exp("seed", _integer), select_pk=exp("select_pk", _boolean),
-        fixed_pk=exp("fixed_pk", _pk_pair),
-        cv=_cv_grid(cfg), optimizer=_optimizer(cfg))
+    config = bm.ExperimentConfig(**cfg["experiment"],
+                                 cv=_cv_grid(cfg["regression"]),
+                                 optimizer=_optimizer(cfg))
     if full:
         config = config.full_scale()
-        cfg = copy.deepcopy(cfg)
-        cfg["experiment"]["n_realizations"] = config.n_realizations
-        cfg["experiment"]["ntrain_list"] = list(config.ntrain_list)
+        # config.json records the settings the sweep ran with
+        cfg = {**cfg, "experiment": {key: getattr(config, key)
+                                     for key in cfg["experiment"]}}
     _make_out_dir(cfg)
     report = bm.run_experiment(config)
     out = _write_config(cfg)
@@ -357,8 +360,7 @@ def _print_summary(report):
         print(f"{len(failed)} cell(s) failed; see report.json")
 
 
-def _deviation_h_samples(cfg, n_samples):
-    dev = cfg["deviation"]
+def _deviation_h_samples(dev):
     if not dev["feature_map"] or not dev["basis_spec"]:
         raise InvalidInputError(
             "config deviation.feature_map and deviation.basis_spec are required")
@@ -366,9 +368,8 @@ def _deviation_h_samples(cfg, n_samples):
     if dev["samples"]:
         points = bm.read_samples_csv(dev["samples"]).points
     elif dev["benchmark"]:
-        bench = bm.make_benchmark(dev["benchmark"])
-        points = bm.sample_inputs(bench, n_samples,
-                                  _setting(cfg, "deviation.seed", _integer))
+        points = bm.sample_inputs(bm.make_benchmark(dev["benchmark"]),
+                                  dev["n_samples"], dev["seed"])
     else:
         raise InvalidInputError(
             "config deviation needs either a samples path or a benchmark id")
@@ -390,24 +391,17 @@ def _polynomial_remez_exponent(fmap):
 
 
 def cmd_check_deviation(cfg):
-    eps_grid = _setting(cfg, "deviation.eps_grid", _positives)
-    t_grid = _setting(cfg, "deviation.t_grid", _positives)
+    dev = cfg["deviation"]
+    eps_grid, t_grid, s, A = dev["eps_grid"], dev["t_grid"], dev["s"], dev["A"]
     if not eps_grid and not t_grid:
         raise InvalidInputError("deviation.eps_grid and t_grid are both empty")
-    s = _setting(cfg, "deviation.s", _finite)
     if eps_grid and not s > 0:
         raise InvalidInputError(
             "config deviation.s: small-deviation checking needs s > 0; "
             "set deviation.eps_grid to [] to check large deviations only")
-    A = _setting(cfg, "deviation.A", _finite)
-    k = cfg["deviation"]["k"]
-    if k is not None:
-        k = _setting(cfg, "deviation.k", _positive)
-    n_samples = _setting(cfg, "deviation.n_samples", _count)
     _make_out_dir(cfg)
-    h, fmap = _deviation_h_samples(cfg, n_samples)
-    if k is None:
-        k = _polynomial_remez_exponent(fmap)
+    h, fmap = _deviation_h_samples(dev)
+    k = dev["k"] if dev["k"] is not None else _polynomial_remez_exponent(fmap)
     reports = {}
     if eps_grid:
         reports["small"] = check_small_deviation(h, k, A, s, eps_grid).to_dict()

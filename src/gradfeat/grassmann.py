@@ -78,6 +78,8 @@ def active_subspace_init(samples, basis, m, gram=None):
     The result is orthonormalized in the Gram metric.
     """
     d = samples.dim
+    if m < 1:
+        raise InvalidInputError("m must be >= 1")
     if m > d:
         raise InvalidInputError(f"m={m} exceeds input dimension d={d}")
     unit_rows = _unit_index_rows(basis)

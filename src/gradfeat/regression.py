@@ -39,7 +39,10 @@ class CvGrid:
 
 
 def kfold_indices(n, folds, seed):
-    """Seeded shuffle then contiguous split; returns [(train_idx, val_idx), ...]."""
+    """Seeded shuffle then contiguous split; returns [(train_idx, val_idx), ...].
+    Fewer than two folds, or more folds than samples, raise ``InvalidInputError``."""
+    if folds < 2:
+        raise InvalidInputError(f"folds={folds} must be >= 2")
     if n < folds:
         raise InvalidInputError(f"cannot make {folds} folds from {n} samples")
     perm = np.random.default_rng(seed).permutation(n)
@@ -206,12 +209,15 @@ def cv_select_krr(Z, u, grid=None, seed=0):
     Returns (gamma, ridge, best mean validation RMSE).  The fold kernels
     come from one pivoted Cholesky factor per gamma (``_kernel_factor``), so
     the cost follows the kernel's numerical rank, not the sample count.
+    An empty gamma or ridge grid raises ``InvalidInputError``.
     """
     grid = grid or CvGrid()
     Z, u = _regression_inputs(Z, u)
     folds = kfold_indices(Z.shape[0], grid.folds, seed)
     gammas = 10.0 ** np.asarray(grid.log10_gamma, dtype=float)
     ridges = 10.0 ** np.asarray(grid.log10_ridge, dtype=float)
+    if gammas.size == 0 or ridges.size == 0:
+        raise InvalidInputError("the gamma and ridge grids must be nonempty")
     rmse = _cv_rmse_table(Z, u, folds, gammas, ridges)
     best = min(
         ((rmse[gi, ri], -ridges[ri], gammas[gi], gi, ri)

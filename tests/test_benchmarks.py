@@ -64,6 +64,11 @@ class TestSampling:
         b = sample_inputs(bench, 1, seed=123)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("bench_id", ["u1", "u4"])
+    def test_negative_count_rejected(self, bench_id):
+        with pytest.raises(InvalidInputError):
+            sample_inputs(make_benchmark(bench_id), -1, seed=0)
+
     def test_box_support(self):
         bench = make_benchmark("u2")
         X = sample_inputs(bench, 5000, seed=7)

@@ -26,6 +26,14 @@ def u1_csv(tmp_path):
     return path
 
 
+def config_leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
 def write_config(tmp_path, name, tree):
     path = tmp_path / name
     path.write_text(json.dumps(tree))
@@ -154,6 +162,35 @@ class TestConfig:
          "config deviation.benchmark:"),
         ({"deviation": {"benchmark": "u9"}}, ["--print-config"],
          "config deviation.benchmark:"),
+        # every count, fold number and seed has its range checked when the
+        # config is read, not found by the numerics
+        ({"regression": {"folds": 0}}, ["benchmark"],
+         "config regression.folds:"),
+        ({"regression": {"folds": 1}}, ["--print-config"],
+         "config regression.folds:"),
+        ({"regression": {"pk_folds": 0}}, ["benchmark"],
+         "config regression.pk_folds:"),
+        ({"regression": {"log10_gamma": {"n": 0}}}, ["benchmark"],
+         "config regression.log10_gamma.n:"),
+        ({"basis": {"families": box_families()},
+          "learn": {"method": "gli", "m": 0}}, ["learn", "CSV"],
+         "config learn.m:"),
+        ({"experiment": {"m": 0, "methods": ["gli"]}}, ["benchmark"],
+         "config experiment.m:"),
+        ({"experiment": {"ntrain_list": [-5]}}, ["benchmark"],
+         "config experiment.ntrain_list:"),
+        ({"experiment": {"seed": -1}}, ["benchmark"],
+         "config experiment.seed:"),
+        ({}, ["--seed", "-1", "benchmark"], "config experiment.seed:"),
+        ({"experiment": {"n_realizations": -1}}, ["benchmark"],
+         "config experiment.n_realizations:"),
+        # real-valued keys take JSON numbers only
+        ({"basis": {"families": box_families(), "p": "1.0"}},
+         ["learn", "CSV"], "config basis.p:"),
+        ({"basis": {"families": box_families(), "p": True}},
+         ["learn", "CSV"], "config basis.p:"),
+        ({"learn": {"optimizer": {"grad_tol": "1e-3"}}}, ["--print-config"],
+         "config learn.optimizer.grad_tol:"),
     ], ids=["list-print-config", "list-learn", "section-not-object",
             "subsection-not-object", "basis-p", "max-iters", "folds",
             "fixed-pk", "eps-grid", "out-dir", "trace-path", "feature-map",
@@ -167,7 +204,11 @@ class TestConfig:
             "methods-unknown", "methods-unknown-print-config",
             "method-unknown", "method-list", "benchmark-list",
             "benchmark-unknown", "deviation-benchmark-list",
-            "deviation-benchmark-unknown"])
+            "deviation-benchmark-unknown", "folds-0", "folds-1",
+            "pk-folds-0", "grid-n-0", "learn-m-0", "experiment-m-0",
+            "ntrain-negative", "seed-negative", "seed-flag-negative",
+            "realizations-negative", "basis-p-string", "basis-p-bool",
+            "grad-tol-string"])
     def test_value_of_wrong_type_exits_2(self, tmp_path, u1_csv, capsys,
                                          tree, command, key):
         path = write_config(tmp_path, "typed.json", tree)
@@ -176,6 +217,27 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: " + key), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", [".".join(path) for path in
+                                     config_leaves(DEFAULT_CONFIG)])
+    def test_every_key_checked(self, tmp_path, capsys, key):
+        # no key takes an object, so a key without a check fails here
+        tree = value = {}
+        for part in key.split(".")[:-1]:
+            value = value.setdefault(part, {})
+        value[key.split(".")[-1]] = {}
+        path = write_config(tmp_path, "leaf.json", tree)
+        assert main(["--config", path, "--print-config"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {key}:")
+
+    def test_real_valued_keys_read_as_floats(self, tmp_path):
+        # config.json echoes the checked values: "p": 1 is written as 1.0
+        path = write_config(tmp_path, "ints.json", {
+            "basis": {"p": 1}, "deviation": {"A": 4, "eps_grid": [1]}})
+        cfg = load_config(path)
+        assert [type(v) for v in (cfg["basis"]["p"], cfg["deviation"]["A"],
+                                  cfg["deviation"]["eps_grid"][0])] == [float] * 3
+        assert json.dumps(cfg["basis"]["p"]) == "1.0"
 
     def test_integral_float_accepted_as_int(self, tmp_path):
         path = write_config(tmp_path, "whole.json", {
@@ -404,6 +466,27 @@ class TestBenchmarkCommand:
         ja = (tmp_path / "outA" / "report.json").read_bytes()
         jb = (tmp_path / "outB" / "report.json").read_bytes()
         assert ja == jb
+
+    def test_full_scale_settings_echoed(self, tmp_path, monkeypatch):
+        # --full replaces the sweep sizes; config.json records the ones run
+        class EmptyReport:
+            cells = realizations = []
+
+            def to_csv(self, path):
+                pass
+
+            to_json = to_csv
+
+        monkeypatch.setattr("gradfeat.benchmarks.run_experiment",
+                            lambda config: EmptyReport())
+        cfg = write_config(tmp_path, "full.json", {
+            "experiment": {"n_test": 200, "n_realizations": 2},
+            "io": {"out_dir": str(tmp_path / "full")}})
+        assert main(["--config", cfg, "benchmark", "--full"]) == 0
+        echoed = json.loads((tmp_path / "full" / "config.json").read_text())
+        experiment = echoed["experiment"]
+        assert (experiment["n_test"], experiment["n_realizations"],
+                experiment["ntrain_list"]) == (1000, 20, [50, 75, 100, 250, 500])
 
     def test_rerun_on_emitted_config(self, tmp_path):
         cfg = self.bench_config(tmp_path, "outE")

@@ -436,6 +436,12 @@ class TestLearnFeatures:
         with pytest.raises(InvalidInputError):
             learn_features(samples, basis, 1, "newton", gram=gram)
 
+    @pytest.mark.parametrize("method", ["sur", "gli", "gsi"])
+    def test_no_features_rejected(self, method):
+        samples, basis, gram = u3_setup(n=60, seed=15)
+        with pytest.raises(InvalidInputError):
+            learn_features(samples, basis, 0, method, gram=gram)
+
 
 class TestDescentOnRidgeTarget:
     def test_linear_start_reaches_zero_in_median(self):

@@ -159,6 +159,22 @@ class TestRegressionInputContract:
         with pytest.raises(InvalidInputError):
             call(Z, u)
 
+    @pytest.mark.parametrize("call", [
+        lambda Z, u: kfold_indices(30, 0, seed=0),
+        lambda Z, u: kfold_indices(30, 1, seed=0),
+        lambda Z, u: cv_select_krr(Z, u, CvGrid(folds=1), seed=0),
+        lambda Z, u: cv_select_krr(Z, u, CvGrid(log10_gamma=np.array([]),
+                                                folds=5), seed=0),
+        lambda Z, u: cv_select_krr(Z, u, CvGrid(log10_ridge=[], folds=5),
+                                   seed=0),
+    ], ids=["kfold-0", "kfold-1", "cv-folds-1", "empty-gamma-grid",
+            "empty-ridge-grid"])
+    def test_unusable_folds_and_grids_rejected(self, call):
+        rng = np.random.default_rng(12)
+        Z = rng.uniform(size=(30, 1))
+        with pytest.raises(InvalidInputError):
+            call(Z, np.sin(3 * Z[:, 0]))
+
     def test_failed_fit_recorded_by_experiment(self, monkeypatch):
         # a non-finite feature reaches krr_fit as InvalidInputError, which
         # run_experiment records on the cell's row instead of propagating
