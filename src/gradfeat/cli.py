@@ -60,9 +60,15 @@ def _optional(check):
     return lambda value: None if value is None else check(value)
 
 
-def _list_of(check):
-    """A JSON list with ``check`` applied to every entry, as a tuple."""
-    return lambda values: tuple(map(check, _list(values)))
+def _list_of(check, least=0):
+    """A JSON list of at least ``least`` entries with ``check`` applied to
+    every entry, as a tuple."""
+    def checked(values):
+        values = tuple(map(check, _list(values)))
+        if len(values) < least:
+            raise ValueError(f"expected {least} or more entries")
+        return values
+    return checked
 
 
 def _integer(least=-math.inf):
@@ -165,8 +171,8 @@ _SCHEMA = {
     "experiment": {
         "benchmark": _Key("u1", _benchmark_id),
         "m": _Key(1, _count),
-        "methods": _Key(["sur"], _list_of(_method)),
-        "ntrain_list": _Key([50, 100, 250], _list_of(_count)),
+        "methods": _Key(["sur"], _list_of(_method, least=1)),
+        "ntrain_list": _Key([50, 100, 250], _list_of(_count, least=1)),
         "n_test": _Key(1000, _count),
         "n_realizations": _Key(5, _count),
         "seed": _Key(0, _seed),

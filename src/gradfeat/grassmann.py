@@ -32,7 +32,7 @@ from .errors import (IllConditionedError, InvalidInputError, NumericError,
                      RankDeficiencyError)
 from .geometry import _complement_factors, _complement_residual_sq
 from .surrogate import (FeatureMap, greedy_features, orthonormalize,
-                        poincare_loss, surrogate_matrices, surrogate_sums)
+                        poincare_loss, surrogate_matrices)
 
 
 @dataclass
@@ -54,10 +54,11 @@ class OptimizerConfig:
         if not _is_finite(self.step_init) or self.step_init <= 0.0:
             raise InvalidInputError(
                 f"step_init must be finite and > 0, got {self.step_init!r}")
-        if not 0.0 < self.shrink < 1.0:
-            raise InvalidInputError("line-search shrink factor must be in (0, 1)")
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise InvalidInputError("sufficient-decrease constant must be in (0, 1)")
+        for name in ("shrink", "sufficient_decrease"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and 0.0 < value < 1.0):
+                raise InvalidInputError(
+                    f"{name} must be a number in (0, 1), got {value!r}")
 
 
 def _is_finite(value):
@@ -240,7 +241,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     the Euclidean gradient E is preconditioned by P = h + mu R
     (``_metric_solve``), with h = h1 - h2 the convex surrogate's matrix on
     these samples: ``surrogate.h`` when the ``SurrogateMatrices`` are given,
-    else summed once from ``jac``, with the same bits.  P is factored once.
+    else assembled once from ``jac``, with the same bits.  P is factored once.
     For several features P = R: on u2 and u3 at m = 2 the single-feature h
     ended some descents higher, up to 2.6x, so it is not the metric for
     several columns.  Each iteration solves Z = P^-1 E and steps along
@@ -275,11 +276,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     R = gram.matrix
     h = None
     if G.shape[1] == 1:
-        if surrogate is None:
-            h1, h2 = surrogate_sums(samples.gradients, jac)
-            h = h1 / samples.n - h2 / samples.n
-        else:
-            h = surrogate.h
+        h = (surrogate or surrogate_matrices(samples, basis, jac)).h
     solve = _metric_solve(gram, h)
 
     def converged(gnorm):
@@ -360,7 +357,8 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
 METHODS = ("sur", "gli", "gsi")
 
 
-def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
+def learn_features(samples, basis, m, method, gram=None, config=None, jac=None,
+                   surrogate=None):
     """Run one of the three learning procedures and report what happened.
 
     ``sur`` solves the greedy surrogate eigenproblems only; ``gli`` descends
@@ -368,8 +366,9 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
     start.  ``jac`` is the basis Jacobian at the sample points as a
     C-contiguous (n, d, K) array; when None it is evaluated once.  The Gram
     matrix (``gram``, assembled from ``jac`` when None), every step of the
-    fit and the final loss read that one array; ``gsi`` assembles the
-    surrogate's matrices once, for its start and its descent.  Returns
+    fit and the final loss read that one array, and so do the surrogate's
+    matrices (``surrogate``, assembled once when None and needed); given or
+    not, they give the same result bit for bit.  Returns
     ``(feature_map, info)`` where info carries the initial and final losses,
     the wall time, the ridge the Gram matrix needed to factor
     (``GramMatrix.ridge_added``, 0.0 when none), and for the descents the
@@ -384,19 +383,20 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None):
         gram = assemble_gram(basis, samples, jac=jac)
     t0 = time.perf_counter()
     if method == "sur":
-        fmap = greedy_features(samples, basis, m, gram=gram, jac=jac)
+        fmap = greedy_features(samples, basis, m, gram=gram, jac=jac,
+                               surrogate=surrogate)
         info = {"method": method, "loss_init": None, "iterations": 0,
                 "stop_reason": None, "grad_rel_final": None}
     else:
-        mats = None
         if method == "gli":
             G0 = active_subspace_init(samples, basis, m, gram=gram)
         else:
-            mats = surrogate_matrices(samples, basis, jac)
+            surrogate = surrogate or surrogate_matrices(samples, basis, jac)
             G0 = greedy_features(samples, basis, m, gram=gram, jac=jac,
-                                 surrogate=mats).coeffs
+                                 surrogate=surrogate).coeffs
         fmap, trace = minimize_poincare_loss(samples, basis, G0, config=config,
-                                             gram=gram, jac=jac, surrogate=mats)
+                                             gram=gram, jac=jac,
+                                             surrogate=surrogate)
         gnorm0 = trace[0][2]
         info = {"method": method, "loss_init": trace[0][1],
                 "iterations": trace[-1][0], "stop_reason": trace.stop_reason,

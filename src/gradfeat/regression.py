@@ -242,7 +242,9 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     exactly, the scores are roundoff and would otherwise pick by noise.
 
     Each distinct candidate's basis Jacobian is evaluated once, at every
-    sample, and sliced per fold.  A candidate whose index set equals an
+    sample, and sliced per fold; its Gram and surrogate sums are formed once
+    too, and each fold's training matrices are those totals minus the fold's
+    validation sums (``_cv_score``).  A candidate whose index set equals an
     earlier candidate's reuses that score (at d = 8, (0.9, k) and (0.8, k)
     build the same set for k = 2, 3, 4), since it would be fit and scored
     the same, bit for bit.
@@ -284,42 +286,32 @@ def _loss_roundoff(samples):
 
 def _cv_score(samples, basis, jac, folds, m, method, optimizer):
     """Mean validation Poincare loss of ``basis`` over the folds; ``jac`` is
-    the basis Jacobian at every sample as a C-contiguous (n, d, K) array."""
-    if method == "sur" and m == 1:
-        return _single_feature_surrogate_cv(samples, basis, jac, folds)
-    scores = []
-    for train, val in folds:
-        # indexing the first axis copies into C order
-        fmap, _ = learn_features(samples.subset(train), basis, m, method,
-                                 config=optimizer, jac=jac[train])
-        scores.append(poincare_loss(samples.subset(val), fmap, jac=jac[val]))
-    return float(np.mean(scores))
+    the basis Jacobian at every sample as a C-contiguous (n, d, K) array.
 
-
-def _single_feature_surrogate_cv(samples, basis, B, folds):
-    """Fold scores for the single-feature eigensolve learner in one data pass.
-
-    ``B`` is the Jacobian of ``basis`` at every sample, (n, d, K).  The
-    quadratic-form matrices are sums over samples, so each fold's training
-    matrices are the total sums minus that fold's validation block.  Scores
-    and selections match the generic path up to accumulation roundoff.
+    R and the surrogate's (h1, h2) are sample means, so a fold's training
+    matrices are their sums over every sample, formed once here, minus the
+    fold's validation sums, formed when the fold is scored; no K x K fold
+    block outlives its fold.  They match a per-fold assembly up to
+    accumulation roundoff.
     """
-    g = samples.gradients
-    blocks = []
-    for _, val in folds:
-        h1_v, h2_v = surrogate_sums(g[val], B[val])
-        M = B[val].reshape(-1, B.shape[2])
-        blocks.append((h1_v, h2_v, M.T @ M))
-    h1_tot = sum(b[0] for b in blocks)
-    h2_tot = sum(b[1] for b in blocks)
-    r_tot = sum(b[2] for b in blocks)
-    scores = []
-    for (train, val), (h1_v, h2_v, r_v) in zip(folds, blocks):
-        n_train = train.size
-        gram = GramMatrix((r_tot - r_v) / n_train)
-        mats = SurrogateMatrices(h1=(h1_tot - h1_v) / n_train,
-                                 h2=(h2_tot - h2_v) / n_train)
-        _, vec = min_generalized_eig(mats.h, gram)
-        scores.append(poincare_loss(samples.subset(val),
-                                    FeatureMap(basis, vec), jac=B[val]))
-    return float(np.mean(scores))
+    flat = jac.reshape(-1, basis.size)
+    r_tot = flat.T @ flat
+    h1_tot, h2_tot = surrogate_sums(samples.gradients, jac)
+
+    def fold_score(train, val):
+        jac_val = jac[val]
+        flat_val = jac_val.reshape(-1, basis.size)
+        h1_val, h2_val = surrogate_sums(samples.gradients[val], jac_val)
+        gram = GramMatrix((r_tot - flat_val.T @ flat_val) / train.size)
+        mats = SurrogateMatrices(h1=(h1_tot - h1_val) / train.size,
+                                 h2=(h2_tot - h2_val) / train.size)
+        if method == "sur" and m == 1:
+            fmap = FeatureMap(basis, min_generalized_eig(mats.h, gram)[1])
+        else:
+            # indexing the first axis copies into C order
+            fmap, _ = learn_features(samples.subset(train), basis, m, method,
+                                     gram=gram, config=optimizer,
+                                     jac=jac[train], surrogate=mats)
+        return poincare_loss(samples.subset(val), fmap, jac=jac_val)
+
+    return float(np.mean([fold_score(train, val) for train, val in folds]))

@@ -272,8 +272,9 @@ def coordinate_surrogate(samples, fmap, j):
 # ---------------------------------------------------------------------------
 
 def surrogate_sums(gradients, jac_phi):
-    """Unnormalized (h1, h2) sums over the given rows; shared by the
-    assemblers and the fold-arithmetic in cross-validation."""
+    """Unnormalized (h1, h2) sums over the given rows; the assemblers divide
+    them by the row count, and the (p, k) cross-validation subtracts a fold's
+    validation sums from the sums over every sample."""
     w2 = np.sum(gradients ** 2, axis=1)
     W = jac_phi * np.sqrt(w2)[:, None, None]
     M = W.reshape(-1, jac_phi.shape[2])

@@ -191,6 +191,11 @@ class TestConfig:
          ["learn", "CSV"], "config basis.p:"),
         ({"learn": {"optimizer": {"grad_tol": "1e-3"}}}, ["--print-config"],
          "config learn.optimizer.grad_tol:"),
+        # an empty sweep list would run nothing and exit 0
+        ({"experiment": {"methods": []}}, ["benchmark"],
+         "config experiment.methods:"),
+        ({"experiment": {"ntrain_list": []}}, ["benchmark"],
+         "config experiment.ntrain_list:"),
     ], ids=["list-print-config", "list-learn", "section-not-object",
             "subsection-not-object", "basis-p", "max-iters", "folds",
             "fixed-pk", "eps-grid", "out-dir", "trace-path", "feature-map",
@@ -208,7 +213,7 @@ class TestConfig:
             "pk-folds-0", "grid-n-0", "learn-m-0", "experiment-m-0",
             "ntrain-negative", "seed-negative", "seed-flag-negative",
             "realizations-negative", "basis-p-string", "basis-p-bool",
-            "grad-tol-string"])
+            "grad-tol-string", "methods-empty", "ntrain-empty"])
     def test_value_of_wrong_type_exits_2(self, tmp_path, u1_csv, capsys,
                                          tree, command, key):
         path = write_config(tmp_path, "typed.json", tree)

@@ -171,7 +171,10 @@ class TestMinimize:
         assert len(lines) >= 2
 
     @pytest.mark.parametrize("setting", [
-        {"shrink": 1.5}, {"sufficient_decrease": 0.0},
+        {"shrink": 1.5}, {"shrink": 0.0}, {"shrink": 1.0}, {"shrink": "x"},
+        {"shrink": np.nan}, {"sufficient_decrease": 0.0},
+        {"sufficient_decrease": 1.0}, {"sufficient_decrease": "0.5"},
+        {"sufficient_decrease": np.nan}, {"sufficient_decrease": None},
         # an infinite first step never shrinks below the search's floor, so
         # it would backtrack forever; the others would return the start
         {"step_init": np.inf}, {"step_init": 0.0}, {"step_init": -1.0},
@@ -179,8 +182,11 @@ class TestMinimize:
         {"grad_tol": np.nan}, {"grad_tol": -1e-9}, {"grad_tol": np.inf},
     ], ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()))
     def test_bad_settings_rejected(self, setting):
-        with pytest.raises(InvalidInputError):
+        (name, value), = setting.items()
+        with pytest.raises(InvalidInputError) as err:
             OptimizerConfig(**setting)
+        # the message names the setting and the value
+        assert name in str(err.value) and repr(value) in str(err.value)
 
     def test_boundary_settings_accepted(self):
         cfg = OptimizerConfig(max_iters=0, grad_tol=0.0, step_init=1e-300)
@@ -247,15 +253,20 @@ class TestMinimize:
                                                 gram=gram, jac=jac)
             assert np.array_equal(out.coeffs, ref.coeffs)
             assert trace == ref_trace
+            mats = surrogate_matrices(samples, basis)
             for method in ("sur", "gli", "gsi"):
                 ref, ref_info = learn_features(samples, basis, m, method,
                                                gram=gram, config=cfg)
-                out, info = learn_features(samples, basis, m, method,
-                                           gram=gram, config=cfg, jac=jac)
-                assert np.array_equal(out.coeffs, ref.coeffs)
-                del info["wall_time_s"], ref_info["wall_time_s"]
-                assert info == ref_info
-                assert info["loss_final"] == poincare_loss(samples, ref)
+                del ref_info["wall_time_s"]
+                assert ref_info["loss_final"] == poincare_loss(samples, ref)
+                # a precomputed Jacobian or surrogate is an input, not a knob
+                for given in ({"jac": jac}, {"surrogate": mats},
+                              {"jac": jac, "surrogate": mats}):
+                    out, info = learn_features(samples, basis, m, method,
+                                               gram=gram, config=cfg, **given)
+                    assert np.array_equal(out.coeffs, ref.coeffs)
+                    del info["wall_time_s"]
+                    assert info == ref_info
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("method", ["gli", "gsi"])
@@ -364,8 +375,8 @@ class TestPreconditionedDirection:
             calls.append(1)
             return exact(*args)
 
-        for module in (surrogate, grassmann):
-            monkeypatch.setattr(module, "surrogate_sums", counted)
+        # every fit sums h through surrogate.surrogate_matrices
+        monkeypatch.setattr(surrogate, "surrogate_sums", counted)
         learn_features(samples, basis, 1, method, gram=gram,
                        config=OptimizerConfig(max_iters=5))
         assert len(calls) == 1

@@ -16,7 +16,8 @@ from gradfeat.grassmann import OptimizerConfig, learn_features
 from gradfeat.regression import (CvGrid, KrrModel, cv_select_basis,
                                  cv_select_krr, kfold_indices, krr_fit,
                                  krr_predict)
-from gradfeat.surrogate import FeatureMap, poincare_loss
+from gradfeat.surrogate import (FeatureMap, poincare_loss,
+                                surrogate_matrices)
 
 
 class TestKrrFit:
@@ -339,9 +340,12 @@ class TestCvSelectBasisSharedJacobian:
         return min(zip(means, [b.size for b in bases],
                        self.GRID.pk_candidates))[2]
 
-    @pytest.mark.parametrize("m, method", [(1, "gli"), (2, "gsi"), (2, "sur")])
-    def test_descent_scores_match_per_candidate_reference(self, monkeypatch,
-                                                          m, method):
+    @pytest.mark.parametrize("m, method", [(1, "sur"), (1, "gli"), (2, "gsi"),
+                                           (2, "sur")])
+    def test_scores_match_per_fold_reference(self, monkeypatch, m, method):
+        # the fold matrices are totals minus validation sums, so they move by
+        # roundoff from a per-fold assembly; 15 descent steps amplify that to
+        # about 1e-10 relative on this grid, and the picks stay the same
         bench, samples, bases = self.setup()
         cfg = OptimizerConfig(max_iters=15)
         folds = kfold_indices(samples.n, self.GRID.pk_folds, 9)
@@ -365,28 +369,84 @@ class TestCvSelectBasisSharedJacobian:
         monkeypatch.setattr(regression, "poincare_loss", record)
         best = cv_select_basis(samples, m, method, bench.families,
                                self.GRID, seed=9, optimizer=cfg)
-        assert seen == [s for row in reference for s in row]
+        np.testing.assert_allclose(seen, [s for row in reference for s in row],
+                                   rtol=1e-8, atol=0.0)
         assert best == self.pick(reference, bases)
 
-    def test_surrogate_fast_path_matches_per_candidate_jacobian(self,
-                                                                monkeypatch):
+    def test_single_feature_surrogate_is_one_eigensolve_per_fold(
+            self, monkeypatch):
         bench, samples, bases = self.setup()
-        folds = kfold_indices(samples.n, self.GRID.pk_folds, 9)
-        reference = [regression._single_feature_surrogate_cv(
-            samples, basis, basis.jacobian_batch(samples.points), folds)
-            for basis in bases]
-        seen = []
-        fast = regression._single_feature_surrogate_cv
+        solves = []
+        solve = regression.min_generalized_eig
 
-        def record(*args):
-            seen.append(fast(*args))
-            return seen[-1]
+        def counted(H, gram):
+            solves.append(gram.size)
+            return solve(H, gram)
 
-        monkeypatch.setattr(regression, "_single_feature_surrogate_cv", record)
-        best = cv_select_basis(samples, 1, "sur", bench.families, self.GRID,
-                               seed=9)
-        assert seen == reference
-        assert best == self.pick([[s] for s in reference], bases)
+        def no_fit(*args, **kwargs):
+            raise AssertionError("learn_features called for sur at m = 1")
+
+        monkeypatch.setattr(regression, "min_generalized_eig", counted)
+        monkeypatch.setattr(regression, "learn_features", no_fit)
+        cv_select_basis(samples, 1, "sur", bench.families, self.GRID, seed=9)
+        assert solves == [b.size for b in bases
+                          for _ in range(self.GRID.pk_folds)]
+
+
+class TestFoldSums:
+    """Each fold's training R and (h1, h2) are the sums over every sample
+    minus the validation rows' sums, divided by the training count."""
+
+    @staticmethod
+    def fold_matrices(monkeypatch, samples, basis, folds):
+        """The ``GramMatrix`` and ``SurrogateMatrices`` each fold builds."""
+        built = {"GramMatrix": [], "SurrogateMatrices": []}
+        for name, made in built.items():
+            def record(*args, real=getattr(regression, name), made=made,
+                       **kwargs):
+                made.append(real(*args, **kwargs))
+                return made[-1]
+            monkeypatch.setattr(regression, name, record)
+        jac = basis.jacobian_batch(samples.points)
+        regression._cv_score(samples, basis, jac, folds, 1, "sur", None)
+        monkeypatch.undo()
+        return built["GramMatrix"], built["SurrogateMatrices"]
+
+    @pytest.mark.filterwarnings("ignore:Gram estimate from")
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(12, 60), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+    def test_totals_minus_validation_match_training_assembly(
+            self, monkeypatch, n, n_folds, seed):
+        bench = make_benchmark("u3")
+        samples = make_samples(bench, n, seed)
+        basis = FeatureBasis(build_index_set(8, 1.0, 2), bench.families)
+        folds = kfold_indices(n, n_folds, seed)
+        grams, mats = self.fold_matrices(monkeypatch, samples, basis, folds)
+        assert len(grams) == len(mats) == n_folds
+        jac = basis.jacobian_batch(samples.points).reshape(-1, basis.size)
+        w = np.repeat(np.sum(samples.gradients ** 2, axis=1), samples.dim)
+        # a sum of N = n d products is within N eps / 2 of its value,
+        # relative to the sum of absolute products, which Cauchy-Schwarz
+        # bounds by sqrt(D_a D_b), D the diagonal of the unnormalized total
+        # (of R for R, of h1 for h1 and h2, whose row terms are bounded by
+        # h1's); the totals, the validation and the reference training sums
+        # each err by that, and the scaling and the subtraction by a few eps
+        bound = (n * samples.dim + 8) * np.finfo(float).eps
+        scale_r = np.sqrt(np.einsum("ia,ia->a", jac, jac))
+        scale_h = np.sqrt(np.einsum("i,ia,ia->a", w, jac, jac))
+        for (train, _), gram, mat in zip(folds, grams, mats):
+            train_set = samples.subset(train)
+            ref_gram = assemble_gram(basis, train_set)
+            ref = surrogate_matrices(train_set, basis)
+            tol_r = bound * np.outer(scale_r, scale_r) / train.size
+            tol_h = bound * np.outer(scale_h, scale_h) / train.size
+            # at n < K either factorization may have needed a ridge
+            unridged = [g.matrix - g.ridge_added * np.eye(basis.size)
+                        for g in (gram, ref_gram)]
+            assert np.all(np.abs(unridged[0] - unridged[1]) <= tol_r)
+            assert np.all(np.abs(mat.h1 - ref.h1) <= tol_h)
+            assert np.all(np.abs(mat.h2 - ref.h2) <= tol_h)
 
 
 class TestCvSelectBasisDuplicates:
@@ -436,22 +496,23 @@ class TestCvSelectBasisDuplicates:
         assert len(fits) == distinct * len(folds)
         assert len(set(fits)) == distinct
 
-    def test_surrogate_fast_path_runs_once_per_index_set(self, monkeypatch):
+    def test_single_feature_surrogate_scores_once_per_index_set(
+            self, monkeypatch):
         bench, samples, bases, distinct = self.setup()
-        seen = []
-        fast = regression._single_feature_surrogate_cv
+        scored = []
+        score = regression._cv_score
 
-        def record(*args):
-            seen.append(fast(*args))
-            return seen[-1]
+        def record(samples, basis, *args):
+            scored.append(basis.index_set.indices)
+            return score(samples, basis, *args)
 
-        monkeypatch.setattr(regression, "_single_feature_surrogate_cv", record)
+        monkeypatch.setattr(regression, "_cv_score", record)
         best = cv_select_basis(samples, 1, "sur", bench.families, self.GRID,
                                seed=4)
-        assert len(seen) == distinct
+        assert len(scored) == len(set(scored)) == distinct
         folds = kfold_indices(samples.n, self.GRID.pk_folds, 4)
-        results = [(fast(samples, basis, basis.jacobian_batch(samples.points),
-                         folds), basis.size, pk)
+        results = [(score(samples, basis, basis.jacobian_batch(samples.points),
+                          folds, 1, "sur", None), basis.size, pk)
                    for pk, basis in zip(self.GRID.pk_candidates, bases)]
         assert best == min(results)[2] == (0.8, 3)
 
