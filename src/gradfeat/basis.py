@@ -34,6 +34,8 @@ _EVAL_CHUNK = 16384
 # rows per support-block product; a (rows, d, w) block this small stays in
 # cache, and the values do not depend on it
 _BLOCK_ROWS = 512
+# samples per block of a sum over the sample Jacobian (``_block_sums``)
+_SUM_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +43,12 @@ _BLOCK_ROWS = 512
 # ---------------------------------------------------------------------------
 
 class _Family:
-    """What the univariate families share.  ``rows(x, max_degree, *params)``
-    evaluates one family kind for any shape of x, its parameters (named in
-    ``fields``) broadcasting against x, so a basis evaluates all of its
-    dimensions of one kind in one recurrence."""
+    """What the univariate families share.  ``rows(x, max_degree, *params,
+    derivatives=True)`` evaluates one family kind for any shape of x, its
+    parameters (named in ``fields``) broadcasting against x, so a basis
+    evaluates all of its dimensions of one kind in one recurrence; with
+    ``derivatives=False`` it skips the derivative recurrence and returns
+    None for the derivatives, with the same value bits."""
 
     def table(self, x, max_degree):
         """Values and x-derivatives, shapes (n, max_degree + 1)."""
@@ -70,48 +74,58 @@ class Legendre(_Family):
         return 2.0 * math.sqrt(3.0) / (self.b - self.a)
 
     @staticmethod
-    def rows(x, max_degree, a, b):
-        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape."""
+    def rows(x, max_degree, a, b, derivatives=True):
+        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape; the
+        derivatives are None unless asked for."""
         t = (2.0 * x - a - b) / (b - a)
         vals = np.empty((max_degree + 1,) + t.shape)
-        ders = np.empty_like(vals)
         vals[0] = 1.0
-        ders[0] = 0.0
         if max_degree >= 1:
             vals[1] = t
-            ders[1] = 1.0
         for i in range(1, max_degree):
             vals[i + 1] = ((2 * i + 1) * t * vals[i] - i * vals[i - 1]) / (i + 1)
-            ders[i + 1] = ((2 * i + 1) * (vals[i] + t * ders[i])
-                           - i * ders[i - 1]) / (i + 1)
+        ders = None
+        if derivatives:
+            ders = np.empty_like(vals)
+            ders[0] = 0.0
+            if max_degree >= 1:
+                ders[1] = 1.0
+            for i in range(1, max_degree):
+                ders[i + 1] = ((2 * i + 1) * (vals[i] + t * ders[i])
+                               - i * ders[i - 1]) / (i + 1)
         scale = np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0) \
             .reshape((-1,) + (1,) * t.ndim)
         vals *= scale
-        ders *= scale
-        ders *= 2.0 / (b - a)     # dt/dx
+        if derivatives:
+            ders *= scale
+            ders *= 2.0 / (b - a)     # dt/dx
         return vals, ders
 
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, size=n)
 
 
-def _hermite_rows(t, max_degree):
-    """Scaled Hermite values and t-derivatives, one row per degree."""
+def _hermite_rows(t, max_degree, derivatives):
+    """Scaled Hermite values and t-derivatives (None unless asked for), one
+    row per degree."""
     vals = np.empty((max_degree + 1,) + t.shape)
-    ders = np.empty_like(vals)
     vals[0] = 1.0
-    ders[0] = 0.0
     if max_degree >= 1:
         vals[1] = t
-        ders[1] = 1.0
     for i in range(1, max_degree):
         vals[i + 1] = t * vals[i] - i * vals[i - 1]
-        # He_{n}' = n He_{n-1}
-        ders[i + 1] = (i + 1) * vals[i]
+    ders = None
+    if derivatives:
+        ders = np.empty_like(vals)
+        ders[0] = 0.0
+        for i in range(max_degree):
+            # He_{n}' = n He_{n-1}
+            ders[i + 1] = (i + 1) * vals[i]
     scale = np.array([1.0 / math.sqrt(math.factorial(i))
                       for i in range(max_degree + 1)]).reshape((-1,) + (1,) * t.ndim)
     vals *= scale
-    ders *= scale
+    if derivatives:
+        ders *= scale
     return vals, ders
 
 
@@ -131,10 +145,12 @@ class Hermite(_Family):
         return 1.0 / self.sigma
 
     @staticmethod
-    def rows(x, max_degree, mu, sigma):
-        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape."""
-        vals, ders = _hermite_rows((x - mu) / sigma, max_degree)
-        ders /= sigma
+    def rows(x, max_degree, mu, sigma, derivatives=True):
+        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape; the
+        derivatives are None unless asked for."""
+        vals, ders = _hermite_rows((x - mu) / sigma, max_degree, derivatives)
+        if derivatives:
+            ders /= sigma
         return vals, ders
 
     def sample(self, rng, n):
@@ -147,12 +163,15 @@ class LogHermite(Hermite):
     kind = "log_hermite"
 
     @staticmethod
-    def rows(x, max_degree, mu, sigma):
-        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape."""
+    def rows(x, max_degree, mu, sigma, derivatives=True):
+        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape; the
+        derivatives are None unless asked for."""
         if np.any(x <= 0.0):
             raise InvalidInputError("log-domain family evaluated at x <= 0")
-        vals, ders = _hermite_rows((np.log(x) - mu) / sigma, max_degree)
-        ders /= sigma * x
+        vals, ders = _hermite_rows((np.log(x) - mu) / sigma, max_degree,
+                                   derivatives)
+        if derivatives:
+            ders /= sigma * x
         return vals, ders
 
     def sample(self, rng, n):
@@ -360,19 +379,22 @@ class FeatureBasis:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _tables(self, X):
+    def _tables(self, X, derivatives=True):
         """The stacked value table [1 | vals] and derivative table
         [0 | ders] at the rows of X, one row per univariate member and
         dimension (laid out as ``_plan`` indexes them), so that gathering
         members copies whole rows.  Each family kind runs one recurrence
-        over all of its dimensions."""
+        over all of its dimensions.  With ``derivatives=False`` the
+        derivative table is None and its recurrences do not run."""
         n = X.shape[0]
         vals, ders = [np.ones((1, n))], [np.zeros((1, n))]
         for kind, dims, top, params in self._table_groups:
-            v, g = kind.rows(X.T[dims], top, *params)
+            v, g = kind.rows(X.T[dims], top, *params, derivatives=derivatives)
             vals.append(v.reshape(-1, n))
-            ders.append(g.reshape(-1, n))
-        return np.concatenate(vals, axis=0), np.concatenate(ders, axis=0)
+            if derivatives:
+                ders.append(g.reshape(-1, n))
+        return (np.concatenate(vals, axis=0),
+                np.concatenate(ders, axis=0) if derivatives else None)
 
     def eval_batch(self, X):
         """Phi at each row of X; returns (n, K)."""
@@ -380,7 +402,8 @@ class FeatureBasis:
         eval_idx, _ = self._plan
         out = np.empty((X.shape[0], self.size))
         for start in range(0, X.shape[0], _EVAL_CHUNK):
-            V, _ = self._tables(X[start:start + _EVAL_CHUNK])
+            V, _ = self._tables(X[start:start + _EVAL_CHUNK],
+                                derivatives=False)
             phi = V[eval_idx[0]]
             for idx in eval_idx[1:]:
                 phi *= V[idx]
@@ -520,8 +543,10 @@ def assemble_gram(basis, samples, jac=None):
 
     ``samples`` is a SampleSet or an (n, d) array of points.  ``jac``, the
     basis Jacobian at the points, is read instead of evaluated when given;
-    the result is the same bit for bit.  The sum is one matrix product over
-    the whole Jacobian.
+    the result is the same bit for bit.  The sum runs through
+    ``_block_sums``: each block of the Jacobian, scaled by sqrt(1/n) into
+    one reused buffer, adds its matrix product, so up to _SUM_ROWS points it
+    is one product over the whole Jacobian.
     """
     points = getattr(samples, "points", None)
     if points is None:
@@ -533,8 +558,49 @@ def assemble_gram(basis, samples, jac=None):
     if n < K:
         warnings.warn(f"Gram estimate from {n} samples for {K} basis functions "
                       "may be poorly conditioned", stacklevel=2)
-    M = (_jacobian_at(basis, points, jac) * np.sqrt(1.0 / n)).reshape(-1, K)
-    return GramMatrix(M.T @ M)
+    return GramMatrix(_gram_sum(_jacobian_at(basis, points, jac),
+                                np.sqrt(1.0 / n)))
+
+
+def _block_sums(n, terms):
+    """Sums of M^T M over n sample rows, one sum per matrix that
+    ``terms(rows)`` returns for a slice of the rows.
+
+    The slices are _SUM_ROWS rows long.  The first slice's products are the
+    sums and every later slice's products are added to them, so a sum over
+    at most _SUM_ROWS rows is one matrix product, and a longer one differs
+    from that by roundoff only.  ``terms`` may write its matrices into
+    buffers that every slice reuses: it is not called again until their
+    products are taken.  Returns a list of K x K arrays.
+    """
+    sums = None
+    for start in range(0, n, _SUM_ROWS):
+        products = [M.T @ M for M in terms(slice(start, start + _SUM_ROWS))]
+        if sums is None:
+            sums = products
+        else:
+            for total, product in zip(sums, products):
+                total += product
+    return sums
+
+
+def _sum_buffer(jac):
+    """One block of ``jac``'s shape, the reused buffer of a ``_block_sums``."""
+    return np.empty((min(jac.shape[0], _SUM_ROWS),) + jac.shape[1:])
+
+
+def _gram_sum(jac, scale=None):
+    """sum_i J_i^T J_i over the rows of the (n, d, K) Jacobian ``jac``, each
+    J_i multiplied by ``scale`` first when it is given."""
+    n, _, K = jac.shape
+    if scale is None:
+        return _block_sums(n, lambda rows: [jac[rows].reshape(-1, K)])[0]
+    buffer = _sum_buffer(jac)
+
+    def scaled(rows):
+        block = jac[rows]
+        return [np.multiply(block, scale, out=buffer[:len(block)]).reshape(-1, K)]
+    return _block_sums(n, scaled)[0]
 
 
 def _jacobian_at(basis, points, jac=None):

@@ -27,7 +27,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import benchmarks as bm
-from .basis import FeatureBasis, assemble_gram, build_index_set, \
+from .basis import _EVAL_CHUNK, FeatureBasis, assemble_gram, build_index_set, \
     family_from_spec
 from .deviation import check_large_deviation, check_small_deviation
 from .errors import InvalidInputError, NumericError
@@ -379,8 +379,12 @@ def _deviation_h_samples(dev):
     else:
         raise InvalidInputError(
             "config deviation needs either a samples path or a benchmark id")
-    jac = fmap.gradients(points)
-    h = np.einsum("ndm->n", jac ** 2)
+    # |grad g|^2 per point, _EVAL_CHUNK points at a time: an entry depends
+    # on its own point only, so the chunks do not change its bits
+    h = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _EVAL_CHUNK):
+        rows = slice(start, start + _EVAL_CHUNK)
+        h[rows] = np.einsum("ndm->n", fmap.gradients(points[rows]) ** 2)
     return h, fmap
 
 

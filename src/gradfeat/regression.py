@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import FeatureBasis, GramMatrix, build_index_set
+from .basis import FeatureBasis, GramMatrix, _gram_sum, build_index_set
 from .errors import InvalidInputError, NumericError
 from .grassmann import learn_features
 from .surrogate import (FeatureMap, SurrogateMatrices, min_generalized_eig,
@@ -294,15 +294,13 @@ def _cv_score(samples, basis, jac, folds, m, method, optimizer):
     block outlives its fold.  They match a per-fold assembly up to
     accumulation roundoff.
     """
-    flat = jac.reshape(-1, basis.size)
-    r_tot = flat.T @ flat
+    r_tot = _gram_sum(jac)
     h1_tot, h2_tot = surrogate_sums(samples.gradients, jac)
 
     def fold_score(train, val):
         jac_val = jac[val]
-        flat_val = jac_val.reshape(-1, basis.size)
         h1_val, h2_val = surrogate_sums(samples.gradients[val], jac_val)
-        gram = GramMatrix((r_tot - flat_val.T @ flat_val) / train.size)
+        gram = GramMatrix((r_tot - _gram_sum(jac_val)) / train.size)
         mats = SurrogateMatrices(h1=(h1_tot - h1_val) / train.size,
                                  h2=(h2_tot - h2_val) / train.size)
         if method == "sur" and m == 1:

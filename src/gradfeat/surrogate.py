@@ -17,9 +17,11 @@ Terminology used throughout the package:
 
 Feature indices in the public API are 1-based.  The estimators that sum
 over samples take an optional ``jac``, the basis Jacobian at the sample
-points, and evaluate it once when it is None; each sum is one pass over that
-whole array, so results are bit-reproducible for given inputs and the same
-with and without ``jac``.
+points, and evaluate it once when it is None.  Each K x K sum walks that
+array in fixed blocks of 256 samples (``basis._block_sums``), writing a
+block's weighted or projected copy into one reused buffer, so no second
+Jacobian-sized array is formed; results are bit-reproducible for given
+inputs and the same with and without ``jac``.
 """
 
 import json
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import _BLOCK_ROWS, _jacobian_at, assemble_gram, basis_from_spec
+from .basis import _BLOCK_ROWS, _block_sums, _jacobian_at, _sum_buffer, \
+    assemble_gram, basis_from_spec
 from .errors import InvalidInputError, NumericError, RankDeficiencyError
 from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 
@@ -181,23 +184,31 @@ class SurrogateMatrices:
     h: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # the checks work in one scratch array, so a build forms only it,
+        # h1, h2 and h
+        scratch = np.empty(np.shape(self.h1))
         for name in ("h1", "h2"):
             M = getattr(self, name)
             if not np.all(np.isfinite(M)):
                 raise InvalidInputError(f"non-finite entries in {name}")
-            scale = np.max(np.abs(M)) or 1.0
-            if np.max(np.abs(M - M.T)) > 1e-10 * scale:
+            scale = np.max(np.abs(M, out=scratch)) or 1.0
+            np.subtract(M, M.T, out=scratch)
+            if np.max(np.abs(scratch, out=scratch)) > 1e-10 * scale:
                 raise InvalidInputError(f"{name} is not symmetric")
-            setattr(self, name, 0.5 * (M + M.T))
+            sym = np.add(M, M.T)
+            sym *= 0.5
+            setattr(self, name, sym)
         self.h = self.h1 - self.h2
         # the difference can be exactly zero in exact arithmetic (e.g. no
         # complement directions left), leaving only accumulation roundoff at
         # the scale of h1; allow for that floor
-        floor = 1e-12 * max(np.max(np.abs(self.h1)), 1e-300)
+        floor = 1e-12 * max(np.max(np.abs(self.h1, out=scratch)), 1e-300)
         tau_lo = 1e-8 * max(np.max(np.diag(self.h)), 1e-300) + floor
-        shifted = np.array(self.h, order="F")
-        shifted[np.diag_indices_from(shifted)] += tau_lo
-        if _potrf(shifted, lower=1, overwrite_a=1, clean=0)[1] == 0:
+        scratch[...] = self.h
+        scratch[np.diag_indices_from(scratch)] += tau_lo
+        # h is exactly symmetric, so the transpose, which LAPACK takes in
+        # place, holds the same matrix
+        if _potrf(scratch.T, lower=1, overwrite_a=1, clean=0)[1] == 0:
             return
         evals = np.linalg.eigvalsh(self.h)
         top = max(abs(evals[0]), abs(evals[-1]), 1e-300)
@@ -271,16 +282,30 @@ def coordinate_surrogate(samples, fmap, j):
 # Quadratic-form assembly
 # ---------------------------------------------------------------------------
 
-def surrogate_sums(gradients, jac_phi):
+def surrogate_sums(gradients, jac_phi, Q=None):
     """Unnormalized (h1, h2) sums over the given rows; the assemblers divide
     them by the row count, and the (p, k) cross-validation subtracts a fold's
-    validation sums from the sums over every sample."""
-    w2 = np.sum(gradients ** 2, axis=1)
-    W = jac_phi * np.sqrt(w2)[:, None, None]
-    M = W.reshape(-1, jac_phi.shape[2])
-    h1 = M.T @ M
-    C = np.einsum("nda,nd->na", jac_phi, gradients)
-    return h1, C.T @ C
+    validation sums from the sums over every sample.
+
+    The sums run through ``_block_sums``: per block, h1 adds the Jacobian
+    weighted by |gradient|, written into a reused buffer, and h2 the
+    Jacobian contracted with the gradient.  With ``Q``, the per-sample spans
+    of ``_orthobasis_batch``, each Jacobian block is first deflated by its
+    rows of Q into a second reused buffer; ``gradients`` must then already
+    be deflated.
+    """
+    n, _, K = jac_phi.shape
+    weight = np.sqrt(np.sum(gradients ** 2, axis=1))
+    weighted = _sum_buffer(jac_phi)
+    projected = None if Q is None else _sum_buffer(jac_phi)
+
+    def terms(rows):
+        block = jac_phi[rows]
+        if Q is not None:
+            block = _deflate(Q[rows], block, out=projected[:len(block)])
+        W = np.multiply(block, weight[rows, None, None], out=weighted[:len(block)])
+        return W.reshape(-1, K), np.einsum("nda,nd->na", block, gradients[rows])
+    return tuple(_block_sums(n, terms))
 
 
 def surrogate_matrices(samples, basis, jac=None):
@@ -309,8 +334,7 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
         return surrogate_matrices(samples, basis, jac)
     B = _jacobian_at(basis, samples.points, jac)
     Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", B, coeffs_others))
-    h1, h2 = surrogate_sums(_deflate(Q, samples.gradients),
-                            np.ascontiguousarray(_deflate(Q, B)))
+    h1, h2 = surrogate_sums(_deflate(Q, samples.gradients), B, Q)
     return SurrogateMatrices(h1=h1 / samples.n, h2=h2 / samples.n)
 
 

@@ -211,6 +211,26 @@ class TestFeatureBasis:
         assert np.array_equal(basis.eval_batch(X).view(np.int64),
                               phi_ref.view(np.int64))
 
+    @pytest.mark.parametrize("kind", [Legendre, Hermite, LogHermite])
+    def test_values_only_skip_the_derivative_recurrence(self, monkeypatch, kind):
+        basis = FeatureBasis(build_index_set(3, 1.0, 3.0),
+                             [kind(0.5, 1.5) for _ in range(3)])
+        X = np.column_stack([fam.sample(np.random.default_rng(nu), 40)
+                             for nu, fam in enumerate(basis.families)])
+        vals, _ = basis._tables(X)
+        asked = []
+        rows = kind.rows
+
+        def recorded(*args, derivatives=True):
+            asked.append(derivatives)
+            return rows(*args, derivatives=derivatives)
+        monkeypatch.setattr(kind, "rows", staticmethod(recorded))
+        values_only, ders = basis._tables(X, derivatives=False)
+        assert ders is None
+        assert np.array_equal(values_only.view(np.int64), vals.view(np.int64))
+        basis.eval_batch(X)
+        assert asked == [False, False]
+
     def test_one_recurrence_per_kind_with_uneven_degrees(self):
         # two Legendre dimensions with different supports and maximal
         # degrees 3 and 1 share one recurrence up to degree 3, and a

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from gradfeat.basis import (FeatureBasis, assemble_gram, build_index_set,
-                            family_from_spec, family_to_spec)
+from gradfeat.basis import (_EVAL_CHUNK, FeatureBasis, assemble_gram,
+                            build_index_set, family_from_spec, family_to_spec)
 from gradfeat.benchmarks import (make_benchmark, make_samples,
-                                 read_samples_csv, write_samples_csv)
-from gradfeat.cli import DEFAULT_CONFIG, _optimizer, load_config, main
+                                 read_samples_csv, sample_inputs,
+                                 write_samples_csv)
+from gradfeat.cli import (DEFAULT_CONFIG, _deviation_h_samples, _optimizer,
+                          load_config, main)
 from gradfeat.surrogate import FeatureMap, poincare_loss
 
 HALF_PI = math.pi / 2.0
@@ -609,6 +611,20 @@ class TestCheckDeviationCommand:
         assert main(["--config", cfg, "check-deviation"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_h_samples_in_chunks_equal_one_pass_bitwise(self, tmp_path):
+        # three chunks of points, the last one short
+        bench = make_benchmark("u4")
+        basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
+        G = np.random.default_rng(4).standard_normal((basis.size, 2))
+        FeatureMap(basis, G).save(tmp_path / "map.txt", tmp_path / "basis.json")
+        n = 2 * _EVAL_CHUNK + 5
+        dev = dict(DEFAULT_CONFIG["deviation"], feature_map=str(tmp_path / "map.txt"),
+                   basis_spec=str(tmp_path / "basis.json"), benchmark="u4",
+                   n_samples=n, seed=7)
+        h, fmap = _deviation_h_samples(dev)
+        ref = np.einsum("ndm->n", fmap.gradients(sample_inputs(bench, n, 7)) ** 2)
+        assert np.array_equal(h.view(np.int64), ref.view(np.int64))
 
     def test_empty_grids_exit_two(self, tmp_path, u1_csv):
         fmap, bspec = self.make_feature_files(tmp_path, u1_csv)
