@@ -9,9 +9,9 @@ train/test losses and errors.
 
 import numpy as np
 
-from gradfeat import (CvGrid, FeatureBasis, assemble_gram, build_index_set,
-                      cv_select_basis, cv_select_krr, krr_fit, krr_predict,
-                      make_benchmark, make_samples, poincare_loss)
+from gradfeat import (CvGrid, FeatureBasis, build_index_set, cv_select_basis,
+                      cv_select_krr, krr_fit, krr_predict, make_benchmark,
+                      make_samples, poincare_loss)
 from gradfeat.grassmann import learn_features
 
 bench = make_benchmark("u3")
@@ -23,9 +23,7 @@ p, k = cv_select_basis(train, 1, "sur", bench.families, grid, seed=5)
 print(f"selected basis hyperparameters: p = {p}, k = {k}")
 
 basis = FeatureBasis(build_index_set(8, p, k), bench.families)
-gram = assemble_gram(basis, train)
-fmap, _ = learn_features(train, basis, 1, "sur", gram=gram)
-fmap = fmap.orthonormalized(gram)
+fmap, info = learn_features(train, basis, 1, "sur")
 print(f"learned 1 feature over K = {basis.size} basis functions")
 
 Z_train = fmap.evaluate(train.points)
@@ -40,7 +38,7 @@ err_test = float(np.sqrt(np.mean(
     (test.values - krr_predict(model, fmap.evaluate(test.points))) ** 2)))
 
 print(f"\n{'quantity':<22} {'value':>10}")
-print(f"{'train loss':<22} {poincare_loss(train, fmap):>10.5f}")
+print(f"{'train loss':<22} {info['loss_final']:>10.5f}")
 print(f"{'test loss':<22} {poincare_loss(test, fmap):>10.5f}")
 print(f"{'train error (rms)':<22} {err_train:>10.5f}")
 print(f"{'test error (rms)':<22} {err_test:>10.5f}")

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import FeatureBasis, Hermite, Legendre, LogHermite, assemble_gram, \
-    build_index_set
+from .basis import FeatureBasis, Hermite, Legendre, LogHermite, build_index_set
 from .deviation import empirical_quantile
 from .errors import InvalidInputError, NumericError
 from .grassmann import OptimizerConfig, learn_features
@@ -132,13 +131,7 @@ def make_samples(benchmark, n, seed):
     """SampleSet of inputs, values, and gradients for a benchmark."""
     X = sample_inputs(benchmark, n, seed)
     u, grads = benchmark.evaluate(X)
-    if isinstance(seed, (int, np.integer)):
-        tag = int(seed)
-    else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) \
-            else np.random.SeedSequence(seed)
-        tag = int(ss.generate_state(1)[0])
-    return SampleSet(X, u, grads, seed=tag)
+    return SampleSet(X, u, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +259,8 @@ def _run_cell(bench, config, method, train, test, cv_seed):
     else:
         p, k = config.fixed_pk
     basis = FeatureBasis(build_index_set(bench.dim, p, k), bench.families)
-    # one training Jacobian serves the Gram, the fit and the training loss
-    jac = basis.jacobian_batch(train.points)
-    gram = assemble_gram(basis, train, jac=jac)
-    fmap, _ = learn_features(train, basis, config.m, method, gram=gram,
-                             config=config.optimizer, jac=jac)
-    fmap = fmap.orthonormalized(gram)
-    j_train = poincare_loss(train, fmap, jac=jac)
+    fmap, info = learn_features(train, basis, config.m, method,
+                                config=config.optimizer)
     j_test = poincare_loss(test, fmap)
     Z_train = fmap.evaluate(train.points)
     gamma, ridge, _ = cv_select_krr(Z_train, train.values, grid=config.cv,
@@ -283,7 +271,7 @@ def _run_cell(bench, config, method, train, test, cv_seed):
     err_test = float(np.sqrt(np.mean(
         (test.values - krr_predict(model, fmap.evaluate(test.points))) ** 2)))
     return {"p": float(p), "k": float(k), "gamma": gamma, "ridge": ridge,
-            "J_train": j_train, "J_test": j_test,
+            "J_train": info["loss_final"], "J_test": j_test,
             "err_train": err_train, "err_test": err_test}
 
 

@@ -21,19 +21,17 @@ import json
 import math
 import os
 import sys
-import time
 from collections import namedtuple
 
 import numpy as np
 
 from . import benchmarks as bm
-from .basis import _EVAL_CHUNK, FeatureBasis, assemble_gram, build_index_set, \
-    family_from_spec
+from .basis import _EVAL_CHUNK, FeatureBasis, build_index_set, family_from_spec
 from .deviation import check_large_deviation, check_small_deviation
 from .errors import InvalidInputError, NumericError
 from .grassmann import METHODS, OptimizerConfig, learn_features
 from .regression import CvGrid
-from .surrogate import FeatureMap, poincare_loss
+from .surrogate import FeatureMap
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +297,8 @@ def cmd_learn(cfg, samples_path):
             f"samples have dim {samples.dim}, basis lists {len(families)} families")
     basis = FeatureBasis(build_index_set(samples.dim, spec["p"], spec["k"]),
                          families)
-    # one training Jacobian serves the Gram, the fit and the final loss
-    jac = basis.jacobian_batch(samples.points)
-    gram = assemble_gram(basis, samples, jac=jac)
-    t0 = time.perf_counter()
-    fmap, info = learn_features(samples, basis, m, method, gram=gram,
-                                config=_optimizer(cfg), jac=jac)
-    fmap = fmap.orthonormalized(gram)
-    wall = time.perf_counter() - t0
+    fmap, info = learn_features(samples, basis, m, method,
+                                config=_optimizer(cfg))
     out = _write_config(cfg)
     fmap.save(os.path.join(out, "feature_map.txt"),
               os.path.join(out, "basis.json"))
@@ -315,13 +307,13 @@ def cmd_learn(cfg, samples_path):
         "m": m,
         "K": basis.size,
         "loss_init": info["loss_init"],
-        "loss_final": poincare_loss(samples, fmap, jac=jac),
+        "loss_final": info["loss_final"],
         "loss_scale": samples.mean_gradient_norm_sq(),
         "iterations": info["iterations"],
         "stop_reason": info["stop_reason"],
         "grad_rel_final": info["grad_rel_final"],
         "gram_ridge_added": info["gram_ridge_added"],
-        "wall_time_s": wall,
+        "wall_time_s": info["wall_time_s"],
     }
     _dump_json(metrics, os.path.join(out, "metrics.json"))
     print(f"learned {metrics['m']} feature(s) with {metrics['method']} "
@@ -367,18 +359,12 @@ def _print_summary(report):
 
 
 def _deviation_h_samples(dev):
-    if not dev["feature_map"] or not dev["basis_spec"]:
-        raise InvalidInputError(
-            "config deviation.feature_map and deviation.basis_spec are required")
     fmap = FeatureMap.load(dev["feature_map"], dev["basis_spec"])
     if dev["samples"]:
         points = bm.read_samples_csv(dev["samples"]).points
-    elif dev["benchmark"]:
+    else:
         points = bm.sample_inputs(bm.make_benchmark(dev["benchmark"]),
                                   dev["n_samples"], dev["seed"])
-    else:
-        raise InvalidInputError(
-            "config deviation needs either a samples path or a benchmark id")
     # |grad g|^2 per point, _EVAL_CHUNK points at a time: an entry depends
     # on its own point only, so the chunks do not change its bits
     h = np.empty(points.shape[0])
@@ -409,6 +395,14 @@ def cmd_check_deviation(cfg):
         raise InvalidInputError(
             "config deviation.s: small-deviation checking needs s > 0; "
             "set deviation.eps_grid to [] to check large deviations only")
+    if not dev["feature_map"] or not dev["basis_spec"]:
+        raise InvalidInputError(
+            "config deviation.feature_map and deviation.basis_spec are required")
+    if bool(dev["samples"]) == bool(dev["benchmark"]):
+        # with both set, the benchmark, n_samples and seed would go unused
+        raise InvalidInputError(
+            "config deviation.samples and deviation.benchmark: set exactly one, "
+            "a samples path or a benchmark id")
     _make_out_dir(cfg)
     h, fmap = _deviation_h_samples(dev)
     k = dev["k"] if dev["k"] is not None else _polynomial_remez_exponent(fmap)

@@ -369,8 +369,14 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None,
     fit and the final loss read that one array, and so do the surrogate's
     matrices (``surrogate``, assembled once when None and needed); given or
     not, they give the same result bit for bit.  Returns
-    ``(feature_map, info)`` where info carries the initial and final losses,
-    the wall time, the ridge the Gram matrix needed to factor
+    ``(feature_map, info)``.  The map is the fit's final one and is
+    R-orthonormal, since every method ends in ``orthonormalize`` (G^T R G
+    = I up to roundoff that grows with the condition number of R); callers
+    save, score and regress on it as it is.  ``info["loss_final"]`` is that
+    map's training loss, which the map evaluated from the points alone
+    reproduces bit for bit.  info also carries the initial loss, the wall
+    time of the fit after the Jacobian and the Gram matrix, the ridge the
+    Gram matrix needed to factor
     (``GramMatrix.ridge_added``, 0.0 when none), and for the descents the
     iteration count, the stop reason (``trace.stop_reason`` of
     ``minimize_poincare_loss``) and the final gradient norm relative to the

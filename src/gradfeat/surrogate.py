@@ -53,7 +53,6 @@ class SampleSet:
     points: np.ndarray     # (N, d)
     values: np.ndarray     # (N,)
     gradients: np.ndarray  # (N, d)
-    seed: int = 0
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -81,8 +80,7 @@ class SampleSet:
         return self.points.shape[1]
 
     def subset(self, idx):
-        return SampleSet(self.points[idx], self.values[idx],
-                         self.gradients[idx], seed=self.seed)
+        return SampleSet(self.points[idx], self.values[idx], self.gradients[idx])
 
     def mean_gradient_norm_sq(self):
         """Scale of the loss: mean squared gradient norm (the loss at an empty map)."""
@@ -123,9 +121,6 @@ class FeatureMap:
         reused buffer; the (n, d, K) array is never formed.
         """
         return _feature_jacobians(self, self.basis._check_points(X))
-
-    def orthonormalized(self, gram):
-        return FeatureMap(self.basis, orthonormalize(self.coeffs, gram))
 
     # -- plain-text serialization (header "K m", one row of coefficients per line)
 

@@ -221,7 +221,7 @@ def test_criterion_06_u2_truth_containment():
             pair[i] = pair[j] = 1
             G[lookup[tuple(pair)], 1] = 2.0 * M[i, j] * cross
     gram = assemble_gram(basis, samples)
-    fmap = FeatureMap(basis, G).orthonormalized(gram)
+    fmap = FeatureMap(basis, orthonormalize(G, gram))
     assert poincare_loss(samples, fmap) <= 1e-10 * samples.mean_gradient_norm_sq()
     report(6, "u2 truth containment", t0, 10.0)
 
@@ -422,11 +422,9 @@ def test_criterion_12_pipeline_determinism_and_desk_sweep(tmp_path):
             row = rows[(selected_by, r)]
             basis = FeatureBasis(build_index_set(bench.dim, row["p"], row["k"]),
                                  bench.families)
-            gram = assemble_gram(basis, train)
-            fmap, _ = learn_features(train, basis, cfg.m, method, gram=gram,
+            fmap, _ = learn_features(train, basis, cfg.m, method,
                                      config=cfg.optimizer)
-            paired[method].append(
-                poincare_loss(train, fmap.orthonormalized(gram)))
+            paired[method].append(poincare_loss(train, fmap))
             if method == selected_by:
                 assert paired[method][-1] == row["J_train"]
     med = {method: empirical_quantile(vals, 0.5)

@@ -15,9 +15,9 @@ from gradfeat.benchmarks import (ExperimentConfig, make_benchmark,
                                  run_experiment, sample_inputs,
                                  write_samples_csv, _hilbert_matrix)
 from gradfeat.errors import InvalidInputError, NumericError, RankDeficiencyError
-from gradfeat.grassmann import OptimizerConfig
+from gradfeat.grassmann import OptimizerConfig, learn_features
 from gradfeat.regression import CvGrid
-from gradfeat.surrogate import FeatureMap, SampleSet, poincare_loss
+from gradfeat.surrogate import FeatureMap, SampleSet, orthonormalize, poincare_loss
 
 
 class TestEvaluations:
@@ -95,7 +95,6 @@ class TestSampling:
     def test_sample_set_carries_provenance(self):
         bench = make_benchmark("u1")
         samples = make_samples(bench, 10, seed=77)
-        assert samples.seed == 77
         assert samples.n == 10 and samples.dim == 8
 
 
@@ -129,7 +128,7 @@ class TestTruthContainment:
         basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
         G = self.embed_u2_features(basis)
         gram = assemble_gram(basis, samples)
-        fmap = FeatureMap(basis, G).orthonormalized(gram)
+        fmap = FeatureMap(basis, orthonormalize(G, gram))
         loss = poincare_loss(samples, fmap)
         assert loss <= 1e-10 * samples.mean_gradient_norm_sq()
 
@@ -298,6 +297,27 @@ class TestRunExperiment:
             methods=(method,), m=m, optimizer=OptimizerConfig(max_iters=5)))
         assert not report.realizations[0]["failed"]
         assert calls == [40, 150]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("method", ["sur", "gli", "gsi"])
+    def test_j_train_is_the_fits_own_loss(self, method, m):
+        # J_train is the loss_final learn_features reports for the map it
+        # returns, and that map evaluated from the points alone gives it too
+        config = desk_config(benchmark="u2", methods=(method,), m=m,
+                             ntrain_list=(60,), n_realizations=6,
+                             optimizer=OptimizerConfig(max_iters=5))
+        bench = make_benchmark("u2")
+        for row in run_experiment(config).realizations:
+            train_ss, _, _ = bm._realization_seeds(config.seed, 60,
+                                                   row["realization"])
+            train = make_samples(bench, 60, train_ss)
+            basis = FeatureBasis(build_index_set(8, row["p"], row["k"]),
+                                 bench.families)
+            fmap, info = learn_features(train, basis, m, method,
+                                        config=config.optimizer)
+            bits = [np.float64(v).view(np.int64) for v in
+                    (row["J_train"], info["loss_final"], poincare_loss(train, fmap))]
+            assert bits[0] == bits[1] == bits[2], row["realization"]
 
     def test_csv_schema(self, tmp_path):
         report = run_experiment(desk_config())

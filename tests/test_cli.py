@@ -595,6 +595,22 @@ class TestCheckDeviationCommand:
         assert err.startswith(f"error: config deviation.{key}:"), err
         assert not (tmp_path / "dev-out").exists()
 
+    @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+    def test_not_one_of_samples_and_benchmark_exits_2_before_work(
+            self, tmp_path, u1_csv, capsys, monkeypatch, both):
+        # with both set, the benchmark, n_samples and seed would go unused
+        points = {"samples": str(u1_csv), "benchmark": "u1"} if both else {}
+        cfg = write_config(tmp_path, "dev.json", {
+            "deviation": {"feature_map": str(tmp_path / "map.txt"),
+                          "basis_spec": str(tmp_path / "basis.json"), **points},
+            "io": {"out_dir": str(tmp_path / "dev-out")}})
+        monkeypatch.setattr(FeatureMap, "load", None)
+        assert main(["--config", cfg, "check-deviation"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config deviation.samples and "
+                              "deviation.benchmark: set exactly one"), err
+        assert not (tmp_path / "dev-out").exists()
+
     @pytest.mark.parametrize("text", ["3 x\n1.0\n2.0\n3.0\n", "", "45 1\n1.0\n"],
                              ids=["count-not-int", "empty", "short-body"])
     def test_malformed_feature_map_exits_2(self, tmp_path, u1_csv, capsys,
