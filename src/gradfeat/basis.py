@@ -21,6 +21,7 @@ evaluation is pure and thread-safe.
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -224,19 +225,29 @@ class MultiIndexSet:
         return max(sum(a) for a in self.indices)
 
 
+def _index_p_ok(p):
+    """An index-set exponent: a number > 0, inf included."""
+    return isinstance(p, numbers.Real) and not isinstance(p, bool) and p > 0
+
+
+def _index_k_ok(k):
+    """An index-set bound: a finite number >= 1, so every unit index is in."""
+    return isinstance(k, numbers.Real) and not isinstance(k, bool) and 1 <= k < math.inf
+
+
 def build_index_set(d, p, k):
     """All nonzero multi-indices alpha in N^d with ||alpha||_p <= k.
 
-    p may be any positive real or inf; k >= 1 so that every unit index is
-    admitted (linear maps stay representable).  Indices are sorted by total
-    degree, then lexicographically with earlier dimensions dominating.
+    p and k must pass ``_index_p_ok`` and ``_index_k_ok``, else
+    ``InvalidInputError``.  Indices are sorted by total degree, then
+    lexicographically with earlier dimensions dominating.
     """
     if d < 1:
         raise InvalidInputError("d must be >= 1")
-    if not k >= 1:
-        raise InvalidInputError(f"k={k} < 1 would exclude the unit indices")
-    if not p > 0:
-        raise InvalidInputError(f"p={p} must be positive (or inf)")
+    if not _index_k_ok(k):
+        raise InvalidInputError(f"k={k!r} must be a finite number >= 1")
+    if not _index_p_ok(p):
+        raise InvalidInputError(f"p={p!r} must be a number > 0 (or inf)")
     max_single = int(math.floor(k + 1e-12))
     out = []
     if math.isinf(p):

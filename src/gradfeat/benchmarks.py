@@ -13,7 +13,7 @@ reproduce reports byte for byte.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,11 +205,6 @@ class ExperimentConfig:
     cv: CvGrid = field(default_factory=CvGrid)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
-    def full_scale(self):
-        """Full-scale variant: 20 realizations over the wide training grid."""
-        return replace(self, n_realizations=20,
-                       ntrain_list=(50, 75, 100, 250, 500), n_test=1000)
-
 
 _QUANTS = ((50, 0.5), (90, 0.9), (100, None))   # None -> maximum
 _MONITORED = ("J_train", "J_test", "err_train", "err_test")
@@ -339,9 +334,5 @@ def _config_echo(config):
                "folds": config.cv.folds,
                "pk_candidates": [list(c) for c in config.cv.pk_candidates],
                "pk_folds": config.cv.pk_folds},
-        "optimizer": {"max_iters": config.optimizer.max_iters,
-                      "grad_tol": config.optimizer.grad_tol,
-                      "step_init": config.optimizer.step_init,
-                      "shrink": config.optimizer.shrink,
-                      "sufficient_decrease": config.optimizer.sufficient_decrease},
+        "optimizer": {"max_iters": config.optimizer.max_iters},
     }

@@ -4,13 +4,14 @@ deviation bounds.
 Configuration is a JSON tree with sections basis / learn / regression /
 experiment / deviation / io.  One table, ``_SCHEMA``, gives every key its
 default and its check.  ``load_config`` resolves a file against it in one
-walk, with ``--seed`` and ``--out`` applied first, so an unknown key, a
-section that is not an object or a value outside its key's domain exits 2
-naming the key, whatever the subcommand (--print-config included).  The
-commands read the checked, typed values; only the rules that tie keys
-together stay with the command that needs them.  Every default is visible
-through --print-config.  Each run writes the resolved config next to its
-outputs, and re-running on that file reproduces the outputs byte for byte.
+walk, with ``--seed``, ``--out`` and ``benchmark --full`` applied first as
+overrides of their keys, so an unknown key, a section that is not an object
+or a value outside its key's domain exits 2 naming the key, whatever the
+subcommand (--print-config included).  The commands read the checked, typed
+values; only the rules that tie keys together stay with the command that
+needs them.  Every default is visible through --print-config.  Each run
+writes the resolved config next to its outputs, and re-running on that file
+reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 usage or input problem, 3 numeric failure,
 4 deviation-bound violation.
@@ -26,7 +27,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import benchmarks as bm
-from .basis import _EVAL_CHUNK, FeatureBasis, build_index_set, family_from_spec
+from .basis import (_EVAL_CHUNK, FeatureBasis, _index_k_ok, _index_p_ok,
+                    build_index_set, family_from_spec)
 from .deviation import check_large_deviation, check_small_deviation
 from .errors import InvalidInputError, NumericError
 from .grassmann import METHODS, OptimizerConfig, learn_features
@@ -69,7 +71,7 @@ def _list_of(check, least=0):
     return checked
 
 
-def _integer(least=-math.inf):
+def _integer(least):
     """A check for integral numbers >= ``least``, returned as ints; booleans,
     strings and fractions raise."""
     def check(value):
@@ -87,24 +89,23 @@ _count = _integer(1)
 _seed = _integer(0)
 
 
-def _real(accept=None, expected=None):
-    """A check for JSON numbers that ``accept`` takes (any, when None),
-    returned as floats; booleans and strings raise."""
+def _real(accept, expected):
+    """A check for JSON numbers that ``accept`` takes, returned as floats;
+    booleans and strings raise."""
     def check(value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"expected a number, got {type(value).__name__}")
         value = float(value)
-        if accept is not None and not accept(value):
+        if not accept(value):
             raise ValueError(f"expected {expected}")
         return value
     return check
 
 
-_number = _real()
 _finite = _real(math.isfinite, "a finite number")
 _positive = _real(lambda v: 0 < v < math.inf, "a finite number > 0")
-_basis_p = _real(lambda v: v > 0, "a number > 0 or Infinity")
-_basis_k = _real(lambda v: 1 <= v < math.inf, "a finite number >= 1")
+_basis_p = _real(_index_p_ok, "a number > 0 or Infinity")
+_basis_k = _real(_index_k_ok, "a finite number >= 1")
 
 
 def _pk_pair(values):
@@ -149,14 +150,8 @@ _SCHEMA = {
     "learn": {
         "method": _Key("sur", _method),
         "m": _Key(1, _count),
-        # the ranges of the descent settings are OptimizerConfig's, checked
-        # by load_config
         "optimizer": {
-            "max_iters": _Key(500, _integer()),
-            "grad_tol": _Key(1e-9, _number),
-            "step_init": _Key(1.0, _number),
-            "shrink": _Key(0.5, _number),
-            "sufficient_decrease": _Key(1e-4, _number),
+            "max_iters": _Key(500, _integer(0)),
             "trace_path": _Key(None, _optional(_path)),
         },
     },
@@ -228,10 +223,15 @@ def _optimizer(cfg):
     return OptimizerConfig(**cfg["learn"]["optimizer"])
 
 
-def load_config(path=None, seed=None, out_dir=None):
+_FULL_SCALE = {"experiment.n_realizations": 20,
+               "experiment.ntrain_list": [50, 75, 100, 250, 500],
+               "experiment.n_test": 1000}
+
+
+def load_config(path=None, seed=None, out_dir=None, full=False):
     """The config file at ``path`` (every default when None), checked.
-    ``seed`` replaces both seeds and ``out_dir`` io.out_dir, before the
-    checks."""
+    ``seed`` replaces both seeds, ``out_dir`` io.out_dir and ``full`` the
+    sweep sizes (``_FULL_SCALE``), before the checks."""
     tree = {}
     if path is not None:
         try:
@@ -239,12 +239,12 @@ def load_config(path=None, seed=None, out_dir=None):
                 tree = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInputError(f"cannot read config {path}: {exc}") from None
-    overrides = {} if out_dir is None else {"io.out_dir": out_dir}
+    overrides = dict(_FULL_SCALE) if full else {}
+    if out_dir is not None:
+        overrides["io.out_dir"] = out_dir
     if seed is not None:
         overrides.update({"experiment.seed": seed, "deviation.seed": seed})
-    cfg = _resolve(_SCHEMA, tree, overrides)
-    _optimizer(cfg)
-    return cfg
+    return _resolve(_SCHEMA, tree, overrides)
 
 
 def _dump_json(obj, path):
@@ -261,6 +261,17 @@ def _make_out_dir(cfg):
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise InvalidInputError(f"cannot create io.out_dir {out!r}: {exc}") from None
+
+
+def _make_trace_file(cfg):
+    """Create learn's trace file before any work, not after the fit."""
+    path = cfg["learn"]["optimizer"]["trace_path"]
+    if path:
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write learn.optimizer.trace_path "
+                                    f"{path!r}: {exc}") from None
 
 
 def _write_config(cfg):
@@ -291,6 +302,7 @@ def cmd_learn(cfg, samples_path):
     families = [family_from_spec(s) for s in spec["families"]]
     method, m = cfg["learn"]["method"], cfg["learn"]["m"]
     _make_out_dir(cfg)
+    _make_trace_file(cfg)
     samples = bm.read_samples_csv(samples_path)
     if samples.dim != len(families):
         raise InvalidInputError(
@@ -322,7 +334,7 @@ def cmd_learn(cfg, samples_path):
     return 0
 
 
-def cmd_benchmark(cfg, full=False):
+def cmd_benchmark(cfg):
     if cfg["learn"]["optimizer"]["trace_path"] is not None:
         # every descent of the sweep would rewrite the one file
         raise InvalidInputError(
@@ -331,11 +343,6 @@ def cmd_benchmark(cfg, full=False):
     config = bm.ExperimentConfig(**cfg["experiment"],
                                  cv=_cv_grid(cfg["regression"]),
                                  optimizer=_optimizer(cfg))
-    if full:
-        config = config.full_scale()
-        # config.json records the settings the sweep ran with
-        cfg = {**cfg, "experiment": {key: getattr(config, key)
-                                     for key in cfg["experiment"]}}
     _make_out_dir(cfg)
     report = bm.run_experiment(config)
     out = _write_config(cfg)
@@ -440,7 +447,8 @@ def _build_parser():
     p_learn.add_argument("samples", help="sample CSV (x1..xd,u,du1..dud)")
     p_bench = sub.add_parser("benchmark", help="run the experiment sweep")
     p_bench.add_argument("--full", action="store_true",
-                         help="full-scale sweep (20 realizations, wide grid)")
+                         help="full-scale sweep: 20 realizations of training "
+                              "sizes 50/75/100/250/500 (overrides the config)")
     sub.add_parser("check-deviation", help="verify small/large deviation bounds")
     return parser
 
@@ -449,7 +457,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
+        cfg = load_config(args.config, seed=args.seed, out_dir=args.out,
+                          full=getattr(args, "full", False))
         if args.print_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return 0
@@ -459,7 +468,7 @@ def main(argv=None):
         if args.command == "learn":
             return cmd_learn(cfg, args.samples)
         if args.command == "benchmark":
-            return cmd_benchmark(cfg, full=args.full)
+            return cmd_benchmark(cfg)
         return cmd_check_deviation(cfg)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

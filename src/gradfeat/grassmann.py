@@ -8,19 +8,19 @@ surrogate weighted by 1 / |grad g|^2 per sample, so h models its
 curvature), and for several features P = R.  The preconditioned gradient is
 projected onto the horizontal space, combined into a Polak-Ribiere-style
 direction (reset whenever it stops being a descent direction), and steps are
-retracted by re-orthonormalization under a monotone Armijo search.  Each
-search starts from twice the last accepted step, capped at ``step_init``,
-and backtracks to the minimizer of the quadratic through the loss, its slope
-and the failed trial, clamped to [0.1, ``shrink``] times the failed step
-(Nocedal & Wright, Numerical Optimization, 2nd ed., 3.5), so an iteration
-costs about one loss evaluation.  Two standard initializations are
+retracted by re-orthonormalization under a monotone Armijo search with
+the textbook c1 = 1e-4 (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+3.1).  Each search starts from twice the last accepted step, capped at 1,
+and backtracks to the minimizer of the quadratic through the loss, its
+slope and the failed trial, clamped to [0.1, 0.5] times the failed step
+(ibid., 3.5), so an iteration costs about one loss evaluation; only the
+iteration cap is a setting.  Two standard initializations are
 provided: the active-subspace start (top eigenvectors of the expected
 gradient outer product, embedded on the degree-one basis functions) and the
 greedy surrogate start.
 """
 
 import csv
-import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -38,31 +38,12 @@ from .surrogate import (FeatureMap, greedy_features, orthonormalize,
 @dataclass
 class OptimizerConfig:
     max_iters: int = 500
-    grad_tol: float = 1e-9          # relative to the initial gradient norm
-    step_init: float = 1.0          # first step, then cap on the carried step
-    shrink: float = 0.5             # largest backtracking factor
-    sufficient_decrease: float = 1e-4
     trace_path: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
             raise InvalidInputError(
                 f"max_iters must be an integer >= 0, got {self.max_iters!r}")
-        if not _is_finite(self.grad_tol) or self.grad_tol < 0.0:
-            raise InvalidInputError(
-                f"grad_tol must be finite and >= 0, got {self.grad_tol!r}")
-        if not _is_finite(self.step_init) or self.step_init <= 0.0:
-            raise InvalidInputError(
-                f"step_init must be finite and > 0, got {self.step_init!r}")
-        for name in ("shrink", "sufficient_decrease"):
-            value = getattr(self, name)
-            if not (_is_finite(value) and 0.0 < value < 1.0):
-                raise InvalidInputError(
-                    f"{name} must be a number in (0, 1), got {value!r}")
-
-
-def _is_finite(value):
-    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +166,10 @@ def poincare_loss_gradient(samples, basis, G):
 # Riemannian descent
 # ---------------------------------------------------------------------------
 
+_GRAD_TOL = 1e-9                    # stop, relative to the initial gradient norm
+_STEP_INIT = 1.0                    # first trial step, then cap on the carried step
+_SHRINK = 0.5                       # largest backtracking factor
+_SUFFICIENT_DECREASE = 1e-4         # the Armijo constant c1
 _MIN_STEP = 1e-14
 _MIN_SHRINK = 0.1                   # floor of an interpolated backtracking factor
 _STALL_DROP = 1e-15
@@ -252,16 +237,15 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     Returns ``(feature_map, trace)`` where trace rows are
     ``(iteration, loss, gradient_norm, step)``, the gradient norm being
     sqrt(<E, xi>), the P^-1-norm of E, and the loss column is non-increasing
-    by construction (only sufficient-decrease steps are accepted).  The
-    first search tries ``config.step_init``; each later one tries twice the
-    last accepted step, capped at ``step_init``.  A trial that fails
+    by construction (only steps with sufficient decrease, Armijo constant
+    1e-4, are accepted).  The first search tries a step of 1; each later one
+    tries twice the last accepted step, capped at 1.  A trial that fails
     sufficient decrease is replaced by the minimizer of the quadratic through
     the loss, the slope along the direction and the trial's loss, clamped to
-    [0.1, ``shrink``] times the failed step (to ``shrink`` times it when
-    ``shrink`` < 0.1); a rank-deficient or non-finite trial is multiplied by
-    ``shrink``.  ``trace.stop_reason`` says why the descent stopped:
-    ``grad_tol`` (the gradient norm fell to ``grad_tol`` times its initial
-    value, or to zero), ``max_iters`` (the iteration cap), ``line_search``
+    [0.1, 0.5] times the failed step; a rank-deficient or non-finite trial
+    is halved.  ``trace.stop_reason`` says why the descent stopped:
+    ``grad_tol`` (the gradient norm fell to 1e-9 times its initial value, or
+    to zero), ``max_iters`` (the iteration cap), ``line_search``
     (the step fell below 1e-14) or ``stall`` (three consecutive negligible
     decreases).  A non-finite gradient raises ``IllConditionedError``.
     """
@@ -280,7 +264,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     solve = _metric_solve(gram, h)
 
     def converged(gnorm):
-        return gnorm <= cfg.grad_tol * gnorm0 or gnorm == 0.0
+        return gnorm <= _GRAD_TOL * gnorm0 or gnorm == 0.0
 
     loss = ctx.loss(G)
     if not np.isfinite(loss):
@@ -290,7 +274,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     trace = _Trace([(0, loss, gnorm, 0.0)])
     direction = -xi
     stalls = 0
-    step = cfg.step_init            # so the first search starts at step_init
+    step = _STEP_INIT               # so the first search starts at _STEP_INIT
 
     for it in range(1, cfg.max_iters + 1):
         if converged(gnorm):
@@ -300,26 +284,26 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
         if slope >= 0.0:
             direction = -xi
             slope = -gnorm ** 2
-        step = min(cfg.step_init, 2.0 * step)
+        step = min(_STEP_INIT, 2.0 * step)
         accepted = False
         while step >= _MIN_STEP:
             try:
                 G_trial = orthonormalize(G + step * direction, gram)
             except RankDeficiencyError:
-                step *= cfg.shrink
+                step *= _SHRINK
                 continue
             loss_trial = ctx.loss(G_trial)
             if not np.isfinite(loss_trial):
-                step *= cfg.shrink
+                step *= _SHRINK
                 continue
-            if loss_trial <= loss + cfg.sufficient_decrease * step * slope:
+            if loss_trial <= loss + _SUFFICIENT_DECREASE * step * slope:
                 accepted = True
                 break
             # minimizer of the quadratic through loss, slope and loss_trial;
             # the trial's excess over the linear model is positive because
             # sufficient decrease failed
             excess = loss_trial - loss - step * slope
-            step = min(cfg.shrink * step,
+            step = min(_SHRINK * step,
                        max(_MIN_SHRINK * step, -slope * step ** 2 / (2.0 * excess)))
         if not accepted:
             trace.stop_reason = "line_search"

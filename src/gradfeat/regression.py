@@ -95,8 +95,8 @@ class KrrModel:
 
     @classmethod
     def load(cls, path):
-        """Read a model written by ``save``; a missing or malformed file
-        raises ``InvalidInputError``."""
+        """Read a model written by ``save``; a missing or malformed file, a
+        non-finite entry included, or gamma or ridge <= 0 raises ``InvalidInputError``."""
         try:
             with open(path) as fh:
                 N, m, gamma, ridge = fh.readline().split()
@@ -108,6 +108,9 @@ class KrrModel:
                 a = np.array([float(fh.readline()) for _ in range(N)])
                 if fh.read().strip():
                     raise ValueError(f"more than the {2 * N} lines the header announces")
+                values = np.concatenate(([gamma, ridge], Z.ravel(), a))
+                if not (np.isfinite(values).all() and gamma > 0 and ridge > 0):
+                    raise ValueError("a non-finite entry, or gamma or ridge <= 0")
         except (OSError, ValueError) as exc:
             raise InvalidInputError(f"cannot read KRR model {path}: {exc}") from None
         return cls(Z, a, gamma, ridge)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,11 +7,13 @@ import pytest
 
 from gradfeat.basis import (_EVAL_CHUNK, FeatureBasis, assemble_gram,
                             build_index_set, family_from_spec, family_to_spec)
-from gradfeat.benchmarks import (make_benchmark, make_samples,
-                                 read_samples_csv, sample_inputs,
-                                 write_samples_csv)
-from gradfeat.cli import (DEFAULT_CONFIG, _deviation_h_samples, _optimizer,
-                          load_config, main)
+from gradfeat.benchmarks import (ExperimentConfig, make_benchmark,
+                                 make_samples, read_samples_csv,
+                                 sample_inputs, write_samples_csv)
+from gradfeat.cli import (DEFAULT_CONFIG, _cv_grid, _deviation_h_samples,
+                          _optimizer, load_config, main)
+from gradfeat.grassmann import OptimizerConfig
+from gradfeat.regression import CvGrid
 from gradfeat.surrogate import FeatureMap, poincare_loss
 
 HALF_PI = math.pi / 2.0
@@ -65,13 +68,35 @@ class TestConfig:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
 
-    def test_optimizer_seed_key_rejected(self, tmp_path, capsys):
-        # descent is deterministic; the key was removed and old configs fail
+    @pytest.mark.parametrize("key", ["seed", "grad_tol", "step_init",
+                                     "shrink", "sufficient_decrease"])
+    def test_removed_optimizer_key_rejected(self, tmp_path, capsys, key):
+        # descent takes no seed, and its search constants are not settings;
+        # the keys were removed and old configs fail
         path = write_config(tmp_path, "old.json",
-                            {"learn": {"optimizer": {"seed": 0}}})
+                            {"learn": {"optimizer": {key: 0}}})
         assert main(["--config", path, "--print-config"]) == 2
-        assert "unknown config key: learn.optimizer.seed" in \
+        assert f"unknown config key: learn.optimizer.{key}" in \
             capsys.readouterr().err
+
+    def test_defaults_agree_with_the_library(self):
+        # the schema declares defaults that the dataclasses declare too
+        def assert_fields_equal(ours, theirs):
+            for f in dataclasses.fields(theirs):
+                a, b = getattr(ours, f.name), getattr(theirs, f.name)
+                if dataclasses.is_dataclass(b):
+                    assert_fields_equal(a, b)
+                else:
+                    assert type(a) is type(b), f.name
+                    assert np.array_equal(a, b), f.name
+
+        assert _optimizer(DEFAULT_CONFIG) == OptimizerConfig()
+        assert_fields_equal(_cv_grid(DEFAULT_CONFIG["regression"]), CvGrid())
+        assert_fields_equal(
+            ExperimentConfig(**DEFAULT_CONFIG["experiment"],
+                             cv=_cv_grid(DEFAULT_CONFIG["regression"]),
+                             optimizer=_optimizer(DEFAULT_CONFIG)),
+            ExperimentConfig(benchmark="u1"))
 
     @pytest.mark.parametrize("tree, command, key", [
         ([], ["--print-config"], "config file"),
@@ -191,8 +216,6 @@ class TestConfig:
          ["learn", "CSV"], "config basis.p:"),
         ({"basis": {"families": box_families(), "p": True}},
          ["learn", "CSV"], "config basis.p:"),
-        ({"learn": {"optimizer": {"grad_tol": "1e-3"}}}, ["--print-config"],
-         "config learn.optimizer.grad_tol:"),
         # an empty sweep list would run nothing and exit 0
         ({"experiment": {"methods": []}}, ["benchmark"],
          "config experiment.methods:"),
@@ -215,7 +238,7 @@ class TestConfig:
             "pk-folds-0", "grid-n-0", "learn-m-0", "experiment-m-0",
             "ntrain-negative", "seed-negative", "seed-flag-negative",
             "realizations-negative", "basis-p-string", "basis-p-bool",
-            "grad-tol-string", "methods-empty", "ntrain-empty"])
+            "methods-empty", "ntrain-empty"])
     def test_value_of_wrong_type_exits_2(self, tmp_path, u1_csv, capsys,
                                          tree, command, key):
         path = write_config(tmp_path, "typed.json", tree)
@@ -252,26 +275,37 @@ class TestConfig:
         max_iters = _optimizer(load_config(path)).max_iters
         assert max_iters == 3 and type(max_iters) is int
 
-    @pytest.mark.parametrize("key, value", [
-        ("step_init", math.inf), ("step_init", 0.0), ("step_init", -1.0),
-        ("step_init", math.nan), ("max_iters", -1), ("grad_tol", math.nan),
-        ("grad_tol", -1.0)])
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, "5", True])
     @pytest.mark.parametrize("command", [["learn", "CSV"], ["benchmark"]],
                              ids=["learn", "benchmark"])
     def test_unusable_optimizer_setting_exits_2_before_work(
-            self, tmp_path, u1_csv, capsys, monkeypatch, key, value, command):
-        # json writes and reads Infinity and NaN
+            self, tmp_path, u1_csv, capsys, monkeypatch, command, max_iters):
         path = write_config(tmp_path, "opt.json", {
             "basis": {"families": box_families()},
-            "learn": {"optimizer": {key: value}},
+            "learn": {"optimizer": {"max_iters": max_iters}},
             "io": {"out_dir": str(tmp_path / "out")}})
         monkeypatch.setattr("gradfeat.benchmarks.read_samples_csv", None)
         monkeypatch.setattr("gradfeat.benchmarks.run_experiment", None)
         command = [str(u1_csv) if word == "CSV" else word for word in command]
         assert main(["--config", path] + command) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be"), err
+        assert err.startswith("error: config learn.optimizer.max_iters:"), err
         assert not (tmp_path / "out").exists()
+
+    def test_unwritable_trace_path_exits_2_before_work(
+            self, tmp_path, u1_csv, capsys, monkeypatch):
+        # a trace in a directory that does not exist used to fail after
+        # the whole fit, leaving the output directory empty
+        path = write_config(tmp_path, "trace.json", {
+            "basis": {"families": box_families()},
+            "learn": {"method": "gli", "optimizer": {
+                "trace_path": str(tmp_path / "missing" / "t.csv")}},
+            "io": {"out_dir": str(tmp_path / "out")}})
+        monkeypatch.setattr("gradfeat.cli.learn_features", None)
+        assert main(["--config", path, "learn", str(u1_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write learn.optimizer.trace_path"), err
+        assert "Traceback" not in err
 
     def test_trace_path_rejected_by_benchmark_before_work(
             self, tmp_path, capsys, monkeypatch):
@@ -474,6 +508,8 @@ class TestBenchmarkCommand:
         jb = (tmp_path / "outB" / "report.json").read_bytes()
         assert ja == jb
 
+    FULL_SIZES = (1000, 20, [50, 75, 100, 250, 500])
+
     def test_full_scale_settings_echoed(self, tmp_path, monkeypatch):
         # --full replaces the sweep sizes; config.json records the ones run
         class EmptyReport:
@@ -484,8 +520,9 @@ class TestBenchmarkCommand:
 
             to_json = to_csv
 
+        ran = []
         monkeypatch.setattr("gradfeat.benchmarks.run_experiment",
-                            lambda config: EmptyReport())
+                            lambda config: ran.append(config) or EmptyReport())
         cfg = write_config(tmp_path, "full.json", {
             "experiment": {"n_test": 200, "n_realizations": 2},
             "io": {"out_dir": str(tmp_path / "full")}})
@@ -493,7 +530,16 @@ class TestBenchmarkCommand:
         echoed = json.loads((tmp_path / "full" / "config.json").read_text())
         experiment = echoed["experiment"]
         assert (experiment["n_test"], experiment["n_realizations"],
-                experiment["ntrain_list"]) == (1000, 20, [50, 75, 100, 250, 500])
+                experiment["ntrain_list"]) == self.FULL_SIZES
+        config, = ran
+        assert (config.n_test, config.n_realizations,
+                list(config.ntrain_list)) == self.FULL_SIZES
+
+    def test_full_scale_settings_printed(self, capsys):
+        assert main(["--print-config", "benchmark", "--full"]) == 0
+        experiment = json.loads(capsys.readouterr().out)["experiment"]
+        assert (experiment["n_test"], experiment["n_realizations"],
+                experiment["ntrain_list"]) == self.FULL_SIZES
 
     def test_rerun_on_emitted_config(self, tmp_path):
         cfg = self.bench_config(tmp_path, "outE")
@@ -610,6 +656,26 @@ class TestCheckDeviationCommand:
         assert err.startswith("error: config deviation.samples and "
                               "deviation.benchmark: set exactly one"), err
         assert not (tmp_path / "dev-out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", math.inf), ("k", "2"), ("k", math.nan), ("k", True),
+        ("p", [1]), ("p", "1"), ("p", 0.0), ("p", math.nan)])
+    def test_malformed_basis_spec_exits_2(self, tmp_path, u1_csv, capsys,
+                                          key, value):
+        fmap, bspec = self.make_feature_files(tmp_path, u1_csv)
+        spec = json.loads(open(bspec).read())
+        spec[key] = value
+        bad = tmp_path / "bad_basis.json"
+        bad.write_text(json.dumps(spec))        # Infinity and NaN too
+        cfg = write_config(tmp_path, "dev.json", {
+            "deviation": {"feature_map": fmap, "basis_spec": str(bad),
+                          "benchmark": "u1", "n_samples": 1000},
+            "io": {"out_dir": str(tmp_path / "dev-badspec")},
+        })
+        capsys.readouterr()
+        assert main(["--config", cfg, "check-deviation"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}="), err
 
     @pytest.mark.parametrize("text", ["3 x\n1.0\n2.0\n3.0\n", "", "45 1\n1.0\n"],
                              ids=["count-not-int", "empty", "short-body"])

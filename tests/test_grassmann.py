@@ -171,15 +171,7 @@ class TestMinimize:
         assert len(lines) >= 2
 
     @pytest.mark.parametrize("setting", [
-        {"shrink": 1.5}, {"shrink": 0.0}, {"shrink": 1.0}, {"shrink": "x"},
-        {"shrink": np.nan}, {"sufficient_decrease": 0.0},
-        {"sufficient_decrease": 1.0}, {"sufficient_decrease": "0.5"},
-        {"sufficient_decrease": np.nan}, {"sufficient_decrease": None},
-        # an infinite first step never shrinks below the search's floor, so
-        # it would backtrack forever; the others would return the start
-        {"step_init": np.inf}, {"step_init": 0.0}, {"step_init": -1.0},
-        {"step_init": np.nan}, {"max_iters": -1}, {"max_iters": 2.5},
-        {"grad_tol": np.nan}, {"grad_tol": -1e-9}, {"grad_tol": np.inf},
+        {"max_iters": -1}, {"max_iters": 2.5}, {"max_iters": None},
     ], ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()))
     def test_bad_settings_rejected(self, setting):
         (name, value), = setting.items()
@@ -189,8 +181,7 @@ class TestMinimize:
         assert name in str(err.value) and repr(value) in str(err.value)
 
     def test_boundary_settings_accepted(self):
-        cfg = OptimizerConfig(max_iters=0, grad_tol=0.0, step_init=1e-300)
-        assert (cfg.max_iters, cfg.grad_tol, cfg.step_init) == (0, 0.0, 1e-300)
+        assert OptimizerConfig(max_iters=0).max_iters == 0
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_line_search_costs_about_one_loss_per_step(self, monkeypatch, m):
@@ -210,33 +201,25 @@ class TestMinimize:
         # the starting point's evaluation aside
         assert len(calls) - 1 <= 2 * 40
 
-    @pytest.mark.parametrize("step_init", [1.0, 1e-3])
-    def test_steps_never_exceed_step_init(self, step_init):
+    def test_steps_never_exceed_one(self):
         samples, basis, gram = u3_setup(n=90, seed=16)
         G0 = active_subspace_init(samples, basis, 2, gram)
-        _, trace = minimize_poincare_loss(
-            samples, basis, G0, gram=gram,
-            config=OptimizerConfig(max_iters=40, step_init=step_init))
+        _, trace = minimize_poincare_loss(samples, basis, G0, gram=gram,
+                                          config=OptimizerConfig(max_iters=40))
         steps = [row[3] for row in trace[1:]]
         assert len(steps) == 40
-        assert all(0.0 < step <= step_init for step in steps)
-        if step_init < 1.0:
-            # the cap binds after the first step, so the carried step was
-            # clamped rather than doubled
-            assert steps.count(step_init) > 1
+        assert all(0.0 < step <= 1.0 for step in steps)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(st.integers(1, 3), st.floats(1e-3, 10.0), st.floats(0.01, 0.99),
-           st.integers(0, 2 ** 32 - 1))
-    def test_any_valid_search_is_monotone(self, m, step_init, shrink, seed):
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_search_is_monotone(self, m, seed):
         samples, basis, gram = u3_setup(n=60, seed=19)
         G0 = np.random.default_rng(seed).normal(size=(basis.size, m))
-        cfg = OptimizerConfig(max_iters=15, step_init=step_init, shrink=shrink)
-        fmap, trace = minimize_poincare_loss(samples, basis, G0, config=cfg,
-                                             gram=gram)
+        fmap, trace = minimize_poincare_loss(
+            samples, basis, G0, config=OptimizerConfig(max_iters=15), gram=gram)
         losses = [row[1] for row in trace]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
-        assert all(0.0 < row[3] <= step_init for row in trace[1:])
+        assert all(0.0 < row[3] <= 1.0 for row in trace[1:])
         C = fmap.coeffs.T @ gram.matrix @ fmap.coeffs
         assert np.linalg.norm(C - np.eye(m)) <= 1e-8
 
@@ -389,10 +372,17 @@ class TestStopReason:
         return minimize_poincare_loss(samples, basis, G0, gram=gram,
                                       config=OptimizerConfig(**settings))[1]
 
-    def test_grad_tol(self):
-        trace = self.run(grad_tol=1e-2)
+    @pytest.mark.parametrize("bench_id, n", [("u1", 50), ("u3", 100)])
+    def test_grad_tol(self, bench_id, n):
+        # these linear-start descents on the (0.8, 5) basis converge
+        bench = make_benchmark(bench_id)
+        samples = make_samples(bench, n, 7)
+        basis = FeatureBasis(build_index_set(8, 0.8, 5.0), bench.families)
+        gram = assemble_gram(basis, samples)
+        G0 = active_subspace_init(samples, basis, 1, gram)
+        _, trace = minimize_poincare_loss(samples, basis, G0, gram=gram)
         assert trace.stop_reason == "grad_tol"
-        assert trace[-1][2] <= 1e-2 * trace[0][2]
+        assert trace[-1][2] <= 1e-9 * trace[0][2]
         assert trace[-1][0] < 500
 
     def test_max_iters(self):

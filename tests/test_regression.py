@@ -615,6 +615,24 @@ class TestModelIO:
         with pytest.raises(InvalidInputError):
             KrrModel.load(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", np.nan), ("gamma", -1.0), ("gamma", 0.0), ("gamma", np.inf),
+        ("ridge", np.nan), ("ridge", -1e-6), ("ridge", 0.0), ("ridge", np.inf),
+        ("train_features", np.inf), ("train_features", np.nan),
+        ("dual_coeffs", -np.inf), ("dual_coeffs", np.nan)])
+    def test_model_krr_fit_cannot_make_rejected(self, tmp_path, field, value):
+        # with gamma = nan, krr_predict of a loaded model returned NaN
+        model = KrrModel(np.array([[0.1, 0.2], [0.3, 0.4]]),
+                         np.array([1.0, 2.0]), 0.5, 1e-6)
+        if field in ("gamma", "ridge"):
+            setattr(model, field, value)
+        else:
+            getattr(model, field)[-1] = value
+        path = tmp_path / "model.txt"
+        model.save(path)
+        with pytest.raises(InvalidInputError):
+            KrrModel.load(path)
+
 
 class TestGridDefaults:
     def test_grids_match_protocol(self):
