@@ -41,7 +41,8 @@ class OptimizerConfig:
     trace_path: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+        if isinstance(self.max_iters, bool) or \
+                not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
             raise InvalidInputError(
                 f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
@@ -224,7 +225,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     ``gram`` and ``jac`` (the basis Jacobian at the sample points, a
     C-contiguous (n, d, K) array) are computed when None.  For one feature
     the Euclidean gradient E is preconditioned by P = h + mu R
-    (``_metric_solve``), with h = h1 - h2 the convex surrogate's matrix on
+    (``_metric_solve``), with h the convex surrogate's matrix on
     these samples: ``surrogate.h`` when the ``SurrogateMatrices`` are given,
     else assembled once from ``jac``, with the same bits.  P is factored once.
     For several features P = R: on u2 and u3 at m = 2 the single-feature h

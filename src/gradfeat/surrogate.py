@@ -25,7 +25,7 @@ inputs and the same with and without ``jac``.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -162,52 +162,43 @@ class FeatureMap:
 
 @dataclass
 class SurrogateMatrices:
-    """Quadratic-form matrices of the convex surrogate: h = h1 - h2, PSD.
+    """Quadratic-form matrix h of the convex surrogate, PSD.
 
-    Non-finite or asymmetric h1, h2 raise ``InvalidInputError``, and so does
-    an h that is not PSD up to roundoff: one whose smallest eigenvalue lies
-    below -(1e-8 * top + floor), with top the largest eigenvalue magnitude
-    and floor = 1e-12 * max|h1|.  A Cholesky factorization of h + tau_lo * I,
-    tau_lo = 1e-8 * max diag(h) + floor, certifies the usual case without
-    the spectrum: max diag(h) <= top, so tau_lo is below the tolerance and a
-    successful factorization means h passes.  Only when it fails are the
-    eigenvalues computed and the rule applied to them.
+    A non-finite or asymmetric h raises ``InvalidInputError``, and so does
+    one that is not PSD up to roundoff: one whose smallest eigenvalue lies
+    below -1e-8 * top, with top the largest eigenvalue magnitude.  A
+    Cholesky factorization of h + tau_lo * I, tau_lo = 1e-8 * max diag(h),
+    certifies the usual case without the spectrum: max diag(h) <= top, so
+    tau_lo is below the tolerance and a successful factorization means h
+    passes.  Only when it fails are the eigenvalues computed and the rule
+    applied to them.
     """
 
-    h1: np.ndarray
-    h2: np.ndarray
-    h: np.ndarray = field(init=False)
+    h: np.ndarray
 
     def __post_init__(self):
-        # the checks work in one scratch array, so a build forms only it,
-        # h1, h2 and h
-        scratch = np.empty(np.shape(self.h1))
-        for name in ("h1", "h2"):
-            M = getattr(self, name)
-            if not np.all(np.isfinite(M)):
-                raise InvalidInputError(f"non-finite entries in {name}")
-            scale = np.max(np.abs(M, out=scratch)) or 1.0
-            np.subtract(M, M.T, out=scratch)
-            if np.max(np.abs(scratch, out=scratch)) > 1e-10 * scale:
-                raise InvalidInputError(f"{name} is not symmetric")
-            sym = np.add(M, M.T)
-            sym *= 0.5
-            setattr(self, name, sym)
-        self.h = self.h1 - self.h2
-        # the difference can be exactly zero in exact arithmetic (e.g. no
-        # complement directions left), leaving only accumulation roundoff at
-        # the scale of h1; allow for that floor
-        floor = 1e-12 * max(np.max(np.abs(self.h1, out=scratch)), 1e-300)
-        tau_lo = 1e-8 * max(np.max(np.diag(self.h)), 1e-300) + floor
-        scratch[...] = self.h
-        scratch[np.diag_indices_from(scratch)] += tau_lo
+        h = self.h
+        if not np.all(np.isfinite(h)):
+            raise InvalidInputError("non-finite entries in h")
+        # the symmetry check works in the array that then holds the
+        # symmetric h, and the certificate in one copy of it
+        sym = np.abs(h)
+        scale = np.max(sym) or 1.0
+        np.subtract(h, h.T, out=sym)
+        if np.max(np.abs(sym, out=sym)) > 1e-10 * scale:
+            raise InvalidInputError("h is not symmetric")
+        self.h = np.add(h, h.T, out=sym)
+        self.h *= 0.5
+        scratch = self.h.copy()
+        scratch[np.diag_indices_from(scratch)] += \
+            1e-8 * max(np.max(np.diag(self.h)), 1e-300)
         # h is exactly symmetric, so the transpose, which LAPACK takes in
         # place, holds the same matrix
         if _potrf(scratch.T, lower=1, overwrite_a=1, clean=0)[1] == 0:
             return
         evals = np.linalg.eigvalsh(self.h)
         top = max(abs(evals[0]), abs(evals[-1]), 1e-300)
-        if evals[0] < -(1e-8 * top + floor):
+        if evals[0] < -1e-8 * top:
             raise InvalidInputError(
                 f"surrogate matrix is not positive semi-definite "
                 f"(min eigenvalue {evals[0]:.3e} at scale {top:.3e})")
@@ -278,45 +269,48 @@ def coordinate_surrogate(samples, fmap, j):
 # ---------------------------------------------------------------------------
 
 def surrogate_sums(gradients, jac_phi, Q=None):
-    """Unnormalized (h1, h2) sums over the given rows; the assemblers divide
-    them by the row count, and the (p, k) cross-validation subtracts a fold's
-    validation sums from the sums over every sample.
+    """Unnormalized surrogate sum over the given rows; the assemblers divide
+    it by the row count, and the (p, k) cross-validation subtracts a fold's
+    validation sum from the sum over every sample.
 
-    The sums run through ``_block_sums``: per block, h1 adds the Jacobian
-    weighted by |gradient|, written into a reused buffer, and h2 the
-    Jacobian contracted with the gradient.  With ``Q``, the per-sample spans
-    of ``_orthobasis_batch``, each Jacobian block is first deflated by its
-    rows of Q into a second reused buffer; ``gradients`` must then already
-    be deflated.
+    The sum is a Gram, sum_i M_i^T M_i with M_i = |v_i| P_i J_i, v_i the
+    gradient and P_i the projector off v_i and, with ``Q`` (the per-sample
+    spans of ``_orthobasis_batch``; ``gradients`` must then be deflated by
+    it), off Q_i, so no difference cancels.  Per ``_block_sums`` block the
+    d x d operators |v_i| P_i multiply the Jacobian into one reused buffer;
+    a sample with v_i = 0 adds nothing.
     """
-    n, _, K = jac_phi.shape
-    weight = np.sqrt(np.sum(gradients ** 2, axis=1))
-    weighted = _sum_buffer(jac_phi)
-    projected = None if Q is None else _sum_buffer(jac_phi)
+    n, d, K = jac_phi.shape
+    norm = np.sqrt(np.sum(gradients ** 2, axis=1))
+    unit = np.divide(gradients, norm[:, None], out=np.zeros_like(gradients),
+                     where=norm[:, None] > 0.0)
+    buffer = _sum_buffer(jac_phi)
 
     def terms(rows):
-        block = jac_phi[rows]
+        u = unit[rows]
+        P = np.eye(d) - u[:, :, None] * u[:, None, :]
         if Q is not None:
-            block = _deflate(Q[rows], block, out=projected[:len(block)])
-        W = np.multiply(block, weight[rows, None, None], out=weighted[:len(block)])
-        return W.reshape(-1, K), np.einsum("nda,nd->na", block, gradients[rows])
-    return tuple(_block_sums(n, terms))
+            q = Q[rows]
+            P -= q @ q.transpose(0, 2, 1)
+        P *= norm[rows, None, None]
+        return [np.matmul(P, jac_phi[rows], out=buffer[:len(P)]).reshape(-1, K)]
+    return _block_sums(n, terms)[0]
 
 
 def surrogate_matrices(samples, basis, jac=None):
-    """K x K matrices making the single-feature surrogate a quadratic form.
+    """K x K matrix making the single-feature surrogate a quadratic form.
 
-    h1 accumulates the gradient-norm-weighted Jacobian cross-products, h2 the
-    rank-one terms from the function gradient; h = h1 - h2 is PSD and
-    satisfies G^T h G = convex surrogate of G^T Phi on the same samples.
+    h is the mean over samples of (|grad u| P J)^T (|grad u| P J), J the
+    basis Jacobian and P the projector off grad u; it is PSD and satisfies
+    G^T h G = convex surrogate of G^T Phi on the same samples.
     """
-    h1, h2 = surrogate_sums(samples.gradients,
-                            _jacobian_at(basis, samples.points, jac))
-    return SurrogateMatrices(h1=h1 / samples.n, h2=h2 / samples.n)
+    h = surrogate_sums(samples.gradients, _jacobian_at(basis, samples.points, jac))
+    h /= samples.n
+    return SurrogateMatrices(h=h)
 
 
 def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
-    """Quadratic-form matrices for the next feature given prior coefficient columns.
+    """Quadratic-form matrix for the next feature given prior coefficient columns.
 
     ``coeffs_others`` is K x (m-1); with zero columns this reduces exactly to
     ``surrogate_matrices``.  The assembled matrix annihilates every prior
@@ -329,8 +323,9 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
         return surrogate_matrices(samples, basis, jac)
     B = _jacobian_at(basis, samples.points, jac)
     Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", B, coeffs_others))
-    h1, h2 = surrogate_sums(_deflate(Q, samples.gradients), B, Q)
-    return SurrogateMatrices(h1=h1 / samples.n, h2=h2 / samples.n)
+    h = surrogate_sums(_deflate(Q, samples.gradients), B, Q)
+    h /= samples.n
+    return SurrogateMatrices(h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +433,15 @@ def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
 
     The first column minimizes the convex surrogate.  Each later column
     minimizes the coordinate surrogate given the previous columns, with the
-    prior-column directions pushed up by a spectral shift (the largest
-    generalized eigenvalue of the weighted Jacobian Gram matrix) so the
-    eigensolver cannot return them again.  The result satisfies
-    G^T R G = I_m after a final re-orthonormalization.  ``jac``, the basis
-    Jacobian at the sample points, is evaluated once when None, and ``gram``
-    and ``surrogate`` (the ``surrogate_matrices`` of the samples) are
-    assembled from it when None.
+    prior-column directions pushed up by the shift alpha = max_i |grad u_i|^2
+    so the eigensolver cannot return them again.  alpha bounds every
+    coordinate surrogate's Rayleigh quotient, as |v_i| <= |grad u_i| and a
+    projection does not lengthen J_i x: x^T h_j x <= alpha x^T R x, where
+    ``gram`` (R) must be these samples' Gram matrix, plus any ridge.  The
+    result satisfies G^T R G = I_m after a final re-orthonormalization.
+    ``jac``, the basis Jacobian at the sample points, is evaluated once when
+    None, and ``gram`` and ``surrogate`` (the ``surrogate_matrices`` of the
+    samples) are assembled from it when None.
     """
     if m < 1:
         raise InvalidInputError("m must be >= 1")
@@ -460,7 +457,7 @@ def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
     G = np.zeros((basis.size, m))
     G[:, 0] = g1
     if m > 1:
-        alpha = max_generalized_eig(mats.h1, gram)
+        alpha = float(np.max(np.sum(samples.gradients ** 2, axis=1)))
         R = gram.matrix
         for j in range(2, m + 1):
             others = G[:, :j - 1]

@@ -244,18 +244,18 @@ class TestRunExperiment:
         assert all(r["failed"] for r in report.realizations)
 
     def test_non_finite_surrogate_matrix_recorded(self, monkeypatch):
-        # a NaN in the assembled h1 fails the cell as an input error instead
+        # a NaN in the assembled h fails the cell as an input error instead
         # of reaching the eigensolve and ending the sweep
         real = surrogate.surrogate_sums
 
         def poisoned(gradients, jac_phi):
-            h1, h2 = real(gradients, jac_phi)
-            h1[0, 0] = np.nan
-            return h1, h2
+            h = real(gradients, jac_phi)
+            h[0, 0] = np.nan
+            return h
         monkeypatch.setattr(surrogate, "surrogate_sums", poisoned)
         report = run_experiment(desk_config(n_realizations=2))
         assert [r["error"] for r in report.realizations] == \
-            ["InvalidInputError: non-finite entries in h1"] * 2
+            ["InvalidInputError: non-finite entries in h"] * 2
 
     def test_failed_eigensolve_recorded(self, monkeypatch):
         real = surrogate._syevr

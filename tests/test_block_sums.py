@@ -40,13 +40,25 @@ def _case(n, seed, families=make_benchmark("u4").families, p=1.0, k=2.0):
 
 
 def _projected(samples, jac, others):
-    """The other features' spans deflated out of the gradients and the
-    Jacobian, over every sample at once."""
+    """The gradients with the other features' spans deflated out, over
+    every sample at once, and those spans."""
     Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", jac, others))
     grads = samples.gradients - np.einsum(
         "ndr,nr->nd", Q, np.einsum("ndr,nd->nr", Q, samples.gradients))
-    jac = jac - np.einsum("ndr,nre->nde", Q, np.einsum("ndr,nde->nre", Q, jac))
-    return grads, jac
+    return grads, Q
+
+
+def _operators(grads, Q, d, dtype=float):
+    """|v_i| (I - u_i u_i^T - Q_i Q_i^T), u_i = v_i / |v_i|: the operator
+    that deflates and weights sample i's Jacobian (Q = None: no span)."""
+    grads = grads.astype(dtype)
+    norm = np.sqrt(np.sum(grads ** 2, axis=1))
+    unit = grads / norm[:, None]
+    P = np.eye(d, dtype=dtype) - unit[:, :, None] * unit[:, None, :]
+    if Q is not None:
+        Q = Q.astype(dtype)
+        P -= Q @ Q.transpose(0, 2, 1)
+    return P * norm[:, None, None]
 
 
 def _bits(a):
@@ -61,11 +73,11 @@ class TestOneBlock:
     """n <= 256: the single-product arithmetic of a whole-array sum."""
 
     @staticmethod
-    def single_product(grads, jac, n):
-        K = jac.shape[2]
-        W = (jac * np.sqrt(np.sum(grads ** 2, axis=1))[:, None, None]).reshape(-1, K)
-        C = np.einsum("nda,nd->na", jac, grads)
-        return SurrogateMatrices(h1=W.T @ W / n, h2=C.T @ C / n)
+    def single_product(grads, Q, jac, n):
+        """h as one product of the deflated, weighted Jacobian."""
+        _, d, K = jac.shape
+        M = (_operators(grads, Q, d) @ jac).reshape(-1, K)
+        return SurrogateMatrices(h=M.T @ M / n)
 
     @pytest.mark.filterwarnings("ignore:Gram estimate from")
     @pytest.mark.parametrize("n", ONE_BLOCK)
@@ -79,21 +91,17 @@ class TestOneBlock:
     def test_surrogate_matrices_are_one_product(self, n):
         samples, basis, jac, others = _case(n, seed=n)
         mats = surrogate_matrices(samples, basis, jac)
-        ref = self.single_product(samples.gradients, jac, n)
-        for name in ("h1", "h2", "h"):
-            assert np.array_equal(_bits(getattr(mats, name)),
-                                  _bits(getattr(ref, name)))
+        ref = self.single_product(samples.gradients, None, jac, n)
+        assert np.array_equal(_bits(mats.h), _bits(ref.h))
         mats = coordinate_surrogate_matrices(samples, basis, others, jac)
-        ref = self.single_product(*_projected(samples, jac, others), n)
-        for name in ("h1", "h2", "h"):
-            assert np.array_equal(_bits(getattr(mats, name)),
-                                  _bits(getattr(ref, name)))
+        ref = self.single_product(*_projected(samples, jac, others), jac, n)
+        assert np.array_equal(_bits(mats.h), _bits(ref.h))
 
 
-def _bound(abs_sum, n, d):
+def _bound(abs_sum, n, d, roundings):
     """Worst-case roundoff of a blocked sum over n samples whose terms'
     absolute values add up to ``abs_sum``, each term a product of per-sample
-    factors computed with at most 2 d + 6 roundings.
+    factors whose roundings add up to at most ``roundings`` units.
 
     A block's product sums at most d * _SUM_ROWS products in an order BLAS
     chooses, and the blocks add up in ceil(n / _SUM_ROWS) - 1 more steps;
@@ -103,7 +111,7 @@ def _bound(abs_sum, n, d):
     per term.  gamma_N = N u / (1 - N u), u = eps / 2.
     """
     u = np.finfo(float).eps / 2
-    steps = d * _SUM_ROWS + -(-n // _SUM_ROWS) + 2 * d + 6
+    steps = d * _SUM_ROWS + -(-n // _SUM_ROWS) + roundings
     return steps * u / (1 - steps * u) * abs_sum
 
 
@@ -122,25 +130,33 @@ class TestManyBlocks:
         J = jac.astype(np.longdouble)
         gram = assemble_gram(basis, samples, jac=jac)
         ref = np.einsum("ndk,ndl->kl", J, J) / n
-        bound = _bound(np.einsum("ndk,ndl->kl", abs(J), abs(J)) / n, n, d)
+        bound = _bound(np.einsum("ndk,ndl->kl", abs(J), abs(J)) / n, n, d,
+                       roundings=2 * d + 6)
         assert np.all(np.abs(gram.matrix - ref) <= bound)
 
         pairs = [(surrogate_matrices(samples, basis, jac),
-                  (samples.gradients, jac)),
+                  (samples.gradients, None)),
                  (coordinate_surrogate_matrices(samples, basis, others, jac),
                   _projected(samples, jac, others))]
-        for mats, (grads, B) in pairs:
-            g = grads.astype(np.longdouble)
-            B = B.astype(np.longdouble)
-            w2 = np.sum(g ** 2, axis=1)
-            C = np.einsum("ndk,nd->nk", B, g)
-            # C's own d-term sums count among the factor roundings
-            A = np.einsum("ndk,nd->nk", abs(B), abs(g))
-            checks = ((mats.h1, np.einsum("n,ndk,ndl->kl", w2, B, B),
-                       np.einsum("n,ndk,ndl->kl", w2, abs(B), abs(B))),
-                      (mats.h2, C.T @ C, A.T @ A))
-            for got, ref, abs_sum in checks:
-                assert np.all(np.abs(got - ref / n) <= _bound(abs_sum / n, n, d))
+        for mats, (grads, Q) in pairs:
+            M = _operators(grads, Q, d, np.longdouble) @ J
+            # an operator entry, from the gradient's norm and direction and
+            # the span's r columns, errs by at most 1.5 d + r + 9 units of
+            # |v_i| (I + |u_i| |u_i|^T + |Q_i| |Q_i|^T), and a factor, d of
+            # its products summed, by 2.5 d + r + 9 units of that times
+            # |J_i|; a term's two factors, its product and the division by
+            # n round 5 d + 2 r + 20 times at most
+            r = 0 if Q is None else Q.shape[2]
+            g = np.abs(grads.astype(np.longdouble))
+            norm = np.sqrt(np.sum(g ** 2, axis=1))
+            A = np.eye(d) + g[:, :, None] * g[:, None, :] / norm[:, None, None] ** 2
+            if Q is not None:
+                A += abs(Q) @ abs(Q).transpose(0, 2, 1)
+            A = (A * norm[:, None, None]) @ abs(J)
+            ref = np.einsum("ndk,ndl->kl", M, M) / n
+            bound = _bound(np.einsum("ndk,ndl->kl", A, A) / n, n, d,
+                           roundings=5 * d + 2 * r + 20)
+            assert np.all(np.abs(mats.h - ref) <= bound)
 
 
 class TestMemory:

@@ -172,6 +172,8 @@ class TestMinimize:
 
     @pytest.mark.parametrize("setting", [
         {"max_iters": -1}, {"max_iters": 2.5}, {"max_iters": None},
+        # bool is an Integral, but True is no iteration count
+        {"max_iters": True}, {"max_iters": False},
     ], ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()))
     def test_bad_settings_rejected(self, setting):
         (name, value), = setting.items()

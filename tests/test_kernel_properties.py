@@ -5,17 +5,21 @@ sample, the closed form for one feature must decide rank as the SVD does,
 the Poincare loss built on the kernel must stay within its documented
 range and depend only on the span of the coefficient columns, and the
 surrogates built on its deflation must equal the quadratic forms G^T h G of
-their assembled matrices.  The positive semi-definiteness check of those
+their assembled matrices, which stay within a summation bound of an
+extended-precision sum.  The positive semi-definiteness check of those
 matrices, which certifies by a shifted Cholesky factorization, must give the
 verdict of the eigenvalue rule it stands in for.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gradfeat.basis import FeatureBasis, Legendre, build_index_set
+from gradfeat.basis import (_SUM_ROWS, FeatureBasis, Legendre, assemble_gram,
+                            build_index_set)
+from gradfeat.benchmarks import make_benchmark, make_samples
 from gradfeat.errors import InvalidInputError
 from gradfeat.geometry import (_deflate, _orthobasis_batch,
                                _single_feature_sums, _single_residual_sq,
@@ -24,8 +28,9 @@ from gradfeat.geometry import (_deflate, _orthobasis_batch,
                                project_complement)
 from gradfeat.surrogate import (FeatureMap, SampleSet, SurrogateMatrices,
                                 convex_surrogate, coordinate_surrogate,
-                                coordinate_surrogate_matrices, poincare_loss,
-                                surrogate_matrices)
+                                coordinate_surrogate_matrices,
+                                max_generalized_eig, min_generalized_eig,
+                                poincare_loss, surrogate_matrices)
 
 # fixed example sequence, so a run is reproducible; no example database
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
@@ -185,7 +190,7 @@ def surrogate_problems(draw):
 
 def _term_scale(samples, basis, g):
     """Mean of |grad u|^2 |abs(grad Phi) abs(g)|^2: the size of the terms
-    both sides sum, before the projections and h1 - h2 cancel them."""
+    both sides sum, before the projections cancel them."""
     B = np.abs(basis.jacobian_batch(samples.points))
     return float(np.mean(np.sum(samples.gradients ** 2, axis=1)
                          * np.sum((B @ np.abs(g)) ** 2, axis=1)))
@@ -214,20 +219,113 @@ class TestSurrogateIsQuadraticForm:
         assert abs(quad - direct) <= 1e-10 * _term_scale(samples, basis, g)
 
 
-def _eigenvalue_rule(h1, h2):
+@st.composite
+def summation_problems(draw):
+    """Samples with n on either side of the _SUM_ROWS-row block, a Legendre
+    basis (K = 19 at d = 3) and one prior coefficient column; about one
+    gradient row in ten is exactly zero."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.one_of(st.integers(1, _SUM_ROWS),
+                       st.integers(_SUM_ROWS + 1, 3 * _SUM_ROWS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    basis = FeatureBasis(build_index_set(d, 1.0, 3.0),
+                         [Legendre(-1.0, 1.0) for _ in range(d)])
+    grads = rng.normal(size=(n, d))
+    grads[rng.random(n) < 0.1] = 0.0
+    samples = SampleSet(rng.uniform(-1.0, 1.0, (n, d)), np.zeros(n), grads)
+    return samples, basis, rng.normal(size=(basis.size, 1))
+
+
+def _surrogate_reference(grads, jac, Q=None):
+    """mean_i M_i^T M_i in np.longdouble, rounded to double, with
+    M_i = |v_i| (I - u_i u_i^T - Q_i Q_i^T) J_i and u_i = v_i / |v_i|."""
+    v = grads.astype(np.longdouble)
+    norm = np.sqrt(np.sum(v ** 2, axis=1))
+    unit = np.zeros_like(v)
+    nonzero = norm > 0
+    unit[nonzero] = v[nonzero] / norm[nonzero, None]
+    P = np.eye(v.shape[1], dtype=np.longdouble) - unit[:, :, None] * unit[:, None, :]
+    if Q is not None:
+        Q = Q.astype(np.longdouble)
+        P -= Q @ Q.transpose(0, 2, 1)
+    M = (P * norm[:, None, None]) @ jac.astype(np.longdouble)
+    return (np.einsum("ndk,ndl->kl", M, M) / len(v)).astype(float)
+
+
+class TestSurrogateSummation:
+    """h is a sum of Grams, so it stays within a summation bound of the
+    extended-precision sum, on the scale S = mean |grad u|^2 ||J||_F^2.
+
+    With r prior columns, the operators' absolute values
+    |v| (I + |u| |u|^T + |Q| |Q|^T) have 2-norm at most (2 + r) |v|, and
+    |v| <= |grad u|, so a term's absolute products sum to at most
+    (2 + r)^2 |grad u|^2 ||J||_F^2 in every entry.  A blocked sum of N
+    rounded terms errs by gamma_N = N u / (1 - N u), u = eps / 2, relative
+    to that (Higham, Accuracy and Stability, section 4.2), with
+    N = d _SUM_ROWS + ceil(n / _SUM_ROWS) for the sums and 5 d + 2 r + 21
+    for each term's factors (2.5 d + r + 9 each), its product, the division
+    by n and the reference's rounding.
+    """
+
+    @staticmethod
+    def bound(samples, jac, r):
+        n, d = samples.n, samples.dim
+        steps = d * _SUM_ROWS + -(-n // _SUM_ROWS) + 5 * d + 2 * r + 21
+        u = np.finfo(float).eps / 2
+        scale = np.mean(np.sum(samples.gradients ** 2, axis=1)
+                        * np.sum(jac ** 2, axis=(1, 2)))
+        return steps * u / (1 - steps * u) * (2 + r) ** 2 * scale
+
+    @PROPERTY
+    @given(summation_problems())
+    def test_single_feature(self, problem):
+        samples, basis, _ = problem
+        jac = basis.jacobian_batch(samples.points)
+        ref = _surrogate_reference(samples.gradients, jac)
+        h = surrogate_matrices(samples, basis, jac).h
+        assert np.max(np.abs(h - ref)) <= self.bound(samples, jac, 0)
+
+    @PROPERTY
+    @given(summation_problems())
+    def test_second_feature_given_the_first(self, problem):
+        samples, basis, G = problem
+        jac = basis.jacobian_batch(samples.points)
+        Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", jac, G))
+        ref = _surrogate_reference(_deflate(Q, samples.gradients), jac, Q)
+        h = coordinate_surrogate_matrices(samples, basis, G, jac).h
+        assert np.max(np.abs(h - ref)) <= self.bound(samples, jac, 1)
+
+    @pytest.mark.parametrize("bench_id", ["u1", "u2", "u3", "u4"])
+    def test_benchmark_matrix_matches_extended_precision(self, bench_id):
+        # at (1, 3), n = 250, seed 1, h formed as the difference of two sums
+        # erred by 9.4e-11 relative on u4
+        bench = make_benchmark(bench_id)
+        samples = make_samples(bench, 250, 1)
+        basis = FeatureBasis(build_index_set(8, 1.0, 3.0), bench.families)
+        jac = basis.jacobian_batch(samples.points)
+        ref = _surrogate_reference(samples.gradients, jac)
+        h = surrogate_matrices(samples, basis, jac).h
+        assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the same eigensolve of both; u1's lambda_min is about 0, so the
+        # error is measured on the scale of lambda_max
+        gram = assemble_gram(basis, samples, jac=jac)
+        lam_ref = min_generalized_eig(ref, gram)[0]
+        assert abs(min_generalized_eig(h, gram)[0] - lam_ref) <= \
+            1e-12 * max_generalized_eig(ref, gram)
+
+
+def _eigenvalue_rule(h):
     """The PSD rule on the full spectrum: (accepted, lambda_min + tau, tau)."""
-    h1 = 0.5 * (h1 + h1.T)
-    h = h1 - 0.5 * (h2 + h2.T)
-    evals = np.linalg.eigvalsh(h)
+    evals = np.linalg.eigvalsh(0.5 * (h + h.T))
     top = max(abs(evals[0]), abs(evals[-1]), 1e-300)
-    tau = 1e-8 * top + 1e-12 * max(np.max(np.abs(h1)), 1e-300)
+    tau = 1e-8 * top
     return not evals[0] < -tau, evals[0] + tau, tau
 
 
 @st.composite
 def psd_problems(draw):
-    """(h1, h2) with h = h1 - h2 = Q diag(lams) Q^T, lambda_min on either side
-    of the rule's threshold -tau and the other eigenvalues in [0, scale]."""
+    """h = Q diag(lams) Q^T with lambda_min on either side of the rule's
+    threshold -tau and the other eigenvalues in [0, scale]."""
     K = draw(st.integers(1, 8))
     Q, _ = np.linalg.qr(draw(hnp.arrays(float, (K, K),
                                         elements=st.floats(-1.0, 1.0))))
@@ -242,11 +340,7 @@ def psd_problems(draw):
                            st.floats(8.0, 1e9)))
     lams[0] = -ratio * 1e-8 * scale
     h = (Q * lams) @ Q.T
-    h = 0.5 * (h + h.T)
-    # h2 = 0 or a multiple of I up to 1e3 * scale, which raises max|h1| and
-    # with it the floor that both the rule and the certificate add
-    P = draw(st.sampled_from([0.0, 1.0, 1e3])) * scale * np.eye(K)
-    return h + P, P
+    return 0.5 * (h + h.T)
 
 
 class TestPsdCheck:
@@ -255,12 +349,11 @@ class TestPsdCheck:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(psd_problems())
     def test_verdict_equals_the_eigenvalue_rule(self, problem):
-        h1, h2 = problem
-        accepted, margin, tau = _eigenvalue_rule(h1, h2)
+        accepted, margin, tau = _eigenvalue_rule(problem)
         # roundoff decides the verdict only within a relative 1e-3 of -tau
         assume(abs(margin) > 1e-3 * tau)
         try:
-            SurrogateMatrices(h1=h1, h2=h2)
+            SurrogateMatrices(h=problem)
         except InvalidInputError:
             assert not accepted
         else:

@@ -394,8 +394,8 @@ class TestCvSelectBasisSharedJacobian:
 
 
 class TestFoldSums:
-    """Each fold's training R and (h1, h2) are the sums over every sample
-    minus the validation rows' sums, divided by the training count."""
+    """Each fold's training R and h are the sums over every sample minus
+    the validation rows' sums, divided by the training count."""
 
     @staticmethod
     def fold_matrices(monkeypatch, samples, basis, folds):
@@ -424,17 +424,24 @@ class TestFoldSums:
         folds = kfold_indices(n, n_folds, seed)
         grams, mats = self.fold_matrices(monkeypatch, samples, basis, folds)
         assert len(grams) == len(mats) == n_folds
-        jac = basis.jacobian_batch(samples.points).reshape(-1, basis.size)
-        w = np.repeat(np.sum(samples.gradients ** 2, axis=1), samples.dim)
+        jac = basis.jacobian_batch(samples.points)
+        # h sums the products of M_i = |v_i| (J_i - u_i u_i^T J_i), u_i the
+        # unit gradient; every fold forms the same bits of M_i, so only the
+        # sums' roundoff differs
+        v = samples.gradients
+        norm = np.sqrt(np.sum(v ** 2, axis=1))
+        unit = v / norm[:, None]
+        M = norm[:, None, None] * (jac - unit[:, :, None] * np.einsum(
+            "nd,ndk->nk", unit, jac)[:, None, :])
         # a sum of N = n d products is within N eps / 2 of its value,
         # relative to the sum of absolute products, which Cauchy-Schwarz
         # bounds by sqrt(D_a D_b), D the diagonal of the unnormalized total
-        # (of R for R, of h1 for h1 and h2, whose row terms are bounded by
-        # h1's); the totals, the validation and the reference training sums
-        # each err by that, and the scaling and the subtraction by a few eps
+        # (of R for R, of h for h); the totals, the validation and the
+        # reference training sums each err by that, and the scaling and the
+        # subtraction by a few eps
         bound = (n * samples.dim + 8) * np.finfo(float).eps
-        scale_r = np.sqrt(np.einsum("ia,ia->a", jac, jac))
-        scale_h = np.sqrt(np.einsum("i,ia,ia->a", w, jac, jac))
+        scale_r = np.sqrt(np.einsum("ndk,ndk->k", jac, jac))
+        scale_h = np.sqrt(np.einsum("ndk,ndk->k", M, M))
         for (train, _), gram, mat in zip(folds, grams, mats):
             train_set = samples.subset(train)
             ref_gram = assemble_gram(basis, train_set)
@@ -445,8 +452,7 @@ class TestFoldSums:
             unridged = [g.matrix - g.ridge_added * np.eye(basis.size)
                         for g in (gram, ref_gram)]
             assert np.all(np.abs(unridged[0] - unridged[1]) <= tol_r)
-            assert np.all(np.abs(mat.h1 - ref.h1) <= tol_h)
-            assert np.all(np.abs(mat.h2 - ref.h2) <= tol_h)
+            assert np.all(np.abs(mat.h - ref.h) <= tol_h)
 
 
 class TestCvSelectBasisDuplicates:

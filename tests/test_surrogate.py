@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from gradfeat.basis import (_BLOCK_ROWS, _EVAL_CHUNK, FeatureBasis,
                             GramMatrix, Hermite, Legendre, LogHermite,
                             MultiIndexSet, assemble_gram, build_index_set)
-from gradfeat.benchmarks import make_benchmark
+from gradfeat.benchmarks import make_benchmark, make_samples
 import gradfeat.surrogate as surrogate
 from gradfeat.errors import InvalidInputError, NumericError, RankDeficiencyError
 from gradfeat.geometry import complement_split
@@ -194,20 +194,19 @@ class TestCoordinateSurrogate:
 class TestSurrogateMatrices:
     def test_constant_jacobian_exact(self):
         # u = x1 on the unit square with the degree-one basis: the basis
-        # Jacobian is the constant diag(2*sqrt(3), 2*sqrt(3)), so both
-        # matrices are exact regardless of the sample draw
+        # Jacobian is the constant diag(2*sqrt(3), 2*sqrt(3)) and the
+        # projector off grad u is exactly diag(0, 1), so h = diag(0, 12)
+        # regardless of the sample draw, its zeros exactly
         samples = first_coordinate_samples(2, 100, 14)
         mats = surrogate_matrices(samples, unit_box_basis(2))
-        np.testing.assert_allclose(mats.h1, 12.0 * np.eye(2), rtol=1e-12)
-        np.testing.assert_allclose(mats.h2, np.diag([12.0, 0.0]), atol=1e-9)
-        np.testing.assert_allclose(mats.h, np.diag([0.0, 12.0]), atol=1e-9)
+        assert mats.h[0, 0] == mats.h[0, 1] == mats.h[1, 0] == 0.0
+        assert mats.h[1, 1] == pytest.approx(12.0, rel=1e-12)
 
     def test_zero_gradients(self):
         X = np.random.default_rng(15).uniform(0, 1, size=(50, 2))
         samples = SampleSet(X, np.zeros(50), np.zeros((50, 2)))
         mats = surrogate_matrices(samples, unit_box_basis(2))
-        assert np.max(np.abs(mats.h1)) == 0.0
-        assert np.max(np.abs(mats.h2)) == 0.0
+        assert np.max(np.abs(mats.h)) == 0.0
 
     def test_positive_semidefinite_on_random_samples(self):
         rng = np.random.default_rng(16)
@@ -231,25 +230,26 @@ class TestSurrogateMatrices:
 
     def test_asymmetric_input_rejected(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(InvalidInputError):
-            SurrogateMatrices(h1=M, h2=np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError, match="h is not symmetric"):
+            SurrogateMatrices(h=M)
 
     def test_indefinite_difference_rejected(self):
-        # h = diag(0, 12) exactly (see test_constant_jacobian_exact), so a
-        # 1% larger h2 leaves the eigenvalue -0.12 at scale 12
+        # h = diag(0, 12) exactly (see test_constant_jacobian_exact), so
+        # taking 1% of 12 off its zero leaves the eigenvalue -0.12 at scale 12
         mats = surrogate_matrices(first_coordinate_samples(2, 100, 14),
                                   unit_box_basis(2))
-        SurrogateMatrices(h1=mats.h1, h2=mats.h2)
+        SurrogateMatrices(h=mats.h)
         with pytest.raises(InvalidInputError, match="positive semi-definite"):
-            SurrogateMatrices(h1=mats.h1, h2=1.01 * mats.h2)
+            SurrogateMatrices(h=mats.h - np.diag([0.12, 0.0]))
 
-    @pytest.mark.parametrize("name", ["h1", "h2"])
+    @pytest.mark.parametrize("entry", [(1, 2), (0, 0)],
+                             ids=["off-diagonal", "diagonal"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_input_rejected(self, name, bad):
-        mats = {"h1": np.eye(3), "h2": np.zeros((3, 3))}
-        mats[name][1, 2] = bad
-        with pytest.raises(InvalidInputError, match=f"non-finite entries in {name}"):
-            SurrogateMatrices(**mats)
+    def test_non_finite_input_rejected(self, entry, bad):
+        h = np.eye(3)
+        h[entry] = bad
+        with pytest.raises(InvalidInputError, match="non-finite entries in h"):
+            SurrogateMatrices(h=h)
 
 
 class TestCoordinateSurrogateMatrices:
@@ -400,10 +400,10 @@ class TestGeneralizedEig:
         samples = SampleSet(X, rng.normal(size=150), rng.normal(size=(150, 3)))
         basis = unit_box_basis(3, k=2.0)
         gram = assemble_gram(basis, samples)
-        mats = surrogate_matrices(samples, basis)
         others = orthonormalize(rng.normal(size=(basis.size, 1)), gram)
         coord = coordinate_surrogate_matrices(samples, basis, others)
-        alpha = max_generalized_eig(mats.h1, gram)
+        # greedy_features' shift
+        alpha = np.max(np.sum(samples.gradients ** 2, axis=1))
         for _ in range(100):
             G = rng.normal(size=basis.size)
             quot = (G @ coord.h @ G) / (G @ gram.matrix @ G)
@@ -477,6 +477,22 @@ class TestGreedy:
         scale = samples.mean_gradient_norm_sq()
         assert poincare_loss(samples, fmap) <= 1e-10 * scale
         assert convex_surrogate(samples, fmap) <= 1e-10 * scale
+
+    def test_second_feature_where_its_surrogate_vanishes(self):
+        # u1 is a function of one feature, so once the first column is
+        # found the coordinate surrogate matrix of the second is roundoff
+        # (largest generalized eigenvalue about 1e-30); the shift
+        # max |grad u|^2 still separates the prior direction
+        bench = make_benchmark("u1")
+        samples = make_samples(bench, 250, 1)
+        basis = FeatureBasis(build_index_set(8, 1.0, 3.0), bench.families)
+        gram = assemble_gram(basis, samples)
+        first = greedy_features(samples, basis, 1, gram=gram).coeffs
+        coord = coordinate_surrogate_matrices(samples, basis, first)
+        assert max_generalized_eig(coord.h, gram) <= 1e-25
+        G = greedy_features(samples, basis, 2, gram=gram).coeffs
+        assert G.shape == (basis.size, 2)
+        assert np.linalg.norm(G.T @ gram.matrix @ G - np.eye(2)) <= 1e-10
 
 
 _GRADIENT_BASES = {
