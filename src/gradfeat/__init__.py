@@ -32,7 +32,7 @@ from .regression import (CvGrid, KrrModel, cv_select_basis, cv_select_krr,
 from .surrogate import (FeatureMap, SampleSet, SurrogateMatrices,
                         convex_surrogate, coordinate_surrogate,
                         coordinate_surrogate_matrices, greedy_features,
-                        max_generalized_eig, min_generalized_eig,
-                        orthonormalize, poincare_loss, surrogate_matrices)
+                        min_generalized_eig, orthonormalize, poincare_loss,
+                        surrogate_matrices)
 
 __version__ = "0.1.0"

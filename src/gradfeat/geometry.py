@@ -45,13 +45,9 @@ def _orthobasis_batch(W):
     return U * mask[:, None, :]
 
 
-def _deflate(Q, V, out=None):
-    """V minus its projection onto the span held in Q; V is (n, d) or
-    (n, d, K).  For (n, d, K), ``out`` (not V) may receive the result."""
-    if V.ndim == 2:
-        return V - np.einsum("ndr,nr->nd", Q, np.einsum("ndr,nd->nr", Q, V))
-    proj = np.einsum("ndr,nre->nde", Q, np.einsum("ndr,nde->nre", Q, V), out=out)
-    return np.subtract(V, proj, out=proj)
+def _deflate(Q, V):
+    """V (n, d) minus its projection onto the span held in Q."""
+    return V - np.einsum("ndr,nr->nd", Q, np.einsum("ndr,nd->nr", Q, V))
 
 
 def _complement_factors(grad_u, jac_g):

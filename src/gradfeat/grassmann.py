@@ -31,8 +31,8 @@ from .basis import GramMatrix, _jacobian_at, assemble_gram
 from .errors import (IllConditionedError, InvalidInputError, NumericError,
                      RankDeficiencyError)
 from .geometry import _complement_factors, _complement_residual_sq
-from .surrogate import (FeatureMap, greedy_features, orthonormalize,
-                        poincare_loss, surrogate_matrices)
+from .surrogate import (FeatureMap, _loss_roundoff, greedy_features,
+                        orthonormalize, poincare_loss, surrogate_matrices)
 
 
 @dataclass
@@ -246,7 +246,10 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     [0.1, 0.5] times the failed step; a rank-deficient or non-finite trial
     is halved.  ``trace.stop_reason`` says why the descent stopped:
     ``grad_tol`` (the gradient norm fell to 1e-9 times its initial value, or
-    to zero), ``max_iters`` (the iteration cap), ``line_search``
+    its square, the first-order decrease of a unit step, to the loss's
+    roundoff bound (2d + 1) eps mean |grad u|^2 of ``_loss_roundoff``: no
+    step of the search, capped at 1, can then show a decrease the loss
+    resolves), ``max_iters`` (the iteration cap), ``line_search``
     (the step fell below 1e-14) or ``stall`` (three consecutive negligible
     decreases).  A non-finite gradient raises ``IllConditionedError``.
     """
@@ -263,9 +266,10 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     if G.shape[1] == 1:
         h = (surrogate or surrogate_matrices(samples, basis, jac)).h
     solve = _metric_solve(gram, h)
+    floor_sq = _loss_roundoff(samples)
 
     def converged(gnorm):
-        return gnorm <= _GRAD_TOL * gnorm0 or gnorm == 0.0
+        return gnorm <= _GRAD_TOL * gnorm0 or gnorm ** 2 <= floor_sq
 
     loss = ctx.loss(G)
     if not np.isfinite(loss):

@@ -17,8 +17,8 @@ import scipy.linalg
 from .basis import FeatureBasis, GramMatrix, _gram_sum, build_index_set
 from .errors import InvalidInputError, NumericError
 from .grassmann import learn_features
-from .surrogate import (FeatureMap, SurrogateMatrices, min_generalized_eig,
-                        poincare_loss, surrogate_sums)
+from .surrogate import (FeatureMap, SurrogateMatrices, _loss_roundoff,
+                        min_generalized_eig, poincare_loss, surrogate_sums)
 
 _PK_CANDIDATES = ((0.8, 2), (0.8, 3), (0.8, 4), (0.8, 5),
                   (0.9, 2), (0.9, 3), (0.9, 4),
@@ -268,23 +268,6 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     limit = best_score + _loss_roundoff(samples)
     tied = [(size, pk) for score, size, pk in results if score <= limit]
     return min(tied)[1] if tied else best     # a NaN best ties with nothing
-
-
-def _loss_roundoff(samples):
-    """Bound on the roundoff of a mean Poincare loss over these samples.
-
-    A per-sample term is |b|^2 - <c, b>^2 / |c|^2 for the gradient b and a
-    feature gradient c in R^d.  Each of the three d-term sums is within
-    gamma_d = d u / (1 - d u) of its value, relative to the sum of absolute
-    values (u = eps / 2), and the quotient and subtraction add a few u.  With
-    |<c, b>| <= |c| |b| the term is within (4 d + 2) u |b|^2 =
-    (2 d + 1) eps |b|^2, which averages to (2 d + 1) eps times the mean
-    squared gradient norm.  The roundoff in c itself moves the projection
-    only at second order.  For several features the projection runs through
-    a backward-stable SVD, whose roundoff is of the same order.
-    """
-    return (2 * samples.dim + 1) * np.finfo(float).eps * \
-        samples.mean_gradient_norm_sq()
 
 
 def _cv_score(samples, basis, jac, folds, m, method, optimizer):

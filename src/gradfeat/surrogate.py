@@ -231,6 +231,23 @@ def poincare_loss(samples, fmap, jac=None):
     return float(np.mean(poincare_loss_terms(samples, fmap, jac)))
 
 
+def _loss_roundoff(samples):
+    """Bound on the roundoff of a mean Poincare loss over these samples.
+
+    A per-sample term is |b|^2 - <c, b>^2 / |c|^2 for the gradient b and a
+    feature gradient c in R^d.  Each of the three d-term sums is within
+    gamma_d = d u / (1 - d u) of its value, relative to the sum of absolute
+    values (u = eps / 2), and the quotient and subtraction add a few u.  With
+    |<c, b>| <= |c| |b| the term is within (4 d + 2) u |b|^2 =
+    (2 d + 1) eps |b|^2, which averages to (2 d + 1) eps times the mean
+    squared gradient norm.  The roundoff in c itself moves the projection
+    only at second order.  For several features the projection runs through
+    a backward-stable SVD, whose roundoff is of the same order.
+    """
+    return (2 * samples.dim + 1) * np.finfo(float).eps * \
+        samples.mean_gradient_norm_sq()
+
+
 def convex_surrogate_terms(samples, fmap):
     if fmap.n_features != 1:
         raise InvalidInputError("the convex surrogate is defined for a single feature")
@@ -285,10 +302,11 @@ def surrogate_sums(gradients, jac_phi, Q=None):
     unit = np.divide(gradients, norm[:, None], out=np.zeros_like(gradients),
                      where=norm[:, None] > 0.0)
     buffer = _sum_buffer(jac_phi)
+    eye = np.eye(d)
 
     def terms(rows):
         u = unit[rows]
-        P = np.eye(d) - u[:, :, None] * u[:, None, :]
+        P = eye - u[:, :, None] * u[:, None, :]
         if Q is not None:
             q = Q[rows]
             P -= q @ q.transpose(0, 2, 1)
@@ -332,35 +350,6 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
 # Generalized eigenproblems (one eigenpair of the Cholesky-reduced problem)
 # ---------------------------------------------------------------------------
 
-def _reduce(H, gram):
-    """Lower triangle of L^-1 H L^-T (LAPACK sygst) with L = gram.chol.
-
-    Reads the lower triangle of H.  A non-finite H or a failed call raises
-    ``NumericError``.
-    """
-    H = np.asarray(H, dtype=float)
-    if not np.all(np.isfinite(H)):
-        raise NumericError("non-finite entries in the eigenproblem matrix")
-    A, info = _sygst(H, gram.chol, itype=1, lower=1)
-    _check_info("sygst", info)
-    return A
-
-
-def _subset_eig(A, index, vectors):
-    """Eigenpair ``index`` (1-based, ascending) of the symmetric matrix whose
-    lower triangle A holds (LAPACK syevr); A is overwritten.
-
-    The bisection runs to LAPACK's most accurate tolerance, twice the
-    underflow threshold, rather than its default eps * ||A||, so a small
-    eigenvalue of a badly scaled pencil keeps its relative accuracy; the
-    extra bisection steps cost little next to the reduction.
-    """
-    w, z, _, _, info = _syevr(A, compute_v=int(vectors), range="I", lower=1,
-                              il=index, iu=index, abstol=_ABSTOL, overwrite_a=1)
-    _check_info("syevr", info)
-    return float(w[0]), z
-
-
 def _check_info(name, info):
     if info != 0:
         raise NumericError(f"generalized eigensolve failed (LAPACK {name} "
@@ -378,22 +367,28 @@ def min_generalized_eig(H, gram):
     """Smallest generalized eigenpair of (H, R) with R the Gram metric.
 
     H is symmetric; only its lower triangle is read.  The pencil is reduced
-    once with the cached Cholesky factor of R, and only the smallest pair of
-    the reduced matrix is computed.  Returns (eigenvalue, vector) with vector
-    normalized to unit R-norm and its first non-negligible entry positive.
-    A non-finite H or a failed LAPACK call raises ``NumericError``.
+    once to L^-1 H L^-T (LAPACK sygst) with L the cached Cholesky factor of
+    R, and only the smallest pair of the reduced matrix is computed (syevr).
+    Its bisection runs to LAPACK's most accurate tolerance, twice the
+    underflow threshold, rather than its default eps * ||A||, so a small
+    eigenvalue of a badly scaled pencil keeps its relative accuracy; the
+    extra bisection steps cost little next to the reduction.  Returns
+    (eigenvalue, vector) with vector normalized to unit R-norm and its first
+    non-negligible entry positive.  A non-finite H or a failed LAPACK call
+    raises ``NumericError``.
     """
-    lam, y = _subset_eig(_reduce(H, gram), 1, vectors=True)
+    H = np.asarray(H, dtype=float)
+    if not np.all(np.isfinite(H)):
+        raise NumericError("non-finite entries in the eigenproblem matrix")
+    A, info = _sygst(H, gram.chol, itype=1, lower=1)
+    _check_info("sygst", info)
+    w, y, _, _, info = _syevr(A, compute_v=1, range="I", lower=1, il=1, iu=1,
+                              abstol=_ABSTOL, overwrite_a=1)
+    _check_info("syevr", info)
     vec, info = _trtrs(gram.chol, y[:, 0], lower=1, trans=1)
     _check_info("trtrs", info)
     vec = vec / np.sqrt(vec @ (gram.matrix @ vec))
-    return lam, _fix_sign(vec)
-
-
-def max_generalized_eig(H, gram):
-    """Largest generalized eigenvalue of (H, R), from the same reduction as
-    ``min_generalized_eig`` and without eigenvectors; same contract."""
-    return _subset_eig(_reduce(H, gram), gram.size, vectors=False)[0]
+    return float(w[0]), _fix_sign(vec)
 
 
 def orthonormalize(coeffs, gram):

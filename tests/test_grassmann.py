@@ -376,7 +376,10 @@ class TestStopReason:
 
     @pytest.mark.parametrize("bench_id, n", [("u1", 50), ("u3", 100)])
     def test_grad_tol(self, bench_id, n):
-        # these linear-start descents on the (0.8, 5) basis converge
+        # these linear-start descents on the (0.8, 5) basis converge; u3's
+        # reaches the loss's roundoff with its gradient norm about 2e-9
+        # times the first, so the absolute floor, not the relative
+        # tolerance, stops it
         bench = make_benchmark(bench_id)
         samples = make_samples(bench, n, 7)
         basis = FeatureBasis(build_index_set(8, 0.8, 5.0), bench.families)
@@ -384,8 +387,24 @@ class TestStopReason:
         G0 = active_subspace_init(samples, basis, 1, gram)
         _, trace = minimize_poincare_loss(samples, basis, G0, gram=gram)
         assert trace.stop_reason == "grad_tol"
-        assert trace[-1][2] <= 1e-9 * trace[0][2]
+        assert trace[-1][2] <= max(1e-9 * trace[0][2],
+                                   np.sqrt(_loss_roundoff(samples)))
         assert trace[-1][0] < 500
+
+    @pytest.mark.parametrize("bench_id", ["u1", "u3"])
+    def test_start_stationary_to_roundoff(self, bench_id):
+        # on the linear basis the active-subspace start is the minimizer,
+        # with a gradient norm of about 1e-16: the descent stops there at
+        # grad_tol rather than stalling on noise
+        bench = make_benchmark(bench_id)
+        samples = make_samples(bench, 60, 7)
+        basis = FeatureBasis(build_index_set(8, 1.0, 1.0), bench.families)
+        gram = assemble_gram(basis, samples)
+        G0 = active_subspace_init(samples, basis, 1, gram)
+        _, trace = minimize_poincare_loss(samples, basis, G0, gram=gram)
+        assert trace.stop_reason == "grad_tol"
+        assert len(trace) == 1
+        assert trace[0][2] ** 2 <= _loss_roundoff(samples)
 
     def test_max_iters(self):
         trace = self.run(max_iters=3)
