@@ -44,17 +44,19 @@ _SUM_ROWS = 256
 # ---------------------------------------------------------------------------
 
 class _Family:
-    """What the univariate families share.  ``rows(x, max_degree, *params,
-    derivatives=True)`` evaluates one family kind for any shape of x, its
-    parameters (named in ``fields``) broadcasting against x, so a basis
-    evaluates all of its dimensions of one kind in one recurrence; with
-    ``derivatives=False`` it skips the derivative recurrence and returns
-    None for the derivatives, with the same value bits."""
+    """What the univariate families share.  ``rows(x, vals, ders, *params)``
+    writes one family kind's values and x-derivatives up to degree
+    ``vals.shape[0] - 1`` into ``vals`` and ``ders``, both of shape
+    (degree + 1,) + x.shape, for any shape of x; its parameters (named in
+    ``fields``) broadcast against x, so a basis evaluates all of its
+    dimensions of one kind in one recurrence, straight into its rows of the
+    stacked tables."""
 
     def table(self, x, max_degree):
         """Values and x-derivatives, shapes (n, max_degree + 1)."""
-        vals, ders = self.rows(np.asarray(x, dtype=float), max_degree,
-                               *(getattr(self, name) for name in self.fields))
+        x = np.asarray(x, dtype=float)
+        vals, ders = np.empty((2, max_degree + 1) + x.shape)
+        self.rows(x, vals, ders, *(getattr(self, name) for name in self.fields))
         return vals.T, ders.T
 
 
@@ -75,59 +77,47 @@ class Legendre(_Family):
         return 2.0 * math.sqrt(3.0) / (self.b - self.a)
 
     @staticmethod
-    def rows(x, max_degree, a, b, derivatives=True):
-        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape; the
-        derivatives are None unless asked for."""
+    def rows(x, vals, ders, a, b):
+        max_degree = vals.shape[0] - 1
         t = (2.0 * x - a - b) / (b - a)
-        vals = np.empty((max_degree + 1,) + t.shape)
         vals[0] = 1.0
         if max_degree >= 1:
             vals[1] = t
         for i in range(1, max_degree):
             vals[i + 1] = ((2 * i + 1) * t * vals[i] - i * vals[i - 1]) / (i + 1)
-        ders = None
-        if derivatives:
-            ders = np.empty_like(vals)
-            ders[0] = 0.0
-            if max_degree >= 1:
-                ders[1] = 1.0
-            for i in range(1, max_degree):
-                ders[i + 1] = ((2 * i + 1) * (vals[i] + t * ders[i])
-                               - i * ders[i - 1]) / (i + 1)
+        ders[0] = 0.0
+        if max_degree >= 1:
+            ders[1] = 1.0
+        for i in range(1, max_degree):
+            ders[i + 1] = ((2 * i + 1) * (vals[i] + t * ders[i])
+                           - i * ders[i - 1]) / (i + 1)
         scale = np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0) \
             .reshape((-1,) + (1,) * t.ndim)
         vals *= scale
-        if derivatives:
-            ders *= scale
-            ders *= 2.0 / (b - a)     # dt/dx
-        return vals, ders
+        ders *= scale
+        ders *= 2.0 / (b - a)     # dt/dx
 
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, size=n)
 
 
-def _hermite_rows(t, max_degree, derivatives):
-    """Scaled Hermite values and t-derivatives (None unless asked for), one
-    row per degree."""
-    vals = np.empty((max_degree + 1,) + t.shape)
+def _hermite_rows(t, vals, ders):
+    """Scaled Hermite values and t-derivatives, written into ``vals`` and
+    ``ders``, one row per degree."""
+    max_degree = vals.shape[0] - 1
     vals[0] = 1.0
     if max_degree >= 1:
         vals[1] = t
     for i in range(1, max_degree):
         vals[i + 1] = t * vals[i] - i * vals[i - 1]
-    ders = None
-    if derivatives:
-        ders = np.empty_like(vals)
-        ders[0] = 0.0
-        for i in range(max_degree):
-            # He_{n}' = n He_{n-1}
-            ders[i + 1] = (i + 1) * vals[i]
+    ders[0] = 0.0
+    for i in range(max_degree):
+        # He_{n}' = n He_{n-1}
+        ders[i + 1] = (i + 1) * vals[i]
     scale = np.array([1.0 / math.sqrt(math.factorial(i))
                       for i in range(max_degree + 1)]).reshape((-1,) + (1,) * t.ndim)
     vals *= scale
-    if derivatives:
-        ders *= scale
-    return vals, ders
+    ders *= scale
 
 
 class Hermite(_Family):
@@ -146,13 +136,9 @@ class Hermite(_Family):
         return 1.0 / self.sigma
 
     @staticmethod
-    def rows(x, max_degree, mu, sigma, derivatives=True):
-        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape; the
-        derivatives are None unless asked for."""
-        vals, ders = _hermite_rows((x - mu) / sigma, max_degree, derivatives)
-        if derivatives:
-            ders /= sigma
-        return vals, ders
+    def rows(x, vals, ders, mu, sigma):
+        _hermite_rows((x - mu) / sigma, vals, ders)
+        ders /= sigma
 
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, size=n)
@@ -164,16 +150,11 @@ class LogHermite(Hermite):
     kind = "log_hermite"
 
     @staticmethod
-    def rows(x, max_degree, mu, sigma, derivatives=True):
-        """Values and x-derivatives, shapes (max_degree + 1,) + x.shape; the
-        derivatives are None unless asked for."""
+    def rows(x, vals, ders, mu, sigma):
         if np.any(x <= 0.0):
             raise InvalidInputError("log-domain family evaluated at x <= 0")
-        vals, ders = _hermite_rows((np.log(x) - mu) / sigma, max_degree,
-                                   derivatives)
-        if derivatives:
-            ders /= sigma * x
-        return vals, ders
+        _hermite_rows((np.log(x) - mu) / sigma, vals, ders)
+        ders /= sigma * x
 
     def sample(self, rng, n):
         return np.exp(rng.normal(self.mu, self.sigma, size=n))
@@ -294,16 +275,23 @@ class FeatureBasis:
 
     @functools.cached_property
     def _table_groups(self):
-        """``(kind, dims, top, params)`` per family kind, in order of first
-        appearance: the dimensions of that kind, their highest degree, and
-        each of the kind's parameters as a (len(dims), 1) column."""
+        """``(kind, dims, params, span)`` per family kind, in order of first
+        appearance: the dimensions of that kind, each of the kind's
+        parameters as a (len(dims), 1) column, and the slice of the kind's
+        rows in the stacked tables of ``_tables``.  Row 0 is the constant
+        row; each kind's rows follow it, degree by degree from 0 to the
+        kind's highest degree, each degree holding one row per dimension."""
         dims_of = {}
         for nu, fam in enumerate(self.families):
             dims_of.setdefault(type(fam), []).append(nu)
-        return [(kind, dims, int(self._max_deg[dims].max()),
-                 [np.array([getattr(self.families[nu], name) for nu in dims])[:, None]
-                  for name in kind.fields])
-                for kind, dims in dims_of.items()]
+        groups, start = [], 1
+        for kind, dims in dims_of.items():
+            size = len(dims) * (int(self._max_deg[dims].max()) + 1)
+            params = [np.array([getattr(self.families[nu], name) for nu in dims])[:, None]
+                      for name in kind.fields]
+            groups.append((kind, dims, params, slice(start, start + size)))
+            start += size
+        return groups
 
     @functools.cached_property
     def _plan(self):
@@ -325,14 +313,11 @@ class FeatureBasis:
         cross-validation builds are never evaluated.
         """
         alpha = self._alpha
-        # table row of degree i in dimension nu: a kind's rows are stacked
-        # degree by degree, each degree holding one row per dimension
+        # table row of degree i in dimension nu
         row = np.zeros((self.dim, int(self._max_deg.max()) + 1), dtype=int)
-        start = 1
-        for _, dims, top, _ in self._table_groups:
-            row[dims, :top + 1] = (start + len(dims) * np.arange(top + 1)
-                                   + np.arange(len(dims))[:, None])
-            start += len(dims) * (top + 1)
+        for _, dims, _, span in self._table_groups:
+            by_degree = np.arange(span.start, span.stop).reshape(-1, len(dims))
+            row[dims, :len(by_degree)] = by_degree.T
         table_idx = np.where(alpha > 0, row[np.arange(self.dim), alpha], 0)
 
         def packed(idx):
@@ -390,22 +375,22 @@ class FeatureBasis:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _tables(self, X, derivatives=True):
-        """The stacked value table [1 | vals] and derivative table
-        [0 | ders] at the rows of X, one row per univariate member and
-        dimension (laid out as ``_plan`` indexes them), so that gathering
-        members copies whole rows.  Each family kind runs one recurrence
-        over all of its dimensions.  With ``derivatives=False`` the
-        derivative table is None and its recurrences do not run."""
+    def _tables(self, X):
+        """The stacked value table V = [1 | vals] and derivative table
+        D = [0 | ders] at the rows of X, one row per univariate member and
+        dimension (laid out as ``_table_groups`` says), so that gathering
+        members copies whole rows.  Each table is allocated once; each
+        family kind runs one recurrence over all of its dimensions, written
+        straight into the kind's rows of both."""
         n = X.shape[0]
-        vals, ders = [np.ones((1, n))], [np.zeros((1, n))]
-        for kind, dims, top, params in self._table_groups:
-            v, g = kind.rows(X.T[dims], top, *params, derivatives=derivatives)
-            vals.append(v.reshape(-1, n))
-            if derivatives:
-                ders.append(g.reshape(-1, n))
-        return (np.concatenate(vals, axis=0),
-                np.concatenate(ders, axis=0) if derivatives else None)
+        V = np.empty((self._table_groups[-1][-1].stop, n))  # the last kind ends them
+        D = np.empty_like(V)
+        V[0], D[0] = 1.0, 0.0
+        for kind, dims, params, span in self._table_groups:
+            # a slice of whole rows reshapes to a view, which rows() fills
+            kind.rows(X.T[dims], V[span].reshape(-1, len(dims), n),
+                      D[span].reshape(-1, len(dims), n), *params)
+        return V, D
 
     def eval_batch(self, X):
         """Phi at each row of X; returns (n, K)."""
@@ -413,8 +398,7 @@ class FeatureBasis:
         eval_idx, _ = self._plan
         out = np.empty((X.shape[0], self.size))
         for start in range(0, X.shape[0], _EVAL_CHUNK):
-            V, _ = self._tables(X[start:start + _EVAL_CHUNK],
-                                derivatives=False)
+            V, _ = self._tables(X[start:start + _EVAL_CHUNK])
             phi = V[eval_idx[0]]
             for idx in eval_idx[1:]:
                 phi *= V[idx]
@@ -573,26 +557,25 @@ def assemble_gram(basis, samples, jac=None):
                                 np.sqrt(1.0 / n)))
 
 
-def _block_sums(n, terms):
-    """Sums of M^T M over n sample rows, one sum per matrix that
-    ``terms(rows)`` returns for a slice of the rows.
+def _block_sums(n, term):
+    """The sum of M^T M over n sample rows, M the matrix that
+    ``term(rows)`` returns for a slice of the rows.
 
-    The slices are _SUM_ROWS rows long.  The first slice's products are the
-    sums and every later slice's products are added to them, so a sum over
-    at most _SUM_ROWS rows is one matrix product, and a longer one differs
-    from that by roundoff only.  ``terms`` may write its matrices into
-    buffers that every slice reuses: it is not called again until their
-    products are taken.  Returns a list of K x K arrays.
+    The slices are _SUM_ROWS rows long.  The first slice's product is the
+    sum and every later slice's product is added to it, so a sum over at
+    most _SUM_ROWS rows is one matrix product, and a longer one differs from
+    that by roundoff only.  ``term`` may write its matrix into a buffer
+    that every slice reuses: it is not called again until its product is
+    taken.  Returns a K x K array.
     """
-    sums = None
+    total = None
     for start in range(0, n, _SUM_ROWS):
-        products = [M.T @ M for M in terms(slice(start, start + _SUM_ROWS))]
-        if sums is None:
-            sums = products
+        M = term(slice(start, start + _SUM_ROWS))
+        if total is None:
+            total = M.T @ M
         else:
-            for total, product in zip(sums, products):
-                total += product
-    return sums
+            total += M.T @ M
+    return total
 
 
 def _sum_buffer(jac):
@@ -605,13 +588,13 @@ def _gram_sum(jac, scale=None):
     J_i multiplied by ``scale`` first when it is given."""
     n, _, K = jac.shape
     if scale is None:
-        return _block_sums(n, lambda rows: [jac[rows].reshape(-1, K)])[0]
+        return _block_sums(n, lambda rows: jac[rows].reshape(-1, K))
     buffer = _sum_buffer(jac)
 
     def scaled(rows):
         block = jac[rows]
-        return [np.multiply(block, scale, out=buffer[:len(block)]).reshape(-1, K)]
-    return _block_sums(n, scaled)[0]
+        return np.multiply(block, scale, out=buffer[:len(block)]).reshape(-1, K)
+    return _block_sums(n, scaled)
 
 
 def _jacobian_at(basis, points, jac=None):

@@ -314,19 +314,8 @@ def cmd_learn(cfg, samples_path):
     out = _write_config(cfg)
     fmap.save(os.path.join(out, "feature_map.txt"),
               os.path.join(out, "basis.json"))
-    metrics = {
-        "method": method,
-        "m": m,
-        "K": basis.size,
-        "loss_init": info["loss_init"],
-        "loss_final": info["loss_final"],
-        "loss_scale": samples.mean_gradient_norm_sq(),
-        "iterations": info["iterations"],
-        "stop_reason": info["stop_reason"],
-        "grad_rel_final": info["grad_rel_final"],
-        "gram_ridge_added": info["gram_ridge_added"],
-        "wall_time_s": info["wall_time_s"],
-    }
+    metrics = {"m": m, "K": basis.size,
+               "loss_scale": samples.mean_gradient_norm_sq(), **info}
     _dump_json(metrics, os.path.join(out, "metrics.json"))
     print(f"learned {metrics['m']} feature(s) with {metrics['method']} "
           f"(K={metrics['K']}): loss {metrics['loss_final']:.6e} "

@@ -304,15 +304,15 @@ def surrogate_sums(gradients, jac_phi, Q=None):
     buffer = _sum_buffer(jac_phi)
     eye = np.eye(d)
 
-    def terms(rows):
+    def term(rows):
         u = unit[rows]
         P = eye - u[:, :, None] * u[:, None, :]
         if Q is not None:
             q = Q[rows]
             P -= q @ q.transpose(0, 2, 1)
         P *= norm[rows, None, None]
-        return [np.matmul(P, jac_phi[rows], out=buffer[:len(P)]).reshape(-1, K)]
-    return _block_sums(n, terms)[0]
+        return np.matmul(P, jac_phi[rows], out=buffer[:len(P)]).reshape(-1, K)
+    return _block_sums(n, term)
 
 
 def surrogate_matrices(samples, basis, jac=None):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -211,25 +212,22 @@ class TestFeatureBasis:
         assert np.array_equal(basis.eval_batch(X).view(np.int64),
                               phi_ref.view(np.int64))
 
-    @pytest.mark.parametrize("kind", [Legendre, Hermite, LogHermite])
-    def test_values_only_skip_the_derivative_recurrence(self, monkeypatch, kind):
-        basis = FeatureBasis(build_index_set(3, 1.0, 3.0),
-                             [kind(0.5, 1.5) for _ in range(3)])
-        X = np.column_stack([fam.sample(np.random.default_rng(nu), 40)
-                             for nu, fam in enumerate(basis.families)])
-        vals, _ = basis._tables(X)
-        asked = []
-        rows = kind.rows
-
-        def recorded(*args, derivatives=True):
-            asked.append(derivatives)
-            return rows(*args, derivatives=derivatives)
-        monkeypatch.setattr(kind, "rows", staticmethod(recorded))
-        values_only, ders = basis._tables(X, derivatives=False)
-        assert ders is None
-        assert np.array_equal(values_only.view(np.int64), vals.view(np.int64))
-        basis.eval_batch(X)
-        assert asked == [False, False]
+    @pytest.mark.parametrize("p, k", [(1.0, 2.0), (1.0, 3.0), (0.8, 5.0)])
+    def test_tables_written_in_place(self, p, k):
+        """Each kind's recurrence writes into its rows of the stacked tables:
+        at a full chunk of u4 points the traced peak of ``_tables`` is the two
+        tables plus a few (n, d) temporaries, with no second copy of them."""
+        basis = FeatureBasis(build_index_set(len(_U4), p, k), _U4)
+        rng = np.random.default_rng(3)
+        X = np.column_stack([fam.sample(rng, _EVAL_CHUNK) for fam in _U4])
+        basis._tables(X[:1])          # the row layout is built outside the trace
+        tracemalloc.start()
+        try:
+            V, D = basis._tables(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= V.nbytes + D.nbytes + 4 * X.nbytes
 
     def test_one_recurrence_per_kind_with_uneven_degrees(self):
         # two Legendre dimensions with different supports and maximal
