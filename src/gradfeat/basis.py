@@ -487,12 +487,15 @@ class GramMatrix:
     """Symmetric positive-definite K x K metric with a cached Cholesky factor.
 
     A tiny ridge is added when the raw estimate fails to factor; the amount
-    is kept in ``ridge_added``.
+    is kept in ``ridge_added``.  A non-finite entry (an overflowed sum)
+    raises ``NumericError``.
     """
 
     def __init__(self, matrix):
         M = np.asarray(matrix, dtype=float)
         M = 0.5 * (M + M.T)
+        if not np.isfinite(M).all():
+            raise NumericError("Gram matrix has non-finite entries")
         self.ridge_added = 0.0
         try:
             chol = scipy.linalg.cholesky(M, lower=True)

@@ -200,8 +200,7 @@ class ExperimentConfig:
     n_test: int = 1000
     n_realizations: int = 5
     seed: int = 0
-    select_pk: bool = True
-    fixed_pk: tuple = (1.0, 2.0)     # used when select_pk is False
+    fixed_pk: tuple | None = None    # None: (p, k) by cross-validation
     cv: CvGrid = field(default_factory=CvGrid)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
@@ -247,7 +246,7 @@ def _realization_seeds(base_seed, ntrain, realization):
 
 
 def _run_cell(bench, config, method, train, test, cv_seed):
-    if config.select_pk:
+    if config.fixed_pk is None:
         p, k = cv_select_basis(train, config.m, method, bench.families,
                                grid=config.cv, seed=cv_seed,
                                optimizer=config.optimizer)
@@ -327,8 +326,8 @@ def _config_echo(config):
         "methods": list(config.methods),
         "ntrain_list": [int(n) for n in config.ntrain_list],
         "n_test": config.n_test, "n_realizations": config.n_realizations,
-        "seed": config.seed, "select_pk": config.select_pk,
-        "fixed_pk": list(config.fixed_pk),
+        "seed": config.seed,
+        "fixed_pk": None if config.fixed_pk is None else list(config.fixed_pk),
         "cv": {"log10_gamma": list(map(float, config.cv.log10_gamma)),
                "log10_ridge": list(map(float, config.cv.log10_ridge)),
                "folds": config.cv.folds,

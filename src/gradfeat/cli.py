@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 usage or input problem, 3 numeric failure,
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -52,7 +53,6 @@ def _of_type(kind, expected):
 
 
 _path = _of_type(str, "a path string")
-_boolean = _of_type(bool, "true or false")
 _list = _of_type(list, "a list")
 
 
@@ -152,7 +152,6 @@ _SCHEMA = {
         "m": _Key(1, _count),
         "optimizer": {
             "max_iters": _Key(500, _integer(0)),
-            "trace_path": _Key(None, _optional(_path)),
         },
     },
     "regression": {
@@ -169,8 +168,7 @@ _SCHEMA = {
         "n_test": _Key(1000, _count),
         "n_realizations": _Key(5, _count),
         "seed": _Key(0, _seed),
-        "select_pk": _Key(True, _boolean),
-        "fixed_pk": _Key([1.0, 2.0], _pk_pair),
+        "fixed_pk": _Key(None, _optional(_pk_pair)),
     },
     "deviation": {
         "feature_map": _Key(None, _optional(_path)),
@@ -263,17 +261,6 @@ def _make_out_dir(cfg):
         raise InvalidInputError(f"cannot create io.out_dir {out!r}: {exc}") from None
 
 
-def _make_trace_file(cfg):
-    """Create learn's trace file before any work, not after the fit."""
-    path = cfg["learn"]["optimizer"]["trace_path"]
-    if path:
-        try:
-            open(path, "a").close()
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write learn.optimizer.trace_path "
-                                    f"{path!r}: {exc}") from None
-
-
 def _write_config(cfg):
     """Write the resolved config into the output directory and return the directory."""
     out = cfg["io"]["out_dir"]
@@ -302,7 +289,6 @@ def cmd_learn(cfg, samples_path):
     families = [family_from_spec(s) for s in spec["families"]]
     method, m = cfg["learn"]["method"], cfg["learn"]["m"]
     _make_out_dir(cfg)
-    _make_trace_file(cfg)
     samples = bm.read_samples_csv(samples_path)
     if samples.dim != len(families):
         raise InvalidInputError(
@@ -314,9 +300,15 @@ def cmd_learn(cfg, samples_path):
     out = _write_config(cfg)
     fmap.save(os.path.join(out, "feature_map.txt"),
               os.path.join(out, "basis.json"))
+    trace = info.pop("trace")
     metrics = {"m": m, "K": basis.size,
                "loss_scale": samples.mean_gradient_norm_sq(), **info}
     _dump_json(metrics, os.path.join(out, "metrics.json"))
+    if trace is not None:
+        with open(os.path.join(out, "trace.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iter", "J", "grad_norm", "step"])
+            writer.writerows(trace)
     print(f"learned {metrics['m']} feature(s) with {metrics['method']} "
           f"(K={metrics['K']}): loss {metrics['loss_final']:.6e} "
           f"at scale {metrics['loss_scale']:.6e}")
@@ -324,11 +316,6 @@ def cmd_learn(cfg, samples_path):
 
 
 def cmd_benchmark(cfg):
-    if cfg["learn"]["optimizer"]["trace_path"] is not None:
-        # every descent of the sweep would rewrite the one file
-        raise InvalidInputError(
-            "config learn.optimizer.trace_path: applies to learn only; "
-            "set it to null for benchmark")
     config = bm.ExperimentConfig(**cfg["experiment"],
                                  cv=_cv_grid(cfg["regression"]),
                                  optimizer=_optimizer(cfg))

@@ -20,7 +20,6 @@ gradient outer product, embedded on the degree-one basis functions) and the
 greedy surrogate start.
 """
 
-import csv
 import numbers
 import time
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ from .surrogate import (FeatureMap, _loss_roundoff, greedy_features,
 @dataclass
 class OptimizerConfig:
     max_iters: int = 500
-    trace_path: str | None = None
 
     def __post_init__(self):
         if isinstance(self.max_iters, bool) or \
@@ -251,7 +249,9 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     step of the search, capped at 1, can then show a decrease the loss
     resolves), ``max_iters`` (the iteration cap), ``line_search``
     (the step fell below 1e-14) or ``stall`` (three consecutive negligible
-    decreases).  A non-finite gradient raises ``IllConditionedError``.
+    decreases).  A non-finite gradient raises ``IllConditionedError``.  The
+    trace is returned, not written: ``learn_features`` reports it as
+    ``info["trace"]`` and ``gradfeat learn`` writes it to ``trace.csv``.
     """
     cfg = config or OptimizerConfig()
     jac = _jacobian_at(basis, samples.points, jac)
@@ -331,11 +331,6 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     else:
         trace.stop_reason = "grad_tol" if converged(gnorm) else "max_iters"
 
-    if cfg.trace_path:
-        with open(cfg.trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "J", "grad_norm", "step"])
-            writer.writerows(trace)
     return FeatureMap(basis, G), trace
 
 
@@ -368,8 +363,10 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None,
     Gram matrix needed to factor
     (``GramMatrix.ridge_added``, 0.0 when none), and for the descents the
     iteration count, the stop reason (``trace.stop_reason`` of
-    ``minimize_poincare_loss``) and the final gradient norm relative to the
-    initial one; ``sur`` reports 0 iterations and None for the rest.
+    ``minimize_poincare_loss``), the final gradient norm relative to the
+    initial one and the descent's trace rows ``(iteration, loss,
+    gradient_norm, step)`` as ``info["trace"]``; ``sur`` reports 0
+    iterations and None for the rest.
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -381,7 +378,7 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None,
         fmap = greedy_features(samples, basis, m, gram=gram, jac=jac,
                                surrogate=surrogate)
         info = {"method": method, "loss_init": None, "iterations": 0,
-                "stop_reason": None, "grad_rel_final": None}
+                "stop_reason": None, "grad_rel_final": None, "trace": None}
     else:
         if method == "gli":
             G0 = active_subspace_init(samples, basis, m, gram=gram)
@@ -395,7 +392,8 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None,
         gnorm0 = trace[0][2]
         info = {"method": method, "loss_init": trace[0][1],
                 "iterations": trace[-1][0], "stop_reason": trace.stop_reason,
-                "grad_rel_final": trace[-1][2] / gnorm0 if gnorm0 > 0.0 else 0.0}
+                "grad_rel_final": trace[-1][2] / gnorm0 if gnorm0 > 0.0 else 0.0,
+                "trace": trace}
     info["loss_final"] = poincare_loss(samples, fmap, jac=jac)
     info["gram_ridge_added"] = gram.ridge_added
     info["wall_time_s"] = time.perf_counter() - t0

@@ -440,6 +440,9 @@ def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
     """
     if m < 1:
         raise InvalidInputError("m must be >= 1")
+    if m > samples.dim:
+        # the feature Jacobian (d x m) then has rank below m at every point
+        raise InvalidInputError(f"m={m} exceeds input dimension d={samples.dim}")
     if m > basis.size:
         raise InvalidInputError(f"m={m} exceeds basis size K={basis.size}")
     jac = _jacobian_at(basis, samples.points, jac)

@@ -11,7 +11,7 @@ from gradfeat.basis import (_EVAL_CHUNK, FeatureBasis, GramMatrix, Hermite,
                             basis_from_spec, build_index_set, family_from_spec,
                             family_to_spec)
 from gradfeat.benchmarks import make_benchmark
-from gradfeat.errors import InvalidInputError
+from gradfeat.errors import InvalidInputError, NumericError
 from gradfeat.grassmann import (OptimizerConfig, learn_features,
                                 minimize_poincare_loss)
 from gradfeat.regression import _PK_CANDIDATES
@@ -337,6 +337,13 @@ class TestGramMatrix:
         R = assemble_gram(basis, pts)
         assert R.ridge_added > 0.0
         np.linalg.cholesky(R.matrix)   # factorization must succeed
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_is_numeric_error(self, bad):
+        M = np.eye(3)
+        M[0, 1] = M[1, 0] = bad
+        with pytest.raises(NumericError, match="Gram matrix"):
+            GramMatrix(M)
 
     def test_solve_matches_two_triangular_solves_bitwise(self):
         rng = np.random.default_rng(7)

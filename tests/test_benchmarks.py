@@ -181,8 +181,7 @@ class TestSampleCsv:
 
 def desk_config(**kw):
     base = dict(benchmark="u1", m=1, methods=("sur",), ntrain_list=(40,),
-                n_test=150, n_realizations=1, seed=11, select_pk=False,
-                fixed_pk=(1.0, 2.0))
+                n_test=150, n_realizations=1, seed=11, fixed_pk=(1.0, 2.0))
     base.update(kw)
     return ExperimentConfig(**base)
 

@@ -68,16 +68,22 @@ class TestConfig:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
 
-    @pytest.mark.parametrize("key", ["seed", "grad_tol", "step_init",
-                                     "shrink", "sufficient_decrease"])
-    def test_removed_optimizer_key_rejected(self, tmp_path, capsys, key):
-        # descent takes no seed, and its search constants are not settings;
-        # the keys were removed and old configs fail
-        path = write_config(tmp_path, "old.json",
-                            {"learn": {"optimizer": {key: 0}}})
+    @pytest.mark.parametrize("key", [
+        "learn.optimizer.seed", "learn.optimizer.grad_tol",
+        "learn.optimizer.step_init", "learn.optimizer.shrink",
+        "learn.optimizer.sufficient_decrease", "learn.optimizer.trace_path",
+        "experiment.select_pk"])
+    def test_removed_key_rejected(self, tmp_path, capsys, key):
+        # descent takes no seed, its search constants are not settings,
+        # learn always writes its trace and a null experiment.fixed_pk
+        # selects (p, k); the keys were removed and old configs fail
+        tree = value = {}
+        for part in key.split(".")[:-1]:
+            value = value.setdefault(part, {})
+        value[key.split(".")[-1]] = 0
+        path = write_config(tmp_path, "old.json", tree)
         assert main(["--config", path, "--print-config"]) == 2
-        assert f"unknown config key: learn.optimizer.{key}" in \
-            capsys.readouterr().err
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
     def test_defaults_agree_with_the_library(self):
         # the schema declares defaults that the dataclasses declare too
@@ -117,9 +123,6 @@ class TestConfig:
          "config deviation.eps_grid:"),
         # path-valued keys are checked before any work
         ({"io": {"out_dir": 5}}, ["benchmark"], "config io.out_dir:"),
-        ({"basis": {"families": box_families()},
-          "learn": {"optimizer": {"trace_path": 3}}}, ["learn", "CSV"],
-         "config learn.optimizer.trace_path:"),
         ({"deviation": {"feature_map": ["g.txt"]}}, ["check-deviation"],
          "config deviation.feature_map:"),
         ({"deviation": {"basis_spec": 1.5}}, ["check-deviation"],
@@ -150,13 +153,6 @@ class TestConfig:
          "config experiment.n_realizations:"),
         ({"experiment": {"seed": 0.5}}, ["benchmark"],
          "config experiment.seed:"),
-        # the boolean key takes JSON true or false only
-        ({"experiment": {"select_pk": "false"}}, ["benchmark"],
-         "config experiment.select_pk:"),
-        ({"experiment": {"select_pk": 0.5}}, ["benchmark"],
-         "config experiment.select_pk:"),
-        ({"experiment": {"select_pk": [0]}}, ["benchmark"],
-         "config experiment.select_pk:"),
         # list-valued keys take JSON lists only: a string is not read as
         # its characters
         ({"experiment": {"methods": "sur"}}, ["benchmark"],
@@ -223,12 +219,11 @@ class TestConfig:
          "config experiment.ntrain_list:"),
     ], ids=["list-print-config", "list-learn", "section-not-object",
             "subsection-not-object", "basis-p", "max-iters", "folds",
-            "fixed-pk", "eps-grid", "out-dir", "trace-path", "feature-map",
+            "fixed-pk", "eps-grid", "out-dir", "feature-map",
             "basis-spec", "samples", "max-iters-fraction", "max-iters-bool",
             "m-fraction", "experiment-m-bool", "folds-string",
             "pk-folds-fraction", "grid-n-fraction", "n-test-fraction",
             "ntrain-fraction", "realizations-string", "seed-fraction",
-            "select-pk-string", "select-pk-fraction", "select-pk-list",
             "methods-string", "fixed-pk-string", "ntrain-string",
             "eps-grid-string", "t-grid-string", "families-string",
             "methods-unknown", "methods-unknown-print-config",
@@ -290,34 +285,6 @@ class TestConfig:
         assert main(["--config", path] + command) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config learn.optimizer.max_iters:"), err
-        assert not (tmp_path / "out").exists()
-
-    def test_unwritable_trace_path_exits_2_before_work(
-            self, tmp_path, u1_csv, capsys, monkeypatch):
-        # a trace in a directory that does not exist used to fail after
-        # the whole fit, leaving the output directory empty
-        path = write_config(tmp_path, "trace.json", {
-            "basis": {"families": box_families()},
-            "learn": {"method": "gli", "optimizer": {
-                "trace_path": str(tmp_path / "missing" / "t.csv")}},
-            "io": {"out_dir": str(tmp_path / "out")}})
-        monkeypatch.setattr("gradfeat.cli.learn_features", None)
-        assert main(["--config", path, "learn", str(u1_csv)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write learn.optimizer.trace_path"), err
-        assert "Traceback" not in err
-
-    def test_trace_path_rejected_by_benchmark_before_work(
-            self, tmp_path, capsys, monkeypatch):
-        # a sweep runs many descents, and each would rewrite the one file
-        path = write_config(tmp_path, "trace.json", {
-            "learn": {"optimizer": {"trace_path": str(tmp_path / "t.csv")}},
-            "io": {"out_dir": str(tmp_path / "out")}})
-        monkeypatch.setattr("gradfeat.benchmarks.run_experiment", None)
-        assert main(["--config", path, "benchmark"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: config learn.optimizer.trace_path:"), err
-        assert "learn only" in err
         assert not (tmp_path / "out").exists()
 
     def test_unusable_out_dir_exits_2_before_work(self, tmp_path, u1_csv,
@@ -483,7 +450,7 @@ class TestBenchmarkCommand:
             "experiment": {"benchmark": "u1", "methods": ["sur"],
                            "ntrain_list": [40], "n_test": 100,
                            "n_realizations": 2, "seed": 3,
-                           "select_pk": False},
+                           "fixed_pk": [1.0, 2.0]},
             "io": {"out_dir": str(tmp_path / out)},
         })
 
@@ -743,16 +710,41 @@ class TestNumericFailureExitCode:
         })
         assert main(["--config", cfg, "check-deviation"]) == 3
 
+    @pytest.mark.parametrize("method", ["sur", "gli"])
+    def test_overflowing_gram_exits_three(self, tmp_path, capsys, method):
+        # one point far outside the box overflows the Legendre terms, so the
+        # Gram sum is infinite
+        samples = make_samples(make_benchmark("u1"), 60, seed=0)
+        samples.points[0, 0] = 1e200
+        csv = tmp_path / "far.csv"
+        write_samples_csv(samples, csv)
+        cfg = write_config(tmp_path, "far.json", {
+            "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
+            "learn": {"method": method},
+            "io": {"out_dir": str(tmp_path / "far")},
+        })
+        assert main(["--config", cfg, "learn", str(csv)]) == 3
+        err = capsys.readouterr().err
+        assert "Gram matrix" in err and "Traceback" not in err
+
 
 class TestOptimizerTrace:
-    def test_trace_path_wires_through(self, tmp_path, u1_csv):
-        trace = tmp_path / "descent.csv"
-        cfg = write_config(tmp_path, "trace.json", {
-            "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
-            "learn": {"method": "gli", "m": 1,
-                      "optimizer": {"max_iters": 5,
-                                    "trace_path": str(trace)}},
-            "io": {"out_dir": str(tmp_path / "out-trace")},
-        })
-        assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
-        assert trace.read_text().splitlines()[0] == "iter,J,grad_norm,step"
+    def test_learn_writes_descent_trace(self, tmp_path, u1_csv):
+        # gli and gsi write the descent's rows next to metrics.json; sur
+        # runs no descent and writes no trace
+        for method in ("gli", "sur"):
+            cfg = write_config(tmp_path, f"{method}.json", {
+                "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
+                "learn": {"method": method, "m": 1},
+                "io": {"out_dir": str(tmp_path / method)},
+            })
+            assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
+        metrics = json.loads((tmp_path / "gli" / "metrics.json").read_text())
+        header, *rows = (tmp_path / "gli" / "trace.csv").read_text().splitlines()
+        assert header == "iter,J,grad_norm,step"
+        iters = [int(row.split(",")[0]) for row in rows]
+        losses = [float(row.split(",")[1]) for row in rows]
+        assert iters == list(range(len(rows)))
+        assert iters[-1] == metrics["iterations"] > 0
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+        assert not (tmp_path / "sur" / "trace.csv").exists()

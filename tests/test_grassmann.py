@@ -160,15 +160,19 @@ class TestMinimize:
             samples, FeatureMap(basis, orthonormalize(G @ A, gram)))
         assert abs(before - after) <= 1e-10 * max(before, 1.0)
 
-    def test_trace_csv_written(self, tmp_path):
+    def test_trace_in_info(self):
         samples, basis, gram = u3_setup(n=80, seed=13)
+        cfg = OptimizerConfig(max_iters=10)
+        _, info = learn_features(samples, basis, 1, "gli", gram=gram,
+                                 config=cfg)
         G0 = active_subspace_init(samples, basis, 1, gram)
-        path = tmp_path / "trace.csv"
-        cfg = OptimizerConfig(max_iters=10, trace_path=str(path))
-        minimize_poincare_loss(samples, basis, G0, config=cfg, gram=gram)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,J,grad_norm,step"
-        assert len(lines) >= 2
+        _, trace = minimize_poincare_loss(samples, basis, G0, config=cfg,
+                                          gram=gram)
+        # the descent's own rows, (iteration, loss, gradient norm, step)
+        assert info["trace"] == trace and len(trace) >= 2
+        assert info["trace"][-1][0] == info["iterations"]
+        assert learn_features(samples, basis, 1, "sur",
+                              gram=gram)[1]["trace"] is None
 
     @pytest.mark.parametrize("setting", [
         {"max_iters": -1}, {"max_iters": 2.5}, {"max_iters": None},
@@ -463,6 +467,15 @@ class TestLearnFeatures:
         samples, basis, gram = u3_setup(n=60, seed=15)
         with pytest.raises(InvalidInputError):
             learn_features(samples, basis, 0, method, gram=gram)
+
+    @pytest.mark.parametrize("method", ["sur", "gli", "gsi"])
+    def test_more_features_than_inputs_rejected(self, method):
+        # at m > d the d x m feature Jacobian has rank below m everywhere
+        samples, basis, gram = u3_setup(n=60, seed=15)
+        assert basis.size > 9
+        with pytest.raises(InvalidInputError,
+                           match="m=9 exceeds input dimension d=8"):
+            learn_features(samples, basis, 9, method, gram=gram)
 
 
 class TestDescentOnRidgeTarget:

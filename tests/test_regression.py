@@ -187,8 +187,7 @@ class TestRegressionInputContract:
         monkeypatch.setattr(FeatureMap, "evaluate", nan_features)
         cfg = ExperimentConfig(benchmark="u1", m=1, methods=("sur",),
                                ntrain_list=(30,), n_test=50,
-                               n_realizations=1, seed=0, select_pk=False,
-                               fixed_pk=(1.0, 2.0))
+                               n_realizations=1, seed=0, fixed_pk=(1.0, 2.0))
         rep = run_experiment(cfg)
         (row,) = rep.realizations
         assert row["failed"] and row["error"].startswith("InvalidInputError")
