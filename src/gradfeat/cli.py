@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 usage or input problem, 3 numeric failure,
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -304,8 +305,13 @@ def cmd_learn(cfg, samples_path):
     metrics = {"m": m, "K": basis.size,
                "loss_scale": samples.mean_gradient_norm_sq(), **info}
     _dump_json(metrics, os.path.join(out, "metrics.json"))
-    if trace is not None:
-        with open(os.path.join(out, "trace.csv"), "w", newline="") as fh:
+    trace_path = os.path.join(out, "trace.csv")
+    if trace is None:
+        # sur runs no descent: an earlier run's trace would pass for this fit's
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(trace_path)
+    else:
+        with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "J", "grad_norm", "step"])
             writer.writerows(trace)

@@ -3,13 +3,17 @@
 The Poincare loss, the coordinate surrogates and the deflated greedy passes
 all project a gradient off the column span of a small d x m matrix, one
 matrix per sample.  ``_span_svd`` is the one rank-revealing kernel behind
-them: a per-sample SVD whose rank keeps the singular values above
+them: a per-sample thin SVD whose rank keeps the singular values above
 ``DEFAULT_RANK_TOL`` times the leading one.  The tolerance is a constant,
 not a parameter, so every estimator applies the same rank rule.  A zero
 matrix therefore yields the empty span, which keeps the single-feature and
-"remove the only column" cases total.  For one column the residual has a
-closed form (``_single_feature_sums``), which the estimators use instead of
-a one-column SVD.
+"remove the only column" cases total.  For one or two columns the SVD is
+computed in closed form, vectorized over the samples (Gram-Schmidt, then
+one rotation of a 2 x 2 triangle), because a batched LAPACK call costs
+mostly per-matrix overhead at these sizes; three or more columns go to
+``np.linalg.svd``.  For one column the residual also has a closed form
+(``_single_feature_sums``), which the estimators use instead of the
+kernel.
 
 The public functions take one d x m matrix and run the batched kernel on a
 batch of one, so they compute exactly what the estimators compute per
@@ -31,12 +35,89 @@ DEFAULT_RANK_TOL = 1e-10
 def _span_svd(M):
     """Per-sample thin SVD of M (n, d, m) and its rank mask: (U, S, Vt, mask).
 
-    ``mask[i, r]`` keeps singular value ``S[i, r]`` when it exceeds
-    ``DEFAULT_RANK_TOL`` times the sample's leading singular value.
+    With k = min(d, m), U is (n, d, k), S (n, k) in descending order and Vt
+    (n, k, m), so M[i] = U[i] diag(S[i]) Vt[i].  ``mask[i, r]`` keeps
+    singular value ``S[i, r]`` when it exceeds ``DEFAULT_RANK_TOL`` times
+    the sample's leading singular value.  The columns of U that the mask
+    keeps are orthonormal; a dropped column is only guaranteed to be
+    finite, and every caller zeroes or skips it.  One or two columns take
+    the closed form of ``_closed_form_svd`` (a 1 x 2 matrix through its
+    transpose), more take ``np.linalg.svd``.
     """
-    U, S, Vt = np.linalg.svd(M, full_matrices=False)
+    n, d, m = M.shape
+    if not (1 <= m <= 2 and d >= 1):
+        U, S, Vt = np.linalg.svd(M, full_matrices=False)
+    elif d < m:                     # one row: the SVD of its transpose
+        Ut, S, Vtt = _closed_form_svd(M.transpose(0, 2, 1))
+        U, Vt = Vtt.transpose(0, 2, 1), Ut.transpose(0, 2, 1)
+    else:
+        U, S, Vt = _closed_form_svd(M)
     lead = S[:, :1]
     return U, S, Vt, S > DEFAULT_RANK_TOL * np.where(lead > 0.0, lead, 1.0)
+
+
+def _closed_form_svd(M):
+    """Thin SVD (U, S, Vt) of each d x m matrix in M (n, d, m), m = 1 or 2,
+    d >= m, vectorized over the samples.
+
+    Each matrix is first scaled by a power of two near the sum of its
+    absolute entries, which is exact and keeps its squared column norms
+    from overflowing or underflowing.  Classical Gram-Schmidt run twice
+    ("twice is enough") factors it as Q R, with R = [[f, g], [0, h]] and
+    f, h >= 0.  The right singular vectors of R are the eigenvectors of
+    R^T R, one rotation by theta = atan2(2 f g, f^2 - g^2 - h^2) / 2;
+    sigma_1 = |R v_1|, u_1 = R v_1 / sigma_1, u_2 is u_1 turned by a right
+    angle, and sigma_2 = f h / sigma_1 from det R = sigma_1 sigma_2, so it
+    keeps its relative accuracy however small it is.  U = Q [u_1 u_2].
+    A zero residual of Gram-Schmidt leaves a zero column of Q, so the
+    dropped columns of U may be zero; a zero single column gets U = e_1.
+    The arrays are worked on with the samples along the last axis, so
+    every operation runs over contiguous memory, and U is returned
+    C-contiguous, like ``np.linalg.svd``'s.
+    """
+    n, d, m = M.shape
+    A = np.abs(M.transpose(2, 1, 0), out=np.empty((m, d, n)))
+    exp = np.frexp(np.minimum(A.sum(axis=(0, 1)), np.finfo(float).max))[1]
+    np.ldexp(M.transpose(2, 1, 0), -exp, out=A)
+    f = np.sqrt(_dot(A[0], A[0]))
+    q1 = A[0] / np.where(f > 0.0, f, 1.0)
+    if m == 1:
+        q1[0, f == 0.0] = 1.0
+        U = np.ascontiguousarray(q1.T)[:, :, None]
+        return U, np.ldexp(f, exp)[:, None], np.ones((n, 1, 1))
+    w = A[1]
+    g = np.zeros(n)
+    for _ in range(2):
+        c = _dot(q1, w)
+        w -= q1 * c
+        g += c
+    h = np.sqrt(_dot(w, w))
+    q2 = np.divide(w, np.where(h > 0.0, h, 1.0), out=w)
+    theta = 0.5 * np.arctan2(2.0 * f * g, f * f - g * g - h * h)
+    cos, sin = np.cos(theta), np.sin(theta)
+    x, y = f * cos + g * sin, h * sin
+    s1 = np.hypot(x, y)
+    safe = np.where(s1 > 0.0, s1, 1.0)
+    ux = np.where(s1 > 0.0, x / safe, 1.0)
+    uy = y / safe
+    U = np.empty((2, d, n))
+    np.multiply(q1, ux, out=U[0])
+    U[0] += q2 * uy
+    np.multiply(q2, ux, out=U[1])
+    U[1] -= q1 * uy
+    S = np.ldexp(np.stack((s1, f * h / safe), axis=1), exp[:, None])
+    Vt = np.stack((cos, sin, -sin, cos), axis=1).reshape(n, 2, 2)
+    return np.ascontiguousarray(U.transpose(2, 1, 0)), S, Vt
+
+
+def _dot(a, b):
+    """Per-sample dot products of a and b (d, n), summed over d in order,
+    so a sample's bits do not depend on how many samples share the batch."""
+    terms = a * b
+    out = terms[0].copy()
+    for row in terms[1:]:
+        out += row
+    return out
 
 
 def _orthobasis_batch(W):

@@ -23,6 +23,7 @@ greedy surrogate start.
 import numbers
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .basis import GramMatrix, _jacobian_at, assemble_gram
 from .errors import (IllConditionedError, InvalidInputError, NumericError,
                      RankDeficiencyError)
 from .geometry import _complement_factors, _complement_residual_sq
-from .surrogate import (FeatureMap, _loss_roundoff, greedy_features,
+from .surrogate import (FeatureMap, _block_coefficients, _contract_blocks,
+                        _jacobian_blocks, _loss_roundoff, greedy_features,
                         orthonormalize, poincare_loss, surrogate_matrices)
 
 
@@ -95,24 +97,41 @@ class _LossContext:
     """Loss/gradient evaluations against Jacobians precomputed once.
 
     ``jac`` is the basis Jacobian at the sample points, (n, d, K); None
-    evaluates it.  The feature Jacobians at the last point evaluated are kept
-    with their projection factors (the per-sample sums for one feature, the
+    evaluates it.  One feature runs on dense BLAS products with ``jac``.
+    Several features run on its support blocks (n, d, w), gathered once on
+    first use (``surrogate._jacobian_blocks``, n d w 8 bytes): only w of
+    the K entries of a Jacobian row can be nonzero, so the feature
+    Jacobians are ``surrogate._contract_blocks`` of the blocks, with the
+    bits of ``poincare_loss``, and the Euclidean gradient is one product
+    per block, scattered along ``FeatureBasis._block_columns``.  The
+    feature Jacobians at the last point evaluated are kept with their
+    projection factors (the per-sample sums for one feature, the
     rank-revealing SVD for several), so the gradient at an accepted
     line-search point reuses what its loss computed.  A point is recognized
     by identity, so G must not be modified in place between calls.
     """
 
     def __init__(self, samples, basis, jac=None):
-        self.flat = _jacobian_at(basis, samples.points, jac).reshape(-1, basis.size)
+        self.basis = basis
+        self.jac = _jacobian_at(basis, samples.points, jac)
+        self.flat = self.jac.reshape(-1, basis.size)
         self.b = samples.gradients
         self.b_sq = np.sum(self.b ** 2, axis=1)
         self.n = samples.n
         self.d = samples.dim
         self._point = None          # (G, feature Jacobians, factors)
 
+    @cached_property
+    def blocks(self):
+        return _jacobian_blocks(self.basis, self.jac)
+
     def _at(self, G):
         if self._point is None or self._point[0] is not G:
-            M = (self.flat @ G).reshape(self.n, self.d, -1)
+            if G.shape[1] == 1:
+                M = (self.flat @ G).reshape(self.n, self.d, 1)
+            else:
+                M = _contract_blocks(self.blocks,
+                                     _block_coefficients(self.basis, G))
             self._point = (G, M, _complement_factors(self.b, M))
         return self._point[1:]
 
@@ -139,8 +158,12 @@ class _LossContext:
             resid = self.b - np.einsum("ndr,nr->nd", U, ub)
             safe_S = np.where(mask, S, 1.0)
             y = np.einsum("nrm,nr->nm", Vt, ub / safe_S * mask)
-            weighted = (resid[:, :, None] * y[:, None, :]).reshape(-1, m)
-            grad = self.flat.T @ weighted
+            # sum_i J_i^T (resid_i y_i^T), one (w, m) product per block
+            products = np.matmul(self.blocks.transpose(1, 2, 0),
+                                 resid.T[:, :, None] * y[None, :, :])
+            entries = self.basis._block_columns[:, :, None] * m + np.arange(m)
+            grad = np.bincount(entries.ravel(), products.ravel(),
+                               minlength=G.size).reshape(G.shape)
         return -2.0 / self.n * grad
 
     def _check_collapse(self, collapsed):

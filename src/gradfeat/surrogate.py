@@ -120,7 +120,8 @@ class FeatureMap:
         contraction with the coefficients _BLOCK_ROWS rows at a time, in one
         reused buffer; the (n, d, K) array is never formed.
         """
-        return _feature_jacobians(self, self.basis._check_points(X))
+        return _feature_jacobians(self.basis, self.coeffs,
+                                  self.basis._check_points(X))
 
     # -- plain-text serialization (header "K m", one row of coefficients per line)
 
@@ -219,7 +220,7 @@ def _pair_term(v, w):
 def poincare_loss_terms(samples, fmap, jac=None):
     """Per-sample contributions to the Poincare loss (useful for standard errors)."""
     _check_compat(samples, fmap)
-    jac_g = _feature_jacobians(fmap, samples.points, jac)
+    jac_g = _feature_jacobians(fmap.basis, fmap.coeffs, samples.points, jac)
     return _complement_residual_sq(samples.gradients, jac_g)
 
 
@@ -242,7 +243,9 @@ def _loss_roundoff(samples):
     (2 d + 1) eps |b|^2, which averages to (2 d + 1) eps times the mean
     squared gradient norm.  The roundoff in c itself moves the projection
     only at second order.  For several features the projection runs through
-    a backward-stable SVD, whose roundoff is of the same order.
+    ``geometry._span_svd``: Gram-Schmidt run twice and a rotation for one or
+    two columns, an SVD for more, each backward stable, so its roundoff is
+    of the same order.
     """
     return (2 * samples.dim + 1) * np.finfo(float).eps * \
         samples.mean_gradient_norm_sq()
@@ -340,7 +343,8 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
     if coeffs_others.shape[1] == 0:
         return surrogate_matrices(samples, basis, jac)
     B = _jacobian_at(basis, samples.points, jac)
-    Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", B, coeffs_others))
+    Q = _orthobasis_batch(_feature_jacobians(basis, coeffs_others,
+                                             samples.points, B))
     h = surrogate_sums(_deflate(Q, samples.gradients), B, Q)
     h /= samples.n
     return SurrogateMatrices(h=h)
@@ -476,41 +480,60 @@ def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _feature_jacobians(fmap, points, jac=None):
-    """Feature Jacobians (n, d, m) at the points; ``jac`` is the basis
-    Jacobian at the points, or None.
+def _feature_jacobians(basis, coeffs, points, jac=None):
+    """Jacobians (n, d, m) at the points of the features with coefficients
+    ``coeffs`` (K, m); ``jac`` is the basis Jacobian at the points, or None.
 
     Row nu of a point's Jacobian only involves the basis columns with
     alpha_nu > 0, so it is built from the support blocks of the basis
     Jacobian, _BLOCK_ROWS rows at a time: evaluated by
     ``FeatureBasis._support_blocks``, whose tables are computed once per
     _EVAL_CHUNK rows and whose blocks land in one reused buffer, or
-    gathered from ``jac``.  Entry (nu, j) is one dot product of a
-    contiguous block row with the matching contiguous coefficients of
-    feature j.  A matrix product would let BLAS pick its kernel, and so its
-    summation order, by the number of rows; this way an entry depends on
+    gathered from ``jac`` (``_jacobian_blocks``).  ``_contract_blocks``
+    turns the blocks into the features' Jacobians, so an entry depends on
     its own point only, and both sources give the same bits.
     """
-    basis = fmap.basis
-    n, d = points.shape[0], basis.dim
-    columns = basis._block_columns
-    width = columns.shape[1]
-    # (d, m, w): the coefficients of each block's columns; a padding entry
-    # of a block is zero, so its coefficient does not count
-    coeffs = np.ascontiguousarray(fmap.coeffs[columns].transpose(0, 2, 1))
+    n = points.shape[0]
+    block_coeffs = _block_coefficients(basis, coeffs)
     if jac is None:
         pieces = basis._support_blocks(points)
     else:
-        flat = _jacobian_at(basis, points, jac).reshape(n, -1)
-        entries = (columns + basis.size * np.arange(d)[:, None]).ravel()
+        jac = _jacobian_at(basis, points, jac)
         pieces = ((slice(start, start + _BLOCK_ROWS),
-                   np.take(flat[start:start + _BLOCK_ROWS], entries, axis=1)
-                   .reshape(-1, d, width))
+                   _jacobian_blocks(basis, jac[start:start + _BLOCK_ROWS]))
                   for start in range(0, n, _BLOCK_ROWS))
-    out = np.empty((n, d, fmap.n_features))
+    out = np.empty((n, basis.dim, coeffs.shape[1]))
     for rows, blocks in pieces:
-        np.vecdot(blocks[:, :, None, :], coeffs, out=out[rows])
+        _contract_blocks(blocks, block_coeffs, out=out[rows])
     return out
+
+
+def _jacobian_blocks(basis, jac):
+    """The support blocks (n, d, w) of the basis Jacobian ``jac`` (n, d, K):
+    entry (i, nu, c) is ``jac[i, nu, basis._block_columns[nu, c]]``."""
+    n, d, K = jac.shape
+    entries = (basis._block_columns + K * np.arange(d)[:, None]).ravel()
+    return np.take(jac.reshape(n, -1), entries, axis=1).reshape(n, d, -1)
+
+
+def _block_coefficients(basis, coeffs):
+    """(d, m, w): the coefficients (K, m) of each support block's columns,
+    feature by feature; a padding entry of a block is zero, so its
+    coefficient does not count."""
+    blocks = coeffs[basis._block_columns]
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1))
+
+
+def _contract_blocks(blocks, block_coeffs, out=None):
+    """Feature Jacobians (n, d, m) from support blocks (n, d, w) and their
+    ``_block_coefficients`` (d, m, w).
+
+    Entry (nu, j) is one dot product of a contiguous block row with the
+    matching contiguous coefficients of feature j.  A matrix product would
+    let BLAS pick its kernel, and so its summation order, by the number of
+    rows; this way an entry depends on its own point only.
+    """
+    return np.vecdot(blocks[:, :, None, :], block_coeffs, out=out)
 
 
 def _check_compat(samples, fmap):

@@ -19,6 +19,7 @@ from gradfeat.basis import (_SUM_ROWS, FeatureBasis, GramMatrix, Hermite,
 from gradfeat.benchmarks import make_benchmark, sample_inputs
 from gradfeat.geometry import _orthobasis_batch
 from gradfeat.surrogate import (SampleSet, SurrogateMatrices,
+                                _feature_jacobians,
                                 coordinate_surrogate_matrices,
                                 surrogate_matrices)
 
@@ -39,10 +40,11 @@ def _case(n, seed, families=make_benchmark("u4").families, p=1.0, k=2.0):
     return samples, basis, basis.jacobian_batch(X), others
 
 
-def _projected(samples, jac, others):
+def _projected(samples, basis, jac, others):
     """The gradients with the other features' spans deflated out, over
     every sample at once, and those spans."""
-    Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", jac, others))
+    Q = _orthobasis_batch(
+        _feature_jacobians(basis, others, samples.points, jac))
     grads = samples.gradients - np.einsum(
         "ndr,nr->nd", Q, np.einsum("ndr,nd->nr", Q, samples.gradients))
     return grads, Q
@@ -94,7 +96,8 @@ class TestOneBlock:
         ref = self.single_product(samples.gradients, None, jac, n)
         assert np.array_equal(_bits(mats.h), _bits(ref.h))
         mats = coordinate_surrogate_matrices(samples, basis, others, jac)
-        ref = self.single_product(*_projected(samples, jac, others), jac, n)
+        ref = self.single_product(*_projected(samples, basis, jac, others),
+                                  jac, n)
         assert np.array_equal(_bits(mats.h), _bits(ref.h))
 
 
@@ -137,7 +140,7 @@ class TestManyBlocks:
         pairs = [(surrogate_matrices(samples, basis, jac),
                   (samples.gradients, None)),
                  (coordinate_surrogate_matrices(samples, basis, others, jac),
-                  _projected(samples, jac, others))]
+                  _projected(samples, basis, jac, others))]
         for mats, (grads, Q) in pairs:
             M = _operators(grads, Q, d, np.longdouble) @ J
             # an operator entry, from the gradient's norm and direction and

@@ -748,3 +748,18 @@ class TestOptimizerTrace:
         assert iters[-1] == metrics["iterations"] > 0
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         assert not (tmp_path / "sur" / "trace.csv").exists()
+
+    def test_sur_removes_an_earlier_trace(self, tmp_path, u1_csv):
+        # a sur learn into a directory that holds a gli learn's output must
+        # not leave the gli descent's trace next to its own metrics
+        out = tmp_path / "out"
+        for method in ("gli", "sur"):
+            cfg = write_config(tmp_path, f"{method}.json", {
+                "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
+                "learn": {"method": method, "m": 1},
+                "io": {"out_dir": str(out)},
+            })
+            assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
+            metrics = json.loads((out / "metrics.json").read_text())
+            assert metrics["method"] == method
+            assert (out / "trace.csv").exists() == (method == "gli")

@@ -113,6 +113,45 @@ class TestLossGradient:
                     worst = max(worst, abs(fd - grad[idx]))
                 assert worst <= 1e-5 * max(1.0, np.max(np.abs(grad)))
 
+    @pytest.mark.parametrize("bench_id, n, m", [
+        ("u4", 600, 2), ("u3", 90, 2), ("u4", 300, 3)])
+    def test_several_features_loss_is_poincare_loss_bitwise(self, bench_id,
+                                                            n, m):
+        # the support-block contraction is poincare_loss's own, and n = 600
+        # crosses its row blocks
+        bench = make_benchmark(bench_id)
+        samples = make_samples(bench, n, 3)
+        basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
+        jac = basis.jacobian_batch(samples.points)
+        ctx = _LossContext(samples, basis, jac)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            G = rng.normal(size=(basis.size, m))
+            assert ctx.loss(G) == poincare_loss(samples, FeatureMap(basis, G),
+                                                jac=jac)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_block_gradient_matches_the_dense_product(self, m):
+        # E = -2/n sum_i J_i^T W_i over the whole Jacobian, W_i the weights
+        # the gradient scatters; each entry is a sum of n d products, so the
+        # two orders agree to 2 n d eps times the sum of absolute values
+        bench = make_benchmark("u4")
+        samples = make_samples(bench, 300, 5)
+        basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
+        jac = basis.jacobian_batch(samples.points)
+        ctx = _LossContext(samples, basis, jac)
+        G = np.random.default_rng(6).normal(size=(basis.size, m))
+        U, S, Vt, mask = ctx._at(G)[1]
+        ub = np.einsum("ndr,nd->nr", U, samples.gradients) * mask
+        resid = samples.gradients - np.einsum("ndr,nr->nd", U, ub)
+        y = np.einsum("nrm,nr->nm", Vt, ub / np.where(mask, S, 1.0) * mask)
+        W = (resid[:, :, None] * y[:, None, :]).reshape(-1, m)
+        flat = jac.reshape(-1, basis.size)
+        dense = -2.0 / samples.n * (flat.T @ W)
+        scale = 2.0 / samples.n * (np.abs(flat).T @ np.abs(W))
+        tol = 2 * flat.shape[0] * np.finfo(float).eps
+        assert np.all(np.abs(ctx.euclidean_grad(G) - dense) <= tol * scale)
+
     def test_zero_at_global_minimizer(self):
         bench = make_benchmark("u1")
         basis = FeatureBasis(build_index_set(8, 1.0, 1.0), bench.families)
@@ -173,6 +212,35 @@ class TestMinimize:
         assert info["trace"][-1][0] == info["iterations"]
         assert learn_features(samples, basis, 1, "sur",
                               gram=gram)[1]["trace"] is None
+
+    @pytest.mark.parametrize("method", ["gli", "gsi"])
+    def test_trace_ends_at_loss_final(self, method):
+        # several features: the descent's losses are poincare_loss's bits
+        bench = make_benchmark("u4")
+        samples = make_samples(bench, 200, 2)
+        basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
+        _, info = learn_features(samples, basis, 2, method,
+                                 config=OptimizerConfig(max_iters=15))
+        assert info["iterations"] > 0
+        assert info["trace"][-1][1] == info["loss_final"]
+
+    def test_two_features_need_no_lapack_svd(self, monkeypatch):
+        # every per-sample projection at m = 2 (one prior column in the
+        # greedy pass, two in the descent) runs in closed form
+        bench = make_benchmark("u4")
+        samples = make_samples(bench, 200, 2)
+        basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        _, info = learn_features(samples, basis, 2, "gsi",
+                                 config=OptimizerConfig(max_iters=5))
+        assert info["iterations"] > 0 and calls == []
 
     @pytest.mark.parametrize("setting", [
         {"max_iters": -1}, {"max_iters": 2.5}, {"max_iters": None},

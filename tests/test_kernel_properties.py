@@ -22,7 +22,8 @@ from gradfeat.basis import (_SUM_ROWS, FeatureBasis, Legendre, assemble_gram,
                             build_index_set)
 from gradfeat.benchmarks import make_benchmark, make_samples
 from gradfeat.errors import InvalidInputError
-from gradfeat.geometry import (_deflate, _orthobasis_batch,
+from gradfeat.geometry import (DEFAULT_RANK_TOL, _deflate,
+                               _orthobasis_batch,
                                _single_feature_sums, _single_residual_sq,
                                _span_svd, complement_split,
                                orthogonal_projector, orthonormal_span,
@@ -116,6 +117,132 @@ class TestSingleFeatureRankRule:
         coef = np.einsum("nd,nd->n", U[:, :, 0], grad_u) * mask[:, 0]
         svd = np.maximum(b_sq - coef ** 2, 0.0)
         assert np.all(np.abs(closed - svd) <= 1e-12 * b_sq)
+
+
+EPS = np.finfo(float).eps
+# the closed form and LAPACK decide a rank alike unless the ratio of the
+# singular values lies within this relative distance of the tolerance
+RANK_BAND = 1e-4
+KINDS = ("generic", "zero", "one zero column", "parallel", "antiparallel",
+         "near the tolerance")
+
+
+@st.composite
+def span_stacks(draw):
+    """Stacks (n, d, m) of one- and two-column matrices, d = 1..6, with the
+    vectors (n, d) to project: generic matrices; exactly rank-deficient ones
+    (zero, one zero column, parallel and antiparallel columns); two columns
+    whose singular-value ratio lies within a factor of two of the rank
+    tolerance; each column scaled by 1e-150, 1 or 1e150, so squared norms
+    would underflow or overflow if formed unscaled."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 2))
+    M = draw(hnp.arrays(float, (n, d, m), elements=entries))
+    x = draw(hnp.arrays(float, (n, d), elements=entries))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for i in range(n):
+        kind = draw(st.sampled_from(KINDS if m == 2 else KINDS[:2]))
+        a = M[i, :, 0]
+        if kind == "zero":
+            M[i] = 0.0
+        elif kind == "one zero column":
+            M[i, :, draw(st.integers(0, 1))] = 0.0
+        elif kind in ("parallel", "antiparallel"):
+            factor = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+            M[i, :, 1] = factor * a if kind == "parallel" else -factor * a
+        elif kind == "near the tolerance" and d >= 2:
+            # [e, c e + t o] with e, o orthonormal has sigma_2 / sigma_1 =
+            # t / (1 + c^2) up to a relative O(t^2)
+            e, o = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+            c = rng.uniform(-2.0, 2.0)
+            t = draw(st.floats(0.5, 2.0)) * DEFAULT_RANK_TOL * (1.0 + c * c)
+            M[i, :, 0], M[i, :, 1] = e, c * e + t * o
+    scales = draw(hnp.arrays(float, (n, 1, m),
+                             elements=st.sampled_from([1e-150, 1.0, 1e150])))
+    return M * scales, x
+
+
+def _kept(U, mask, i):
+    return U[i][:, mask[i]]
+
+
+class TestClosedFormAgainstLapack:
+    """For one and two columns ``_span_svd`` runs in closed form; it must
+    give what ``np.linalg.svd`` gives, to roundoff, under the same rank
+    rule."""
+
+    @PROPERTY
+    @given(span_stacks())
+    def test_singular_values_within_ulps_of_the_leading_one(self, stack):
+        M, _ = stack
+        _, S, _, _ = _span_svd(M)
+        ref = np.linalg.svd(M, compute_uv=False)
+        assert S.shape == ref.shape
+        assert np.all(np.isfinite(S))
+        assert np.all(np.abs(S - ref) <= 8 * EPS * ref[:, :1])
+
+    @PROPERTY
+    @given(span_stacks())
+    def test_rank_agrees_outside_the_band(self, stack):
+        M, _ = stack
+        _, _, _, mask = _span_svd(M)
+        ref = np.linalg.svd(M, compute_uv=False)
+        lead = np.where(ref[:, :1] > 0.0, ref[:, :1], 1.0)
+        ratio = ref / lead
+        decided = np.abs(ratio / DEFAULT_RANK_TOL - 1.0) > RANK_BAND
+        ref_mask = ratio > DEFAULT_RANK_TOL
+        np.testing.assert_array_equal(mask[decided], ref_mask[decided])
+
+    @PROPERTY
+    @given(span_stacks())
+    def test_factors_orthonormal_and_reconstruct(self, stack):
+        M, _ = stack
+        U, S, Vt, mask = _span_svd(M)
+        k = min(M.shape[1:])
+        assert U.shape == M.shape[:2] + (k,)
+        assert Vt.shape == (len(M), k, M.shape[2])
+        for i in range(len(M)):
+            Q = _kept(U, mask, i)
+            np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0,
+                                       atol=8 * EPS)
+            np.testing.assert_allclose(Vt[i] @ Vt[i].T, np.eye(k), rtol=0,
+                                       atol=8 * EPS)
+            rebuilt = (U[i] * S[i]) @ Vt[i]
+            assert np.all(np.abs(rebuilt - M[i]) <= 8 * EPS * S[i, 0])
+
+    @PROPERTY
+    @given(span_stacks())
+    def test_projections_and_residuals_agree(self, stack):
+        # where the ranks agree, both spans lie within eps kappa of the
+        # exact one (Wedin), kappa = sigma_1 / sigma_r for the rank r
+        M, x = stack
+        U, _, _, mask = _span_svd(M)
+        U_ref, S_ref, _, mask_ref = _reference_span_svd(M)
+        b_sq = np.sum(x ** 2, axis=1)
+        resid = _residual_sq(U, mask, x, b_sq)
+        resid_ref = _residual_sq(U_ref, mask_ref, x, b_sq)
+        for i in range(len(M)):
+            r = int(mask_ref[i].sum())
+            if int(mask[i].sum()) != r:
+                continue
+            kappa = S_ref[i, 0] / S_ref[i, r - 1] if r else 1.0
+            tol = 16 * EPS * kappa
+            Q, Q_ref = _kept(U, mask, i), _kept(U_ref, mask_ref, i)
+            gap = np.abs(Q @ Q.T - Q_ref @ Q_ref.T)
+            assert np.max(gap, initial=0.0) <= tol
+            assert abs(resid[i] - resid_ref[i]) <= tol * b_sq[i]
+
+
+def _residual_sq(U, mask, x, b_sq):
+    coef = np.einsum("ndr,nd->nr", U, x) * mask
+    return b_sq - np.sum(coef ** 2, axis=1)
+
+
+def _reference_span_svd(M):
+    U, S, Vt = np.linalg.svd(M, full_matrices=False)
+    lead = S[:, :1]
+    return U, S, Vt, S > DEFAULT_RANK_TOL * np.where(lead > 0.0, lead, 1.0)
 
 
 @st.composite

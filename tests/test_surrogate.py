@@ -526,8 +526,9 @@ class TestFeatureMapGradients:
         X, fmap = _gradient_case(name, m)
         jac = fmap.basis.jacobian_batch(X)
         streamed = fmap.gradients(X)
-        assert np.array_equal(_bits(streamed),
-                              _bits(_feature_jacobians(fmap, X, jac=jac)))
+        assert np.array_equal(
+            _bits(streamed),
+            _bits(_feature_jacobians(fmap.basis, fmap.coeffs, X, jac=jac)))
         # the whole-array contraction is a reference up to roundoff: each
         # entry is a sum of K products, so two evaluations differ by at most
         # 2 K eps times the same sum over absolute values
@@ -551,7 +552,8 @@ class TestFeatureMapGradients:
             assert np.array_equal(_bits(fmap.gradients(X[rows])),
                                   _bits(whole[rows]))
             assert np.array_equal(
-                _bits(_feature_jacobians(fmap, X[rows], jac=jac[rows])),
+                _bits(_feature_jacobians(fmap.basis, fmap.coeffs, X[rows],
+                                         jac=jac[rows])),
                 _bits(whole[rows]))
 
     def test_tables_once_per_chunk(self, monkeypatch):
@@ -570,8 +572,9 @@ class TestFeatureMapGradients:
     def test_streamed_equals_gathered_across_table_chunks(self):
         X, fmap = _gradient_case("u4", 2, n=_EVAL_CHUNK + 7)
         jac = fmap.basis.jacobian_batch(X)
-        assert np.array_equal(_bits(fmap.gradients(X)),
-                              _bits(_feature_jacobians(fmap, X, jac=jac)))
+        assert np.array_equal(
+            _bits(fmap.gradients(X)),
+            _bits(_feature_jacobians(fmap.basis, fmap.coeffs, X, jac=jac)))
 
     def test_padding_entries_are_positive_zeros(self):
         # block 1 of "uneven" holds one column and two padding entries,
