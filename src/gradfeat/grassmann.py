@@ -31,9 +31,9 @@ from .basis import GramMatrix, _jacobian_at, assemble_gram
 from .errors import (IllConditionedError, InvalidInputError, NumericError,
                      RankDeficiencyError)
 from .geometry import _complement_factors, _complement_residual_sq
-from .surrogate import (FeatureMap, _block_coefficients, _contract_blocks,
-                        _jacobian_blocks, _loss_roundoff, greedy_features,
-                        orthonormalize, poincare_loss, surrogate_matrices)
+from .surrogate import (FeatureMap, _contract_blocks, _jacobian_blocks,
+                        _loss_roundoff, greedy_features, orthonormalize,
+                        poincare_loss, surrogate_matrices)
 
 
 @dataclass
@@ -130,8 +130,7 @@ class _LossContext:
             if G.shape[1] == 1:
                 M = (self.flat @ G).reshape(self.n, self.d, 1)
             else:
-                M = _contract_blocks(self.blocks,
-                                     _block_coefficients(self.basis, G))
+                M = _contract_blocks(self.basis, self.blocks, G)
             self._point = (G, M, _complement_factors(self.b, M))
         return self._point[1:]
 

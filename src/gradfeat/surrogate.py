@@ -494,7 +494,6 @@ def _feature_jacobians(basis, coeffs, points, jac=None):
     its own point only, and both sources give the same bits.
     """
     n = points.shape[0]
-    block_coeffs = _block_coefficients(basis, coeffs)
     if jac is None:
         pieces = basis._support_blocks(points)
     else:
@@ -504,7 +503,7 @@ def _feature_jacobians(basis, coeffs, points, jac=None):
                   for start in range(0, n, _BLOCK_ROWS))
     out = np.empty((n, basis.dim, coeffs.shape[1]))
     for rows, blocks in pieces:
-        _contract_blocks(blocks, block_coeffs, out=out[rows])
+        _contract_blocks(basis, blocks, coeffs, out=out[rows])
     return out
 
 
@@ -516,24 +515,20 @@ def _jacobian_blocks(basis, jac):
     return np.take(jac.reshape(n, -1), entries, axis=1).reshape(n, d, -1)
 
 
-def _block_coefficients(basis, coeffs):
-    """(d, m, w): the coefficients (K, m) of each support block's columns,
-    feature by feature; a padding entry of a block is zero, so its
-    coefficient does not count."""
-    blocks = coeffs[basis._block_columns]
-    return np.ascontiguousarray(blocks.transpose(0, 2, 1))
-
-
-def _contract_blocks(blocks, block_coeffs, out=None):
-    """Feature Jacobians (n, d, m) from support blocks (n, d, w) and their
-    ``_block_coefficients`` (d, m, w).
+def _contract_blocks(basis, blocks, coeffs, out=None):
+    """Jacobians (n, d, m) of the features with coefficients ``coeffs``
+    (K, m) from the support blocks (n, d, w) of the basis Jacobian.
 
     Entry (nu, j) is one dot product of a contiguous block row with the
-    matching contiguous coefficients of feature j.  A matrix product would
-    let BLAS pick its kernel, and so its summation order, by the number of
-    rows; this way an entry depends on its own point only.
+    coefficients of feature j on that block's columns, gathered into a
+    contiguous row; a padding entry of a block is zero, so its coefficient
+    does not count.  A matrix product would let BLAS pick its kernel, and
+    so its summation order, by the number of rows; this way an entry
+    depends on its own point only.
     """
-    return np.vecdot(blocks[:, :, None, :], block_coeffs, out=out)
+    block_coeffs = coeffs[basis._block_columns].transpose(0, 2, 1)
+    return np.vecdot(blocks[:, :, None, :],
+                     np.ascontiguousarray(block_coeffs), out=out)
 
 
 def _check_compat(samples, fmap):
