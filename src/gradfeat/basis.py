@@ -31,12 +31,10 @@ import scipy.linalg
 from .errors import InvalidInputError, NumericError
 
 # rows per pass over the univariate tables
-_EVAL_CHUNK = 16384
+_EVAL_CHUNK = 4096
 # rows per support-block product; a (rows, d, w) block this small stays in
 # cache, and the values do not depend on it
 _BLOCK_ROWS = 512
-# samples per block of a sum over the sample Jacobian (``_block_sums``)
-_SUM_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +406,9 @@ class FeatureBasis:
     def jacobian_batch(self, X):
         """Jacobian of Phi at each row of X; returns (n, d, K) with column j = grad Phi_j.
 
-        The support blocks of ``_support_blocks`` are scattered along
+        Evaluation API only: the fitting pipeline stores the support blocks
+        (``_blocks_at``), n d w numbers in place of n d K.  The support
+        blocks of ``_support_blocks`` are scattered along
         ``_block_columns``; every other entry is an exact zero (+0.0).
         Each nonzero is the same product, in the same order, as the full
         d-fold one, so it is the same bit for bit.
@@ -535,16 +535,14 @@ class GramMatrix:
         return y
 
 
-def assemble_gram(basis, samples, jac=None):
+def assemble_gram(basis, samples, blocks=None):
     """Gradient Gram matrix R = E[grad Phi^T grad Phi], the sample mean over
     the points (the metric that normalizes feature coefficients).
 
-    ``samples`` is a SampleSet or an (n, d) array of points.  ``jac``, the
-    basis Jacobian at the points, is read instead of evaluated when given;
-    the result is the same bit for bit.  The sum runs through
-    ``_block_sums``: each block of the Jacobian, scaled by sqrt(1/n) into
-    one reused buffer, adds its matrix product, so up to _SUM_ROWS points it
-    is one product over the whole Jacobian.
+    ``samples`` is a SampleSet or an (n, d) array of points.  ``blocks``,
+    the support blocks of the basis Jacobian at the points
+    (``_blocks_at``), are read instead of evaluated when given; the result
+    is the same bit for bit.  The sum is ``_gram_sum``'s, divided by n.
     """
     points = getattr(samples, "points", None)
     if points is None:
@@ -556,58 +554,37 @@ def assemble_gram(basis, samples, jac=None):
     if n < K:
         warnings.warn(f"Gram estimate from {n} samples for {K} basis functions "
                       "may be poorly conditioned", stacklevel=2)
-    return GramMatrix(_gram_sum(_jacobian_at(basis, points, jac),
-                                np.sqrt(1.0 / n)))
+    return GramMatrix(_gram_sum(basis, _blocks_at(basis, points, blocks)) / n)
 
 
-def _block_sums(n, term):
-    """The sum of M^T M over n sample rows, M the matrix that
-    ``term(rows)`` returns for a slice of the rows.
-
-    The slices are _SUM_ROWS rows long.  The first slice's product is the
-    sum and every later slice's product is added to it, so a sum over at
-    most _SUM_ROWS rows is one matrix product, and a longer one differs from
-    that by roundoff only.  ``term`` may write its matrix into a buffer
-    that every slice reuses: it is not called again until its product is
-    taken.  Returns a K x K array.
-    """
-    total = None
-    for start in range(0, n, _SUM_ROWS):
-        M = term(slice(start, start + _SUM_ROWS))
-        if total is None:
-            total = M.T @ M
-        else:
-            total += M.T @ M
-    return total
+def _gram_sum(basis, blocks):
+    """sum_i J_i^T J_i over the rows of the basis Jacobian, from its support
+    blocks (n, d, w): one (w, w) product B_nu^T B_nu per dimension nu over
+    all rows, the d of them added into the K x K sum along
+    ``FeatureBasis._block_columns`` in the order of nu (``np.bincount``).
+    Every other product of two Jacobian columns is an exact zero."""
+    K, columns = basis.size, basis._block_columns
+    products = np.matmul(blocks.transpose(1, 2, 0), blocks.transpose(1, 0, 2))
+    entries = columns[:, :, None] * K + columns[:, None, :]
+    return np.bincount(entries.ravel(), products.ravel(),
+                       minlength=K * K).reshape(K, K)
 
 
-def _sum_buffer(jac):
-    """One block of ``jac``'s shape, the reused buffer of a ``_block_sums``."""
-    return np.empty((min(jac.shape[0], _SUM_ROWS),) + jac.shape[1:])
-
-
-def _gram_sum(jac, scale=None):
-    """sum_i J_i^T J_i over the rows of the (n, d, K) Jacobian ``jac``, each
-    J_i multiplied by ``scale`` first when it is given."""
-    n, _, K = jac.shape
-    if scale is None:
-        return _block_sums(n, lambda rows: jac[rows].reshape(-1, K))
-    buffer = _sum_buffer(jac)
-
-    def scaled(rows):
-        block = jac[rows]
-        return np.multiply(block, scale, out=buffer[:len(block)]).reshape(-1, K)
-    return _block_sums(n, scaled)
-
-
-def _jacobian_at(basis, points, jac=None):
-    """The basis Jacobian at the points, (n, d, K): ``jac`` after a shape
+def _blocks_at(basis, points, blocks=None):
+    """The support blocks of the basis Jacobian at the points, (n, d, w)
+    (``FeatureBasis._support_blocks``), in C order: ``blocks`` after a shape
     check, or evaluated when None.  Every sum over samples reads this one
-    array, so a public call evaluates the Jacobian at most once."""
-    if jac is None:
-        return basis.jacobian_batch(points)
-    if jac.shape != (points.shape[0], basis.dim, basis.size):
+    array, so a public call evaluates the Jacobian at most once; the
+    contraction's bits depend on the layout, hence the order."""
+    shape = (points.shape[0], basis.dim, basis._block_columns.shape[1])
+    if blocks is None:
+        blocks = np.empty(shape)
+        for rows, block in basis._support_blocks(basis._check_points(points)):
+            blocks[rows] = block
+        return blocks
+    if blocks.shape != shape:
         raise InvalidInputError(
-            f"Jacobian of shape {jac.shape} does not match {points.shape[0]} "
-            f"points in dim {basis.dim} and K={basis.size}")
-    return jac
+            f"support blocks of shape {blocks.shape} do not match the shape "
+            f"{shape} of {points.shape[0]} points in dim {basis.dim} with "
+            f"blocks {shape[2]} wide")
+    return np.ascontiguousarray(blocks)

@@ -23,17 +23,16 @@ greedy surrogate start.
 import numbers
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .basis import GramMatrix, _jacobian_at, assemble_gram
+from .basis import GramMatrix, _blocks_at, assemble_gram
 from .errors import (IllConditionedError, InvalidInputError, NumericError,
                      RankDeficiencyError)
 from .geometry import _complement_factors, _complement_residual_sq
-from .surrogate import (FeatureMap, _contract_blocks, _jacobian_blocks,
-                        _loss_roundoff, greedy_features, orthonormalize,
-                        poincare_loss, surrogate_matrices)
+from .surrogate import (FeatureMap, _contract_blocks, _loss_roundoff,
+                        greedy_features, orthonormalize, poincare_loss,
+                        surrogate_matrices)
 
 
 @dataclass
@@ -96,41 +95,31 @@ def _unit_index_rows(basis):
 class _LossContext:
     """Loss/gradient evaluations against Jacobians precomputed once.
 
-    ``jac`` is the basis Jacobian at the sample points, (n, d, K); None
-    evaluates it.  One feature runs on dense BLAS products with ``jac``.
-    Several features run on its support blocks (n, d, w), gathered once on
-    first use (``surrogate._jacobian_blocks``, n d w 8 bytes): only w of
-    the K entries of a Jacobian row can be nonzero, so the feature
+    ``blocks`` are the support blocks (n, d, w) of the basis Jacobian at
+    the sample points (``basis._blocks_at``); None evaluates them.  Only w
+    of the K entries of a Jacobian row can be nonzero, so the feature
     Jacobians are ``surrogate._contract_blocks`` of the blocks, with the
     bits of ``poincare_loss``, and the Euclidean gradient is one product
-    per block, scattered along ``FeatureBasis._block_columns``.  The
-    feature Jacobians at the last point evaluated are kept with their
-    projection factors (the per-sample sums for one feature, the
-    rank-revealing SVD for several), so the gradient at an accepted
-    line-search point reuses what its loss computed.  A point is recognized
-    by identity, so G must not be modified in place between calls.
+    per block, scattered along ``FeatureBasis._block_columns``; one path
+    serves every m.  The feature Jacobians at the last point evaluated are
+    kept with their projection factors (the per-sample sums for one
+    feature, the rank-revealing SVD for several), so the gradient at an
+    accepted line-search point reuses what its loss computed.  A point is
+    recognized by identity, so G must not be modified in place between
+    calls.
     """
 
-    def __init__(self, samples, basis, jac=None):
+    def __init__(self, samples, basis, blocks=None):
         self.basis = basis
-        self.jac = _jacobian_at(basis, samples.points, jac)
-        self.flat = self.jac.reshape(-1, basis.size)
+        self.blocks = _blocks_at(basis, samples.points, blocks)
         self.b = samples.gradients
         self.b_sq = np.sum(self.b ** 2, axis=1)
         self.n = samples.n
-        self.d = samples.dim
         self._point = None          # (G, feature Jacobians, factors)
-
-    @cached_property
-    def blocks(self):
-        return _jacobian_blocks(self.basis, self.jac)
 
     def _at(self, G):
         if self._point is None or self._point[0] is not G:
-            if G.shape[1] == 1:
-                M = (self.flat @ G).reshape(self.n, self.d, 1)
-            else:
-                M = _contract_blocks(self.basis, self.blocks, G)
+            M = _contract_blocks(self.basis, self.blocks, G)
             self._point = (G, M, _complement_factors(self.b, M))
         return self._point[1:]
 
@@ -143,13 +132,10 @@ class _LossContext:
         m = G.shape[1]
         M, factors = self._at(G)
         if m == 1:
-            col = M[:, :, 0]
             nn, dot, safe = factors
             self._check_collapse(int(np.sum(nn == 0.0)))
-            y = np.where(nn > 0.0, dot / safe, 0.0)
-            resid = self.b - col * y[:, None]
-            weighted = (resid * y[:, None]).reshape(-1)
-            grad = (self.flat.T @ weighted)[:, None]
+            y = np.where(nn > 0.0, dot / safe, 0.0)[:, None]
+            resid = self.b - M[:, :, 0] * y
         else:
             U, S, Vt, mask = factors
             self._check_collapse(int(np.sum(mask.sum(axis=1) < m)))
@@ -157,12 +143,12 @@ class _LossContext:
             resid = self.b - np.einsum("ndr,nr->nd", U, ub)
             safe_S = np.where(mask, S, 1.0)
             y = np.einsum("nrm,nr->nm", Vt, ub / safe_S * mask)
-            # sum_i J_i^T (resid_i y_i^T), one (w, m) product per block
-            products = np.matmul(self.blocks.transpose(1, 2, 0),
-                                 resid.T[:, :, None] * y[None, :, :])
-            entries = self.basis._block_columns[:, :, None] * m + np.arange(m)
-            grad = np.bincount(entries.ravel(), products.ravel(),
-                               minlength=G.size).reshape(G.shape)
+        # sum_i J_i^T (resid_i y_i^T), one (w, m) product per block
+        products = np.matmul(self.blocks.transpose(1, 2, 0),
+                             resid.T[:, :, None] * y[None, :, :])
+        entries = self.basis._block_columns[:, :, None] * m + np.arange(m)
+        grad = np.bincount(entries.ravel(), products.ravel(),
+                           minlength=G.size).reshape(G.shape)
         return -2.0 / self.n * grad
 
     def _check_collapse(self, collapsed):
@@ -212,7 +198,10 @@ def _metric_solve(gram, h):
     mu = 1e-3 tr(h) / tr(R) weighs R a thousandth of h on average, so P
     follows the surrogate's curvature, and P is positive definite on the
     null space of h (the directions of exact recovery), where the loss is
-    still curved.  The rule is invariant under scaling u or the basis.  When
+    still curved.  The rule is invariant under scaling u, or every basis
+    column, by one factor; it is not invariant under scaling the columns
+    by different factors (a change of the inputs' units does that), since
+    tr(h) / tr(R) reads their raw magnitudes.  When
     h + mu R does not factor (tr(h) = 0, or roundoff in h outweighs mu R on
     an ill-conditioned R), P is R.
     """
@@ -238,16 +227,17 @@ def _riemannian_grad(ctx, G, solve, R):
     return E, xi, float(np.sqrt(max(norm_sq, 0.0)))
 
 
-def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
-                           surrogate=None):
+def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
+                           blocks=None, surrogate=None):
     """Descend the Poincare loss from R-orthonormal coefficients G0.
 
-    ``gram`` and ``jac`` (the basis Jacobian at the sample points, a
-    C-contiguous (n, d, K) array) are computed when None.  For one feature
-    the Euclidean gradient E is preconditioned by P = h + mu R
-    (``_metric_solve``), with h the convex surrogate's matrix on
-    these samples: ``surrogate.h`` when the ``SurrogateMatrices`` are given,
-    else assembled once from ``jac``, with the same bits.  P is factored once.
+    ``gram`` and ``blocks`` (the support blocks of the basis Jacobian at
+    the sample points, an (n, d, w) array from ``basis._blocks_at``) are
+    computed when None.  For one feature the Euclidean gradient E is
+    preconditioned by P = h + mu R (``_metric_solve``), with h the convex
+    surrogate's matrix on these samples: ``surrogate.h`` when the
+    ``SurrogateMatrices`` are given, else assembled once from ``blocks``,
+    with the same bits.  P is factored once.
     For several features P = R: on u2 and u3 at m = 2 the single-feature h
     ended some descents higher, up to 2.6x, so it is not the metric for
     several columns.  Each iteration solves Z = P^-1 E and steps along
@@ -276,17 +266,17 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
     ``info["trace"]`` and ``gradfeat learn`` writes it to ``trace.csv``.
     """
     cfg = config or OptimizerConfig()
-    jac = _jacobian_at(basis, samples.points, jac)
+    blocks = _blocks_at(basis, samples.points, blocks)
     if gram is None:
-        gram = assemble_gram(basis, samples, jac=jac)
+        gram = assemble_gram(basis, samples, blocks=blocks)
     G = orthonormalize(np.asarray(G0, dtype=float), gram)
     if G.ndim == 1:
         G = G[:, None]
-    ctx = _LossContext(samples, basis, jac)
+    ctx = _LossContext(samples, basis, blocks)
     R = gram.matrix
     h = None
     if G.shape[1] == 1:
-        h = (surrogate or surrogate_matrices(samples, basis, jac)).h
+        h = (surrogate or surrogate_matrices(samples, basis, blocks)).h
     solve = _metric_solve(gram, h)
     floor_sq = _loss_roundoff(samples)
 
@@ -363,18 +353,19 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None, jac=None,
 METHODS = ("sur", "gli", "gsi")
 
 
-def learn_features(samples, basis, m, method, gram=None, config=None, jac=None,
-                   surrogate=None):
+def learn_features(samples, basis, m, method, gram=None, config=None,
+                   blocks=None, surrogate=None):
     """Run one of the three learning procedures and report what happened.
 
     ``sur`` solves the greedy surrogate eigenproblems only; ``gli`` descends
     from the active-subspace start; ``gsi`` descends from the surrogate
-    start.  ``jac`` is the basis Jacobian at the sample points as a
-    C-contiguous (n, d, K) array; when None it is evaluated once.  The Gram
-    matrix (``gram``, assembled from ``jac`` when None), every step of the
-    fit and the final loss read that one array, and so do the surrogate's
-    matrices (``surrogate``, assembled once when None and needed); given or
-    not, they give the same result bit for bit.  Returns
+    start.  ``blocks`` are the support blocks (n, d, w) of the basis
+    Jacobian at the sample points (``basis._blocks_at``); when None they
+    are evaluated once, and the dense (n, d, K) Jacobian is never formed.
+    The Gram matrix (``gram``, assembled from ``blocks`` when None), every
+    step of the fit and the final loss read that one array, and so do the
+    surrogate's matrices (``surrogate``, assembled once when None and
+    needed); given or not, they give the same result bit for bit.  Returns
     ``(feature_map, info)``.  The map is the fit's final one and is
     R-orthonormal, since every method ends in ``orthonormalize`` (G^T R G
     = I up to roundoff that grows with the condition number of R); callers
@@ -392,12 +383,12 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None,
     """
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
-    jac = _jacobian_at(basis, samples.points, jac)
+    blocks = _blocks_at(basis, samples.points, blocks)
     if gram is None:
-        gram = assemble_gram(basis, samples, jac=jac)
+        gram = assemble_gram(basis, samples, blocks=blocks)
     t0 = time.perf_counter()
     if method == "sur":
-        fmap = greedy_features(samples, basis, m, gram=gram, jac=jac,
+        fmap = greedy_features(samples, basis, m, gram=gram, blocks=blocks,
                                surrogate=surrogate)
         info = {"method": method, "loss_init": None, "iterations": 0,
                 "stop_reason": None, "grad_rel_final": None, "trace": None}
@@ -405,18 +396,18 @@ def learn_features(samples, basis, m, method, gram=None, config=None, jac=None,
         if method == "gli":
             G0 = active_subspace_init(samples, basis, m, gram=gram)
         else:
-            surrogate = surrogate or surrogate_matrices(samples, basis, jac)
-            G0 = greedy_features(samples, basis, m, gram=gram, jac=jac,
+            surrogate = surrogate or surrogate_matrices(samples, basis, blocks)
+            G0 = greedy_features(samples, basis, m, gram=gram, blocks=blocks,
                                  surrogate=surrogate).coeffs
         fmap, trace = minimize_poincare_loss(samples, basis, G0, config=config,
-                                             gram=gram, jac=jac,
+                                             gram=gram, blocks=blocks,
                                              surrogate=surrogate)
         gnorm0 = trace[0][2]
         info = {"method": method, "loss_init": trace[0][1],
                 "iterations": trace[-1][0], "stop_reason": trace.stop_reason,
                 "grad_rel_final": trace[-1][2] / gnorm0 if gnorm0 > 0.0 else 0.0,
                 "trace": trace}
-    info["loss_final"] = poincare_loss(samples, fmap, jac=jac)
+    info["loss_final"] = poincare_loss(samples, fmap, blocks=blocks)
     info["gram_ridge_added"] = gram.ridge_added
     info["wall_time_s"] = time.perf_counter() - t0
     return fmap, info

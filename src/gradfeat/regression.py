@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import FeatureBasis, GramMatrix, _gram_sum, build_index_set
+from .basis import (FeatureBasis, GramMatrix, _blocks_at, _gram_sum,
+                    build_index_set)
 from .errors import InvalidInputError, NumericError
 from .grassmann import learn_features
 from .surrogate import (FeatureMap, SurrogateMatrices, _loss_roundoff,
@@ -245,7 +246,8 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     exactly, the scores are roundoff and would otherwise pick by noise.
 
     Each distinct candidate's basis Jacobian is evaluated once, at every
-    sample, and sliced per fold; its Gram and surrogate sums are formed once
+    sample, as support blocks (``basis._blocks_at``), and sliced per fold;
+    its Gram and surrogate sums are formed once
     too, and each fold's training matrices are those totals minus the fold's
     validation sums (``_cv_score``).  A candidate whose index set equals an
     earlier candidate's reuses that score (at d = 8, (0.9, k) and (0.8, k)
@@ -260,8 +262,8 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
         basis = FeatureBasis(build_index_set(samples.dim, p, k), families)
         indices = basis.index_set.indices
         if indices not in scores:
-            jac = basis.jacobian_batch(samples.points)
-            scores[indices] = _cv_score(samples, basis, jac, folds, m,
+            blocks = _blocks_at(basis, samples.points)
+            scores[indices] = _cv_score(samples, basis, blocks, folds, m,
                                         method, optimizer)
         results.append((scores[indices], basis.size, (p, k)))
     best_score, _, best = min(results)
@@ -270,9 +272,9 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     return min(tied)[1] if tied else best     # a NaN best ties with nothing
 
 
-def _cv_score(samples, basis, jac, folds, m, method, optimizer):
-    """Mean validation Poincare loss of ``basis`` over the folds; ``jac`` is
-    the basis Jacobian at every sample as a C-contiguous (n, d, K) array.
+def _cv_score(samples, basis, blocks, folds, m, method, optimizer):
+    """Mean validation Poincare loss of ``basis`` over the folds; ``blocks``
+    are the support blocks (n, d, w) of the basis Jacobian at every sample.
 
     R and the surrogate's h are sample means, so a fold's training
     matrices are their sums over every sample, formed once here, minus the
@@ -281,21 +283,20 @@ def _cv_score(samples, basis, jac, folds, m, method, optimizer):
     roundoff; h's one subtraction adds about K n u max|h_tot|, u = eps / 2:
     7e-12 relative at K = 264, n = 250, far inside the PSD check's 1e-8.
     """
-    r_tot = _gram_sum(jac)
-    h_tot = surrogate_sums(samples.gradients, jac)
+    r_tot = _gram_sum(basis, blocks)
+    h_tot = surrogate_sums(samples.gradients, basis, blocks)
 
     def fold_score(train, val):
-        jac_val = jac[val]
-        h_val = surrogate_sums(samples.gradients[val], jac_val)
-        gram = GramMatrix((r_tot - _gram_sum(jac_val)) / train.size)
+        blocks_val = blocks[val]
+        h_val = surrogate_sums(samples.gradients[val], basis, blocks_val)
+        gram = GramMatrix((r_tot - _gram_sum(basis, blocks_val)) / train.size)
         mats = SurrogateMatrices(h=(h_tot - h_val) / train.size)
         if method == "sur" and m == 1:
             fmap = FeatureMap(basis, min_generalized_eig(mats.h, gram)[1])
         else:
-            # indexing the first axis copies into C order
             fmap, _ = learn_features(samples.subset(train), basis, m, method,
                                      gram=gram, config=optimizer,
-                                     jac=jac[train], surrogate=mats)
-        return poincare_loss(samples.subset(val), fmap, jac=jac_val)
+                                     blocks=blocks[train], surrogate=mats)
+        return poincare_loss(samples.subset(val), fmap, blocks=blocks_val)
 
     return float(np.mean([fold_score(train, val) for train, val in folds]))

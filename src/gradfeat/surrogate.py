@@ -16,12 +16,13 @@ Terminology used throughout the package:
   learner builds the coefficient matrix one column per pass.
 
 Feature indices in the public API are 1-based.  The estimators that sum
-over samples take an optional ``jac``, the basis Jacobian at the sample
-points, and evaluate it once when it is None.  Each K x K sum walks that
-array in fixed blocks of 256 samples (``basis._block_sums``), writing a
-block's weighted or projected copy into one reused buffer, so no second
-Jacobian-sized array is formed; results are bit-reproducible for given
-inputs and the same with and without ``jac``.
+over samples take optional ``blocks``, the support blocks (n, d, w) of the
+basis Jacobian at the sample points (``basis._blocks_at``), and evaluate
+them once when None: only w of the K entries of a Jacobian row can be
+nonzero, so the dense (n, d, K) Jacobian is never stored.  The surrogate
+sums walk the blocks in fixed slices of _SUM_ROWS samples, scattering a
+slice into one reused dense buffer; results are bit-reproducible for given
+inputs and the same with and without ``blocks``.
 """
 
 import json
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import _BLOCK_ROWS, _block_sums, _jacobian_at, _sum_buffer, \
-    assemble_gram, basis_from_spec
+from .basis import _blocks_at, assemble_gram, basis_from_spec
 from .errors import InvalidInputError, NumericError, RankDeficiencyError
 from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 
@@ -40,6 +40,8 @@ from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 _potrf, _sygst, _syevr, _trtrs = scipy.linalg.get_lapack_funcs(
     ("potrf", "sygst", "syevr", "trtrs"), dtype=np.float64)
 _ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("S")
+# samples per slice of a surrogate sum (``surrogate_sums``)
+_SUM_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +219,19 @@ def _pair_term(v, w):
     return np.maximum(vv * ww - vw ** 2, 0.0)
 
 
-def poincare_loss_terms(samples, fmap, jac=None):
+def poincare_loss_terms(samples, fmap, blocks=None):
     """Per-sample contributions to the Poincare loss (useful for standard errors)."""
     _check_compat(samples, fmap)
-    jac_g = _feature_jacobians(fmap.basis, fmap.coeffs, samples.points, jac)
+    jac_g = _feature_jacobians(fmap.basis, fmap.coeffs, samples.points, blocks)
     return _complement_residual_sq(samples.gradients, jac_g)
 
 
-def poincare_loss(samples, fmap, jac=None):
+def poincare_loss(samples, fmap, blocks=None):
     """Monte-Carlo Poincare loss: mean squared off-span component of the gradient.
 
     Always lies between 0 and the mean squared gradient norm.
     """
-    return float(np.mean(poincare_loss_terms(samples, fmap, jac)))
+    return float(np.mean(poincare_loss_terms(samples, fmap, blocks)))
 
 
 def _loss_roundoff(samples):
@@ -288,49 +290,66 @@ def coordinate_surrogate(samples, fmap, j):
 # Quadratic-form assembly
 # ---------------------------------------------------------------------------
 
-def surrogate_sums(gradients, jac_phi, Q=None):
+def surrogate_sums(gradients, basis, blocks, Q=None):
     """Unnormalized surrogate sum over the given rows; the assemblers divide
     it by the row count, and the (p, k) cross-validation subtracts a fold's
     validation sum from the sum over every sample.
 
     The sum is a Gram, sum_i M_i^T M_i with M_i = |v_i| P_i J_i, v_i the
-    gradient and P_i the projector off v_i and, with ``Q`` (the per-sample
-    spans of ``_orthobasis_batch``; ``gradients`` must then be deflated by
-    it), off Q_i, so no difference cancels.  Per ``_block_sums`` block the
-    d x d operators |v_i| P_i multiply the Jacobian into one reused buffer;
-    a sample with v_i = 0 adds nothing.
+    gradient, J_i the basis Jacobian (``blocks`` holds its support blocks)
+    and P_i the projector off v_i and, with ``Q`` (the per-sample spans of
+    ``_orthobasis_batch``; ``gradients`` must then be deflated by it), off
+    Q_i, so no difference cancels.  The rows go in slices of _SUM_ROWS: a
+    slice's blocks are scattered along ``FeatureBasis._block_columns`` into
+    one dense buffer, zeroed once since every slice fills the same entries,
+    so it holds the rows of ``FeatureBasis.jacobian_batch`` bit for bit;
+    the d x d operators |v_i| P_i multiply it into a second buffer, whose
+    product M^T M is the first slice's sum and is added to it for every
+    later slice.  A sum over at most _SUM_ROWS rows is thus one matrix
+    product.  A sample with v_i = 0 adds nothing.
     """
-    n, d, K = jac_phi.shape
+    n, d, _ = blocks.shape
+    K = basis.size
     norm = np.sqrt(np.sum(gradients ** 2, axis=1))
     unit = np.divide(gradients, norm[:, None], out=np.zeros_like(gradients),
                      where=norm[:, None] > 0.0)
-    buffer = _sum_buffer(jac_phi)
+    jac = np.zeros((min(n, _SUM_ROWS), d, K))
+    buffer = np.empty_like(jac)
+    dims, columns = np.arange(d)[:, None], basis._block_columns
     eye = np.eye(d)
-
-    def term(rows):
+    total = None
+    for start in range(0, n, _SUM_ROWS):
+        rows = slice(start, start + _SUM_ROWS)
         u = unit[rows]
+        size = len(u)
+        jac[:size, dims, columns] = blocks[rows]
         P = eye - u[:, :, None] * u[:, None, :]
         if Q is not None:
             q = Q[rows]
             P -= q @ q.transpose(0, 2, 1)
         P *= norm[rows, None, None]
-        return np.matmul(P, jac_phi[rows], out=buffer[:len(P)]).reshape(-1, K)
-    return _block_sums(n, term)
+        M = np.matmul(P, jac[:size], out=buffer[:size]).reshape(-1, K)
+        if total is None:
+            total = M.T @ M
+        else:
+            total += M.T @ M
+    return total
 
 
-def surrogate_matrices(samples, basis, jac=None):
+def surrogate_matrices(samples, basis, blocks=None):
     """K x K matrix making the single-feature surrogate a quadratic form.
 
     h is the mean over samples of (|grad u| P J)^T (|grad u| P J), J the
     basis Jacobian and P the projector off grad u; it is PSD and satisfies
     G^T h G = convex surrogate of G^T Phi on the same samples.
     """
-    h = surrogate_sums(samples.gradients, _jacobian_at(basis, samples.points, jac))
+    h = surrogate_sums(samples.gradients, basis,
+                       _blocks_at(basis, samples.points, blocks))
     h /= samples.n
     return SurrogateMatrices(h=h)
 
 
-def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
+def coordinate_surrogate_matrices(samples, basis, coeffs_others, blocks=None):
     """Quadratic-form matrix for the next feature given prior coefficient columns.
 
     ``coeffs_others`` is K x (m-1); with zero columns this reduces exactly to
@@ -341,11 +360,10 @@ def coordinate_surrogate_matrices(samples, basis, coeffs_others, jac=None):
     if coeffs_others.ndim == 1:
         coeffs_others = coeffs_others[:, None]
     if coeffs_others.shape[1] == 0:
-        return surrogate_matrices(samples, basis, jac)
-    B = _jacobian_at(basis, samples.points, jac)
-    Q = _orthobasis_batch(_feature_jacobians(basis, coeffs_others,
-                                             samples.points, B))
-    h = surrogate_sums(_deflate(Q, samples.gradients), B, Q)
+        return surrogate_matrices(samples, basis, blocks)
+    blocks = _blocks_at(basis, samples.points, blocks)
+    Q = _orthobasis_batch(_contract_blocks(basis, blocks, coeffs_others))
+    h = surrogate_sums(_deflate(Q, samples.gradients), basis, blocks, Q)
     h /= samples.n
     return SurrogateMatrices(h=h)
 
@@ -427,7 +445,7 @@ def orthonormalize(coeffs, gram):
 # Greedy multi-feature learner
 # ---------------------------------------------------------------------------
 
-def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
+def greedy_features(samples, basis, m, gram=None, blocks=None, surrogate=None):
     """Learn m features one at a time by shifted generalized eigensolves.
 
     The first column minimizes the convex surrogate.  Each later column
@@ -438,9 +456,10 @@ def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
     projection does not lengthen J_i x: x^T h_j x <= alpha x^T R x, where
     ``gram`` (R) must be these samples' Gram matrix, plus any ridge.  The
     result satisfies G^T R G = I_m after a final re-orthonormalization.
-    ``jac``, the basis Jacobian at the sample points, is evaluated once when
-    None, and ``gram`` and ``surrogate`` (the ``surrogate_matrices`` of the
-    samples) are assembled from it when None.
+    ``blocks``, the support blocks of the basis Jacobian at the sample
+    points, are evaluated once when None, and ``gram`` and ``surrogate``
+    (the ``surrogate_matrices`` of the samples) are assembled from them when
+    None.
     """
     if m < 1:
         raise InvalidInputError("m must be >= 1")
@@ -449,12 +468,12 @@ def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
         raise InvalidInputError(f"m={m} exceeds input dimension d={samples.dim}")
     if m > basis.size:
         raise InvalidInputError(f"m={m} exceeds basis size K={basis.size}")
-    jac = _jacobian_at(basis, samples.points, jac)
+    blocks = _blocks_at(basis, samples.points, blocks)
     if gram is None:
-        gram = assemble_gram(basis, samples, jac=jac)
+        gram = assemble_gram(basis, samples, blocks=blocks)
     mats = surrogate
     if mats is None:
-        mats = surrogate_matrices(samples, basis, jac)
+        mats = surrogate_matrices(samples, basis, blocks)
     _, g1 = min_generalized_eig(mats.h, gram)
     G = np.zeros((basis.size, m))
     G[:, 0] = g1
@@ -463,7 +482,8 @@ def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
         R = gram.matrix
         for j in range(2, m + 1):
             others = G[:, :j - 1]
-            mats_j = coordinate_surrogate_matrices(samples, basis, others, jac)
+            mats_j = coordinate_surrogate_matrices(samples, basis, others,
+                                                   blocks)
             shift = (R @ others) @ (others.T @ R)
             _, gj = min_generalized_eig(mats_j.h + alpha * shift, gram)
             # explicit re-orthogonalization against prior columns for robustness
@@ -480,39 +500,26 @@ def greedy_features(samples, basis, m, gram=None, jac=None, surrogate=None):
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _feature_jacobians(basis, coeffs, points, jac=None):
+def _feature_jacobians(basis, coeffs, points, blocks=None):
     """Jacobians (n, d, m) at the points of the features with coefficients
-    ``coeffs`` (K, m); ``jac`` is the basis Jacobian at the points, or None.
+    ``coeffs`` (K, m); ``blocks`` are the support blocks of the basis
+    Jacobian at the points, or None.
 
     Row nu of a point's Jacobian only involves the basis columns with
-    alpha_nu > 0, so it is built from the support blocks of the basis
-    Jacobian, _BLOCK_ROWS rows at a time: evaluated by
+    alpha_nu > 0, so ``_contract_blocks`` builds it from the support
+    blocks: the given ones, or blocks evaluated by
     ``FeatureBasis._support_blocks``, whose tables are computed once per
-    _EVAL_CHUNK rows and whose blocks land in one reused buffer, or
-    gathered from ``jac`` (``_jacobian_blocks``).  ``_contract_blocks``
-    turns the blocks into the features' Jacobians, so an entry depends on
-    its own point only, and both sources give the same bits.
+    _EVAL_CHUNK rows and whose _BLOCK_ROWS-row blocks land in one reused
+    buffer, so the (n, d, w) array is not formed.  An entry depends on its
+    own point only, so both sources give the same bits.
     """
-    n = points.shape[0]
-    if jac is None:
-        pieces = basis._support_blocks(points)
-    else:
-        jac = _jacobian_at(basis, points, jac)
-        pieces = ((slice(start, start + _BLOCK_ROWS),
-                   _jacobian_blocks(basis, jac[start:start + _BLOCK_ROWS]))
-                  for start in range(0, n, _BLOCK_ROWS))
-    out = np.empty((n, basis.dim, coeffs.shape[1]))
-    for rows, blocks in pieces:
-        _contract_blocks(basis, blocks, coeffs, out=out[rows])
+    if blocks is not None:
+        blocks = _blocks_at(basis, points, blocks)
+        return _contract_blocks(basis, blocks, coeffs)
+    out = np.empty((points.shape[0], basis.dim, coeffs.shape[1]))
+    for rows, block in basis._support_blocks(points):
+        _contract_blocks(basis, block, coeffs, out=out[rows])
     return out
-
-
-def _jacobian_blocks(basis, jac):
-    """The support blocks (n, d, w) of the basis Jacobian ``jac`` (n, d, K):
-    entry (i, nu, c) is ``jac[i, nu, basis._block_columns[nu, c]]``."""
-    n, d, K = jac.shape
-    entries = (basis._block_columns + K * np.arange(d)[:, None]).ravel()
-    return np.take(jac.reshape(n, -1), entries, axis=1).reshape(n, d, -1)
 
 
 def _contract_blocks(basis, blocks, coeffs, out=None):

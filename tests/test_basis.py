@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg
 
 from gradfeat.basis import (_EVAL_CHUNK, FeatureBasis, GramMatrix, Hermite,
-                            Legendre, LogHermite, MultiIndexSet, assemble_gram,
+                            Legendre, LogHermite, MultiIndexSet, _blocks_at,
+                            assemble_gram,
                             basis_from_spec, build_index_set, family_from_spec,
                             family_to_spec)
 from gradfeat.benchmarks import make_benchmark
@@ -361,26 +362,30 @@ class TestGramMatrix:
         basis = legendre_basis(2, 1.0, 2.0)
         pts = np.random.default_rng(9).uniform(0, 1, size=(20, 2))
         with pytest.raises(InvalidInputError):
-            assemble_gram(basis, pts, jac=basis.jacobian_batch(pts[:-1]))
+            assemble_gram(basis, pts, blocks=_blocks_at(basis, pts[:-1]))
+        # the dense Jacobian is not the blocks' shape, so it is not misread
+        with pytest.raises(InvalidInputError, match="support blocks of shape"):
+            assemble_gram(basis, pts, blocks=basis.jacobian_batch(pts))
 
 
-def _gram_with_warnings(samples, basis, jac):
+def _gram_with_warnings(samples, basis, blocks):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        R = assemble_gram(basis, samples, jac=jac)
+        R = assemble_gram(basis, samples, blocks=blocks)
     return R.matrix, R.chol, R.ridge_added, [str(w.message) for w in caught]
 
 
 # each estimator that sums over samples, as a tuple of its results
 _SUMS = {
     "assemble_gram": _gram_with_warnings,
-    "surrogate_matrices": lambda samples, basis, jac: (
-        surrogate_matrices(samples, basis, jac).h,),
-    "coordinate_surrogate_matrices": lambda samples, basis, jac: (
+    "surrogate_matrices": lambda samples, basis, blocks: (
+        surrogate_matrices(samples, basis, blocks).h,),
+    "coordinate_surrogate_matrices": lambda samples, basis, blocks: (
         coordinate_surrogate_matrices(samples, basis, _coeffs(basis, 2),
-                                      jac=jac).h,),
-    "poincare_loss": lambda samples, basis, jac: tuple(
-        poincare_loss(samples, FeatureMap(basis, _coeffs(basis, m)), jac=jac)
+                                      blocks=blocks).h,),
+    "poincare_loss": lambda samples, basis, blocks: tuple(
+        poincare_loss(samples, FeatureMap(basis, _coeffs(basis, m)),
+                      blocks=blocks)
         for m in (1, 2)),
 }
 
@@ -401,7 +406,10 @@ class TestPrecomputedJacobian:
         pts = rng.uniform(0, 1, size=(n, 3))
         samples = SampleSet(pts, np.zeros(n), rng.normal(size=(n, 3)))
         ref = _SUMS[name](samples, basis, None)
-        out = _SUMS[name](samples, basis, basis.jacobian_batch(pts))
+        # the blocks gathered from the dense Jacobian
+        jac = basis.jacobian_batch(pts)
+        out = _SUMS[name](samples, basis,
+                          jac[:, np.arange(3)[:, None], basis._block_columns])
         assert len(out) == len(ref)
         for a, b in zip(out, ref):
             assert np.array_equal(a, b)
@@ -412,7 +420,7 @@ class TestPrecomputedJacobian:
 _FEW_ITERS = OptimizerConfig(max_iters=3)
 
 # each public call that reads the basis Jacobian at the sample points, given
-# no ``jac`` and no ``gram``
+# no ``blocks`` and no ``gram``
 _CALLS = {
     "assemble_gram": lambda samples, basis: assemble_gram(basis, samples),
     "surrogate_matrices": lambda samples, basis: surrogate_matrices(
@@ -443,12 +451,12 @@ class TestJacobianEvaluations:
         pts = rng.uniform(0, 1, size=(n, 3))
         samples = SampleSet(pts, np.zeros(n), rng.normal(size=(n, 3)))
         rows = []
-        evaluate = FeatureBasis.jacobian_batch
+        evaluate = FeatureBasis._support_blocks
 
         def counted(self, X):
             rows.append(len(X))
             return evaluate(self, X)
 
-        monkeypatch.setattr(FeatureBasis, "jacobian_batch", counted)
+        monkeypatch.setattr(FeatureBasis, "_support_blocks", counted)
         _CALLS[name](samples, basis)
         assert rows == [n]

@@ -247,8 +247,8 @@ class TestRunExperiment:
         # of reaching the eigensolve and ending the sweep
         real = surrogate.surrogate_sums
 
-        def poisoned(gradients, jac_phi):
-            h = real(gradients, jac_phi)
+        def poisoned(gradients, basis, blocks):
+            h = real(gradients, basis, blocks)
             h[0, 0] = np.nan
             return h
         monkeypatch.setattr(surrogate, "surrogate_sums", poisoned)

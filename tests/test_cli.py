@@ -31,6 +31,10 @@ def u1_csv(tmp_path):
     return path
 
 
+def dense_jacobian_forbidden(self, X):
+    raise AssertionError("the dense (n, d, K) Jacobian was formed")
+
+
 def config_leaves(tree, path=()):
     for key, value in tree.items():
         if isinstance(value, dict):
@@ -338,13 +342,13 @@ class TestLearnCommand:
     def test_one_training_jacobian(self, tmp_path, u1_csv, monkeypatch,
                                    method, m):
         calls = []
-        evaluate = FeatureBasis.jacobian_batch
+        evaluate = FeatureBasis._support_blocks
 
         def counted(self, X):
             calls.append(len(X))
             return evaluate(self, X)
 
-        monkeypatch.setattr(FeatureBasis, "jacobian_batch", counted)
+        monkeypatch.setattr(FeatureBasis, "_support_blocks", counted)
         cfg = write_config(tmp_path, "one.json", {
             "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
             "learn": {"method": method, "m": m,
@@ -353,6 +357,18 @@ class TestLearnCommand:
         })
         assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
         assert calls == [120]
+
+    @pytest.mark.parametrize("method, m", [("sur", 2), ("gsi", 2), ("gli", 1)])
+    def test_no_dense_jacobian(self, tmp_path, u1_csv, monkeypatch, method, m):
+        monkeypatch.setattr(FeatureBasis, "jacobian_batch",
+                            dense_jacobian_forbidden)
+        cfg = write_config(tmp_path, "blocks.json", {
+            "basis": {"families": box_families(), "p": 1.0, "k": 2.0},
+            "learn": {"method": method, "m": m,
+                      "optimizer": {"max_iters": 5}},
+            "io": {"out_dir": str(tmp_path / "blocks")},
+        })
+        assert main(["--config", cfg, "learn", str(u1_csv)]) == 0
 
     @pytest.mark.parametrize("method, m", [("sur", 1), ("gsi", 2)])
     def test_reloaded_map_reproduces_loss_final(self, tmp_path, method, m):
@@ -547,6 +563,18 @@ class TestCheckDeviationCommand:
         assert payload["k"] == 2.0 and payload["A"] == 4.0
         assert payload["reports"]["small"]["n_violations"] == 0
         assert payload["reports"]["large"]["n_violations"] == 0
+
+    def test_no_dense_jacobian(self, tmp_path, u1_csv, monkeypatch):
+        monkeypatch.setattr(FeatureBasis, "jacobian_batch",
+                            dense_jacobian_forbidden)
+        fmap, bspec = self.make_feature_files(tmp_path, u1_csv)
+        cfg = write_config(tmp_path, "dev.json", {
+            "deviation": {"feature_map": fmap, "basis_spec": bspec,
+                          "benchmark": "u1", "n_samples": 20000, "seed": 0,
+                          "s": 0.125},
+            "io": {"out_dir": str(tmp_path / "dev-out")},
+        })
+        assert main(["--config", cfg, "check-deviation"]) == 0
 
     def test_violation_exit_four(self, tmp_path, u1_csv):
         # a wildly understated growth exponent collapses the small-deviation

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 import gradfeat.grassmann as grassmann
 import gradfeat.surrogate as surrogate
-from gradfeat.basis import FeatureBasis, MultiIndexSet, assemble_gram, \
-    build_index_set
+from gradfeat.basis import FeatureBasis, MultiIndexSet, _blocks_at, \
+    assemble_gram, build_index_set
 from gradfeat.benchmarks import _realization_seeds, make_benchmark, \
     make_samples
 from gradfeat.errors import IllConditionedError, InvalidInputError
@@ -34,6 +36,10 @@ def sweep_setup(bench_id, n, p, k, realization=0):
     samples = make_samples(bench, n, train_ss)
     basis = FeatureBasis(build_index_set(bench.dim, p, k), bench.families)
     return samples, basis, assemble_gram(basis, samples)
+
+
+def dense_jacobian_forbidden(self, X):
+    raise AssertionError("the dense (n, d, K) Jacobian was formed")
 
 
 def first_coordinate_samples(basis, n, seed):
@@ -122,13 +128,13 @@ class TestLossGradient:
         bench = make_benchmark(bench_id)
         samples = make_samples(bench, n, 3)
         basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
-        jac = basis.jacobian_batch(samples.points)
-        ctx = _LossContext(samples, basis, jac)
+        blocks = _blocks_at(basis, samples.points)
+        ctx = _LossContext(samples, basis, blocks)
         rng = np.random.default_rng(4)
         for _ in range(3):
             G = rng.normal(size=(basis.size, m))
             assert ctx.loss(G) == poincare_loss(samples, FeatureMap(basis, G),
-                                                jac=jac)
+                                                blocks=blocks)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_block_gradient_matches_the_dense_product(self, m):
@@ -139,7 +145,7 @@ class TestLossGradient:
         samples = make_samples(bench, 300, 5)
         basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
         jac = basis.jacobian_batch(samples.points)
-        ctx = _LossContext(samples, basis, jac)
+        ctx = _LossContext(samples, basis, _blocks_at(basis, samples.points))
         G = np.random.default_rng(6).normal(size=(basis.size, m))
         U, S, Vt, mask = ctx._at(G)[1]
         ub = np.einsum("ndr,nd->nr", U, samples.gradients) * mask
@@ -224,6 +230,17 @@ class TestMinimize:
         assert info["iterations"] > 0
         assert info["trace"][-1][1] == info["loss_final"]
 
+    @pytest.mark.parametrize("bench_id", ["u1", "u3", "u4"])
+    def test_single_feature_trace_ends_at_loss_final(self, bench_id):
+        # one feature runs the same block contraction as poincare_loss
+        bench = make_benchmark(bench_id)
+        samples = make_samples(bench, 200, 0)
+        basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)
+        _, info = learn_features(samples, basis, 1, "gli",
+                                 config=OptimizerConfig(max_iters=20))
+        assert info["iterations"] > 0
+        assert info["trace"][-1][1] == info["loss_final"]
+
     def test_two_features_need_no_lapack_svd(self, monkeypatch):
         # every per-sample projection at m = 2 (one prior column in the
         # greedy pass, two in the descent) runs in closed form
@@ -300,14 +317,14 @@ class TestMinimize:
 
     def test_precomputed_jacobian_gives_identical_descent(self):
         samples, basis, gram = u3_setup(n=90, seed=16)
-        jac = basis.jacobian_batch(samples.points)
+        blocks = _blocks_at(basis, samples.points)
         cfg = OptimizerConfig(max_iters=40)
         for m in (1, 2):
             G0 = active_subspace_init(samples, basis, m, gram)
             ref, ref_trace = minimize_poincare_loss(samples, basis, G0,
                                                     config=cfg, gram=gram)
             out, trace = minimize_poincare_loss(samples, basis, G0, config=cfg,
-                                                gram=gram, jac=jac)
+                                                gram=gram, blocks=blocks)
             assert np.array_equal(out.coeffs, ref.coeffs)
             assert trace == ref_trace
             mats = surrogate_matrices(samples, basis)
@@ -317,8 +334,8 @@ class TestMinimize:
                 del ref_info["wall_time_s"]
                 assert ref_info["loss_final"] == poincare_loss(samples, ref)
                 # a precomputed Jacobian or surrogate is an input, not a knob
-                for given in ({"jac": jac}, {"surrogate": mats},
-                              {"jac": jac, "surrogate": mats}):
+                for given in ({"blocks": blocks}, {"surrogate": mats},
+                              {"blocks": blocks, "surrogate": mats}):
                     out, info = learn_features(samples, basis, m, method,
                                                gram=gram, config=cfg, **given)
                     assert np.array_equal(out.coeffs, ref.coeffs)
@@ -332,13 +349,13 @@ class TestMinimize:
                                                 with_gram):
         samples, basis, gram = u3_setup(n=60, seed=18)
         calls = []
-        evaluate = FeatureBasis.jacobian_batch
+        evaluate = FeatureBasis._support_blocks
 
         def counted(self, X):
             calls.append(len(X))
             return evaluate(self, X)
 
-        monkeypatch.setattr(FeatureBasis, "jacobian_batch", counted)
+        monkeypatch.setattr(FeatureBasis, "_support_blocks", counted)
         learn_features(samples, basis, m, method,
                        gram=gram if with_gram else None,
                        config=OptimizerConfig(max_iters=5))
@@ -347,9 +364,13 @@ class TestMinimize:
     def test_jacobian_of_wrong_shape_rejected(self):
         samples, basis, gram = u3_setup(n=60, seed=17)
         G0 = active_subspace_init(samples, basis, 1, gram)
-        jac = basis.jacobian_batch(samples.points[:-1])
+        blocks = _blocks_at(basis, samples.points[:-1])
         with pytest.raises(InvalidInputError):
-            minimize_poincare_loss(samples, basis, G0, gram=gram, jac=jac)
+            minimize_poincare_loss(samples, basis, G0, gram=gram, blocks=blocks)
+        # the dense Jacobian is not the blocks' shape, so it is not misread
+        jac = basis.jacobian_batch(samples.points)
+        with pytest.raises(InvalidInputError, match="support blocks of shape"):
+            minimize_poincare_loss(samples, basis, G0, gram=gram, blocks=jac)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_raises(self, monkeypatch, bad):
@@ -544,6 +565,36 @@ class TestLearnFeatures:
         with pytest.raises(InvalidInputError,
                            match="m=9 exceeds input dimension d=8"):
             learn_features(samples, basis, 9, method, gram=gram)
+
+
+class TestNoDenseJacobian:
+    """Fits read the support blocks of the basis Jacobian only."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("method", ["sur", "gli", "gsi"])
+    def test_learn_features(self, monkeypatch, method, m):
+        samples, basis, _ = u3_setup(n=60, seed=15)
+        monkeypatch.setattr(FeatureBasis, "jacobian_batch",
+                            dense_jacobian_forbidden)
+        _, info = learn_features(samples, basis, m, method,
+                                 config=OptimizerConfig(max_iters=5))
+        assert np.isfinite(info["loss_final"])
+
+    def test_peak_below_the_dense_jacobian(self):
+        # learn-cli's fit: u4, n = 2000, K = 164, gsi at m = 2
+        bench = make_benchmark("u4")
+        samples = make_samples(bench, 2000, 41)
+        basis = FeatureBasis(build_index_set(8, 1.0, 3.0), bench.families)
+        assert basis.size == 164
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            learn_features(samples, basis, 2, "gsi",
+                           config=OptimizerConfig(max_iters=6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < samples.n * samples.dim * basis.size * 8
 
 
 class TestDescentOnRidgeTarget:

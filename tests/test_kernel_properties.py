@@ -8,8 +8,13 @@ surrogates built on its deflation must equal the quadratic forms G^T h G of
 their assembled matrices, which stay within a summation bound of an
 extended-precision sum.  The positive semi-definiteness check of those
 matrices, which certifies by a shifted Cholesky factorization, must give the
-verdict of the eigenvalue rule it stands in for.
+verdict of the eigenvalue rule it stands in for.  The sums over the support
+blocks of the basis Jacobian must match their dense forms: the Gram to
+roundoff, the surrogate sums bit for bit; and the streamed feature
+Jacobians must not depend on the table chunk.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +23,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gradfeat.basis import (_SUM_ROWS, FeatureBasis, Legendre, assemble_gram,
+import gradfeat.basis
+from gradfeat.basis import (FeatureBasis, Hermite, Legendre, LogHermite,
+                            _blocks_at, _gram_sum, assemble_gram,
                             build_index_set)
 from gradfeat.benchmarks import make_benchmark, make_samples
 from gradfeat.errors import InvalidInputError
@@ -28,11 +35,12 @@ from gradfeat.geometry import (DEFAULT_RANK_TOL, _deflate,
                                _span_svd, complement_split,
                                orthogonal_projector, orthonormal_span,
                                project_complement)
-from gradfeat.surrogate import (FeatureMap, SampleSet, SurrogateMatrices,
-                                convex_surrogate, coordinate_surrogate,
+from gradfeat.surrogate import (_SUM_ROWS, FeatureMap, SampleSet,
+                                SurrogateMatrices, convex_surrogate,
+                                coordinate_surrogate,
                                 coordinate_surrogate_matrices,
                                 min_generalized_eig, poincare_loss,
-                                surrogate_matrices)
+                                surrogate_matrices, surrogate_sums)
 
 # fixed example sequence, so a run is reproducible; no example database
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
@@ -410,7 +418,8 @@ class TestSurrogateSummation:
         samples, basis, _ = problem
         jac = basis.jacobian_batch(samples.points)
         ref = _surrogate_reference(samples.gradients, jac)
-        h = surrogate_matrices(samples, basis, jac).h
+        h = surrogate_matrices(samples, basis,
+                               _blocks_at(basis, samples.points)).h
         assert np.max(np.abs(h - ref)) <= self.bound(samples, jac, 0)
 
     @PROPERTY
@@ -420,7 +429,8 @@ class TestSurrogateSummation:
         jac = basis.jacobian_batch(samples.points)
         Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", jac, G))
         ref = _surrogate_reference(_deflate(Q, samples.gradients), jac, Q)
-        h = coordinate_surrogate_matrices(samples, basis, G, jac).h
+        h = coordinate_surrogate_matrices(samples, basis, G,
+                                          _blocks_at(basis, samples.points)).h
         assert np.max(np.abs(h - ref)) <= self.bound(samples, jac, 1)
 
     @pytest.mark.parametrize("bench_id", ["u1", "u2", "u3", "u4"])
@@ -431,15 +441,114 @@ class TestSurrogateSummation:
         samples = make_samples(bench, 250, 1)
         basis = FeatureBasis(build_index_set(8, 1.0, 3.0), bench.families)
         jac = basis.jacobian_batch(samples.points)
+        blocks = _blocks_at(basis, samples.points)
         ref = _surrogate_reference(samples.gradients, jac)
-        h = surrogate_matrices(samples, basis, jac).h
+        h = surrogate_matrices(samples, basis, blocks).h
         assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
         # the same eigensolve of both; u1's lambda_min is about 0, so the
         # error is measured on the scale of lambda_max
-        gram = assemble_gram(basis, samples, jac=jac)
+        gram = assemble_gram(basis, samples, blocks=blocks)
         lam_ref = min_generalized_eig(ref, gram)[0]
         assert abs(min_generalized_eig(h, gram)[0] - lam_ref) <= \
             1e-12 * scipy.linalg.eigh(ref, gram.matrix, eigvals_only=True)[-1]
+
+
+@st.composite
+def block_problems(draw):
+    """Points drawn from a mix of the three families' laws, d = 1..4, an
+    index set with blocks of uneven support, n on either side of the
+    _SUM_ROWS-row slice, gradients with about one row in ten exactly zero,
+    and one coefficient column."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(1, _SUM_ROWS),
+                       st.integers(_SUM_ROWS + 1, 3 * _SUM_ROWS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from([Legendre, Hermite, LogHermite]),
+                          min_size=d, max_size=d))
+    families = [Legendre(-1.0, 2.0) if kind is Legendre else
+                kind(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 2.0))
+                for kind in kinds]
+    p, k = draw(st.sampled_from([(1.0, 1.0), (1.0, 3.0), (0.8, 4.0),
+                                 (float("inf"), 2.0)]))
+    basis = FeatureBasis(build_index_set(d, p, k), families)
+    grads = rng.normal(size=(n, d))
+    grads[rng.random(n) < 0.1] = 0.0
+    X = np.column_stack([fam.sample(rng, n) for fam in families])
+    return (SampleSet(X, np.zeros(n), grads), basis,
+            rng.normal(size=(basis.size, 1)))
+
+
+def _dense_surrogate_sums(gradients, jac, Q=None):
+    """The surrogate sum over the dense (n, d, K) Jacobian: per _SUM_ROWS
+    rows, the operators |v_i| P_i times the Jacobian's rows, whose
+    product M^T M starts the sum or is added to it."""
+    n, d, K = jac.shape
+    norm = np.sqrt(np.sum(gradients ** 2, axis=1))
+    unit = np.divide(gradients, norm[:, None], out=np.zeros_like(gradients),
+                     where=norm[:, None] > 0.0)
+    total = None
+    for start in range(0, n, _SUM_ROWS):
+        rows = slice(start, start + _SUM_ROWS)
+        u = unit[rows]
+        P = np.eye(d) - u[:, :, None] * u[:, None, :]
+        if Q is not None:
+            P -= Q[rows] @ Q[rows].transpose(0, 2, 1)
+        P *= norm[rows, None, None]
+        M = (P @ jac[rows]).reshape(-1, K)
+        total = M.T @ M if total is None else total + M.T @ M
+    return total
+
+
+class TestBlocksAgainstTheDenseJacobian:
+    """The sums over the support blocks against the same sums over
+    ``jacobian_batch``'s dense array."""
+
+    @PROPERTY
+    @given(block_problems())
+    def test_gram_within_roundoff_of_the_dense_sum(self, problem):
+        # an entry (a, b) of the dense sum adds n d products in BLAS's
+        # order, of the block sum n per block and then the d blocks; each
+        # is within gamma_N of the exact sum, relative to the sum of
+        # |J_a| |J_b|, which Cauchy-Schwarz bounds by sqrt(D_a D_b), D the
+        # diagonal.  The error grows with n, so a bound in ulps times K
+        # alone fails at small K and large n
+        samples, basis, _ = problem
+        jac = basis.jacobian_batch(samples.points)
+        M = jac.reshape(-1, basis.size)
+        dense = M.T @ M
+        block = _gram_sum(basis, _blocks_at(basis, samples.points))
+        steps = samples.n * samples.dim + samples.n + samples.dim
+        u = np.finfo(float).eps / 2
+        diag = np.diag(dense)
+        tol = steps * u / (1 - steps * u) * np.sqrt(np.outer(diag, diag))
+        assert np.all(np.abs(block - dense) <= tol)
+
+    @PROPERTY
+    @given(block_problems())
+    def test_surrogate_sums_equal_the_dense_sums_bitwise(self, problem):
+        samples, basis, G = problem
+        jac = basis.jacobian_batch(samples.points)
+        blocks = _blocks_at(basis, samples.points)
+        grads = samples.gradients
+        assert np.array_equal(surrogate_sums(grads, basis, blocks),
+                              _dense_surrogate_sums(grads, jac))
+        Q = _orthobasis_batch(np.einsum("ndk,kr->ndr", jac, G))
+        deflated = _deflate(Q, grads)
+        assert np.array_equal(surrogate_sums(deflated, basis, blocks, Q),
+                              _dense_surrogate_sums(deflated, jac, Q))
+
+    @PROPERTY
+    @given(block_problems(), st.data())
+    def test_feature_gradients_do_not_depend_on_the_table_chunk(self, problem,
+                                                               data):
+        samples, basis, G = problem
+        assume(samples.n > 1)
+        fmap = FeatureMap(basis, G)
+        whole = fmap.gradients(samples.points)
+        chunk = data.draw(st.integers(1, samples.n - 1))
+        with mock.patch.object(gradfeat.basis, "_EVAL_CHUNK", chunk):
+            chunked = fmap.gradients(samples.points)
+        assert np.array_equal(chunked.view(np.int64), whole.view(np.int64))
 
 
 def _eigenvalue_rule(h):

@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 import gradfeat.benchmarks as benchmarks
 import gradfeat.regression as regression
-from gradfeat.basis import FeatureBasis, assemble_gram, build_index_set
+from gradfeat.basis import (FeatureBasis, _blocks_at, assemble_gram,
+                            build_index_set)
 from gradfeat.benchmarks import (ExperimentConfig, make_benchmark,
                                  make_samples, run_experiment)
 from gradfeat.errors import InvalidInputError
@@ -406,8 +407,8 @@ class TestFoldSums:
                 made.append(real(*args, **kwargs))
                 return made[-1]
             monkeypatch.setattr(regression, name, record)
-        jac = basis.jacobian_batch(samples.points)
-        regression._cv_score(samples, basis, jac, folds, 1, "sur", None)
+        blocks = _blocks_at(basis, samples.points)
+        regression._cv_score(samples, basis, blocks, folds, 1, "sur", None)
         monkeypatch.undo()
         return built["GramMatrix"], built["SurrogateMatrices"]
 
@@ -516,10 +517,24 @@ class TestCvSelectBasisDuplicates:
                                seed=4)
         assert len(scored) == len(set(scored)) == distinct
         folds = kfold_indices(samples.n, self.GRID.pk_folds, 4)
-        results = [(score(samples, basis, basis.jacobian_batch(samples.points),
+        results = [(score(samples, basis, _blocks_at(basis, samples.points),
                           folds, 1, "sur", None), basis.size, pk)
                    for pk, basis in zip(self.GRID.pk_candidates, bases)]
         assert best == min(results)[2] == (0.8, 3)
+
+
+@pytest.mark.parametrize("method, m", [("sur", 1), ("gli", 1), ("gsi", 2)])
+def test_cv_select_basis_forms_no_dense_jacobian(monkeypatch, method, m):
+    def forbidden(self, X):
+        raise AssertionError("the dense (n, d, K) Jacobian was formed")
+
+    bench = make_benchmark("u3")
+    samples = make_samples(bench, 40, 2)
+    monkeypatch.setattr(FeatureBasis, "jacobian_batch", forbidden)
+    grid = CvGrid(pk_candidates=((1.0, 1), (1.0, 2)), pk_folds=3)
+    assert cv_select_basis(samples, m, method, bench.families, grid,
+                           seed=0, optimizer=OptimizerConfig(max_iters=5)) \
+        in grid.pk_candidates
 
 
 class TestCvSelectBasisTies:

@@ -519,6 +519,12 @@ def _bits(a):
     return a.view(np.int64)
 
 
+def _gathered(basis, jac):
+    """The support blocks (n, d, w) gathered from the dense Jacobian:
+    entry (i, nu, c) is ``jac[i, nu, basis._block_columns[nu, c]]``."""
+    return jac[:, np.arange(basis.dim)[:, None], basis._block_columns]
+
+
 class TestFeatureMapGradients:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("name", _GRADIENT_BASES)
@@ -526,9 +532,10 @@ class TestFeatureMapGradients:
         X, fmap = _gradient_case(name, m)
         jac = fmap.basis.jacobian_batch(X)
         streamed = fmap.gradients(X)
+        blocks = _gathered(fmap.basis, jac)
         assert np.array_equal(
             _bits(streamed),
-            _bits(_feature_jacobians(fmap.basis, fmap.coeffs, X, jac=jac)))
+            _bits(_feature_jacobians(fmap.basis, fmap.coeffs, X, blocks=blocks)))
         # the whole-array contraction is a reference up to roundoff: each
         # entry is a sum of K products, so two evaluations differ by at most
         # 2 K eps times the same sum over absolute values
@@ -541,7 +548,7 @@ class TestFeatureMapGradients:
     @pytest.mark.parametrize("name", _GRADIENT_BASES)
     def test_rows_evaluated_alone_give_the_same_bits(self, name, m):
         X, fmap = _gradient_case(name, m)
-        jac = fmap.basis.jacobian_batch(X)
+        blocks = _gathered(fmap.basis, fmap.basis.jacobian_batch(X))
         whole = fmap.gradients(X)
         n = X.shape[0]
         rng = np.random.default_rng(5)
@@ -553,7 +560,7 @@ class TestFeatureMapGradients:
                                   _bits(whole[rows]))
             assert np.array_equal(
                 _bits(_feature_jacobians(fmap.basis, fmap.coeffs, X[rows],
-                                         jac=jac[rows])),
+                                         blocks=blocks[rows])),
                 _bits(whole[rows]))
 
     def test_tables_once_per_chunk(self, monkeypatch):
@@ -567,14 +574,16 @@ class TestFeatureMapGradients:
 
         monkeypatch.setattr(FeatureBasis, "_tables", counted)
         fmap.gradients(X)
-        assert calls == [_EVAL_CHUNK, 20000 - _EVAL_CHUNK]
+        assert calls == [_EVAL_CHUNK] * (20000 // _EVAL_CHUNK) \
+            + [20000 % _EVAL_CHUNK]
 
     def test_streamed_equals_gathered_across_table_chunks(self):
         X, fmap = _gradient_case("u4", 2, n=_EVAL_CHUNK + 7)
-        jac = fmap.basis.jacobian_batch(X)
+        blocks = _gathered(fmap.basis, fmap.basis.jacobian_batch(X))
         assert np.array_equal(
             _bits(fmap.gradients(X)),
-            _bits(_feature_jacobians(fmap.basis, fmap.coeffs, X, jac=jac)))
+            _bits(_feature_jacobians(fmap.basis, fmap.coeffs, X,
+                                     blocks=blocks)))
 
     def test_padding_entries_are_positive_zeros(self):
         # block 1 of "uneven" holds one column and two padding entries,
