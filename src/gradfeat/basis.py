@@ -217,16 +217,26 @@ def _index_k_ok(k):
 def build_index_set(d, p, k):
     """All nonzero multi-indices alpha in N^d with ||alpha||_p <= k.
 
-    p and k must pass ``_index_p_ok`` and ``_index_k_ok``, else
-    ``InvalidInputError``.  Indices are sorted by total degree, then
-    lexicographically with earlier dimensions dominating.
+    d must be an integer >= 1, and p and k must pass ``_index_p_ok`` and
+    ``_index_k_ok``, else ``InvalidInputError``.  Indices are sorted by total degree, then
+    lexicographically with earlier dimensions dominating.  The arguments
+    are checked before the cached builder is looked up, so a value that
+    fails the checks (``True``, a list, NaN) raises even when an equal
+    valid one (1, ...) is cached.
     """
-    if d < 1:
-        raise InvalidInputError("d must be >= 1")
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
+        raise InvalidInputError(f"d={d!r} must be an integer >= 1")
     if not _index_k_ok(k):
         raise InvalidInputError(f"k={k!r} must be a finite number >= 1")
     if not _index_p_ok(p):
         raise InvalidInputError(f"p={p!r} must be a number > 0 (or inf)")
+    return _index_set(int(d), float(p), float(k))
+
+
+@functools.lru_cache(maxsize=64)
+def _index_set(d, p, k):
+    """``build_index_set`` for checked arguments; the sets are immutable,
+    so every basis of one (d, p, k) shares one."""
     max_single = int(math.floor(k + 1e-12))
     out = []
     if math.isinf(p):
@@ -248,7 +258,7 @@ def build_index_set(d, p, k):
 
         extend([], 0.0)
     out.sort(key=lambda a: (sum(a), tuple(-x for x in a)))
-    return MultiIndexSet(dim=d, p=float(p), k=float(k), indices=tuple(out))
+    return MultiIndexSet(dim=d, p=p, k=k, indices=tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -273,64 +283,26 @@ class FeatureBasis:
 
     @functools.cached_property
     def _table_groups(self):
-        """``(kind, dims, params, span)`` per family kind, in order of first
-        appearance: the dimensions of that kind, each of the kind's
-        parameters as a (len(dims), 1) column, and the slice of the kind's
-        rows in the stacked tables of ``_tables``.  Row 0 is the constant
-        row; each kind's rows follow it, degree by degree from 0 to the
-        kind's highest degree, each degree holding one row per dimension."""
-        dims_of = {}
-        for nu, fam in enumerate(self.families):
-            dims_of.setdefault(type(fam), []).append(nu)
-        groups, start = [], 1
-        for kind, dims in dims_of.items():
-            size = len(dims) * (int(self._max_deg[dims].max()) + 1)
-            params = [np.array([getattr(self.families[nu], name) for nu in dims])[:, None]
-                      for name in kind.fields]
-            groups.append((kind, dims, params, slice(start, start + size)))
-            start += size
-        return groups
+        """``(kind, dims, params, span)`` per family kind, laid out as
+        ``_kind_layout`` says, with each of the kind's parameters as a
+        (len(dims), 1) column."""
+        return [(kind, dims,
+                 [np.array([getattr(self.families[nu], name) for nu in dims])[:, None]
+                  for name in kind.fields], span)
+                for kind, dims, span in _kind_layout(self._kinds, self._max_deg)]
+
+    @property
+    def _kinds(self):
+        return tuple(type(fam) for fam in self.families)
 
     @functools.cached_property
     def _plan(self):
-        """Gather plans over the stacked tables of ``_tables``.
-
-        phi_0 = 1 and phi_0' = 0 in every family, so Phi_alpha only needs
-        the factors of supp(alpha), and d Phi_alpha / d x_nu is zero unless
-        alpha_nu > 0.  Returns ``(eval_idx, jac_plan)``: ``eval_idx``
-        (s_max, K) lists each column's support factors in dimension order;
-        ``jac_plan`` holds, per nu, for the columns with alpha_nu > 0 in
-        the order of ``_block_columns``, the derivative-table rows of their
-        nu factors and the value-table rows of their other support factors
-        in dimension order.  Short lists are padded with the constant-1 row;
-        a skipped or padded factor is an exact 1.0, so every product takes
-        the same nonzero multiplications in the same order as the full
-        d-fold product.
-
-        Built on first evaluation, since most of the bases that (p, k)
-        cross-validation builds are never evaluated.
-        """
-        alpha = self._alpha
-        # table row of degree i in dimension nu
-        row = np.zeros((self.dim, int(self._max_deg.max()) + 1), dtype=int)
-        for _, dims, _, span in self._table_groups:
-            by_degree = np.arange(span.start, span.stop).reshape(-1, len(dims))
-            row[dims, :len(by_degree)] = by_degree.T
-        table_idx = np.where(alpha > 0, row[np.arange(self.dim), alpha], 0)
-
-        def packed(idx):
-            # support entries first, in dimension order; the rest index the 1s
-            order = np.argsort(idx == 0, axis=1, kind="stable")
-            width = int(np.max(np.sum(idx > 0, axis=1), initial=0))
-            return np.take_along_axis(idx, order, axis=1)[:, :width].T
-
-        jac_plan = []
-        for nu in range(self.dim):
-            cols = np.flatnonzero(alpha[:, nu] > 0)
-            others = table_idx[cols]
-            others[:, nu] = 0
-            jac_plan.append((table_idx[cols, nu], packed(others)))
-        return packed(table_idx), jac_plan
+        """Gather plans over the stacked tables of ``_tables``
+        (``_gather_plan``), shared by every basis with the same indices and
+        per-dimension family kinds.  Built on first evaluation, since most
+        of the bases that (p, k) cross-validation builds are never
+        evaluated."""
+        return _gather_plan(self.index_set.indices, self._kinds)
 
     @functools.cached_property
     def _block_columns(self):
@@ -471,6 +443,70 @@ class FeatureBasis:
         return X
 
 
+def _kind_layout(kinds, max_deg):
+    """``(kind, dims, span)`` per family kind, in order of first appearance
+    in ``kinds`` (one family class per dimension): the dimensions of that
+    kind and the slice of the kind's rows in the stacked tables of
+    ``FeatureBasis._tables``.  Row 0 is the constant row; each kind's rows
+    follow it, degree by degree from 0 to the kind's highest degree in
+    ``max_deg`` (per dimension), each degree holding one row per
+    dimension."""
+    dims_of = {}
+    for nu, kind in enumerate(kinds):
+        dims_of.setdefault(kind, []).append(nu)
+    layout, start = [], 1
+    for kind, dims in dims_of.items():
+        size = len(dims) * (int(max_deg[dims].max()) + 1)
+        layout.append((kind, dims, slice(start, start + size)))
+        start += size
+    return layout
+
+
+@functools.lru_cache(maxsize=64)
+def _gather_plan(indices, kinds):
+    """Gather plans of a basis with multi-indices ``indices`` and family
+    classes ``kinds`` over its stacked tables (``_kind_layout``).
+
+    phi_0 = 1 and phi_0' = 0 in every family, so Phi_alpha only needs
+    the factors of supp(alpha), and d Phi_alpha / d x_nu is zero unless
+    alpha_nu > 0.  Returns ``(eval_idx, jac_plan)``: ``eval_idx``
+    (s_max, K) lists each column's support factors in dimension order;
+    ``jac_plan`` holds, per nu, for the columns with alpha_nu > 0 in
+    the order of ``FeatureBasis._block_columns``, the derivative-table rows
+    of their nu factors and the value-table rows of their other support
+    factors in dimension order.  Short lists are padded with the
+    constant-1 row; a skipped or padded factor is an exact 1.0, so every
+    product takes the same nonzero multiplications in the same order as the
+    full d-fold product.  The arrays are read-only, since bases share them.
+    """
+    alpha = np.array(indices, dtype=int)
+    dim = alpha.shape[1]
+    max_deg = alpha.max(axis=0)
+    # table row of degree i in dimension nu
+    row = np.zeros((dim, int(max_deg.max()) + 1), dtype=int)
+    for _, dims, span in _kind_layout(kinds, max_deg):
+        by_degree = np.arange(span.start, span.stop).reshape(-1, len(dims))
+        row[dims, :len(by_degree)] = by_degree.T
+    table_idx = np.where(alpha > 0, row[np.arange(dim), alpha], 0)
+
+    def packed(idx):
+        # support entries first, in dimension order; the rest index the 1s
+        order = np.argsort(idx == 0, axis=1, kind="stable")
+        width = int(np.max(np.sum(idx > 0, axis=1), initial=0))
+        return np.take_along_axis(idx, order, axis=1)[:, :width].T
+
+    eval_idx = packed(table_idx)
+    jac_plan = []
+    for nu in range(dim):
+        cols = np.flatnonzero(alpha[:, nu] > 0)
+        others = table_idx[cols]
+        others[:, nu] = 0
+        jac_plan.append((table_idx[cols, nu], packed(others)))
+    for arr in (eval_idx, *itertools.chain.from_iterable(jac_plan)):
+        arr.flags.writeable = False
+    return eval_idx, tuple(jac_plan)
+
+
 def basis_from_spec(spec):
     if not isinstance(spec, dict) or set(spec) != {"families", "p", "k"}:
         raise InvalidInputError(f"basis spec needs exactly families, p and k: {spec!r}")
@@ -483,12 +519,21 @@ def basis_from_spec(spec):
 # Gram matrix
 # ---------------------------------------------------------------------------
 
+# LAPACK's Cholesky factorization and triangular solve, resolved once: a
+# Gram is factored per fold and solved with inside every descent iteration,
+# where scipy's validating wrappers (``cholesky``, ``solve_triangular``) cost
+# more than the LAPACK calls themselves, which they make the same way
+_POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "trtrs"),
+                                               dtype=np.float64)
+
+
 class GramMatrix:
     """Symmetric positive-definite K x K metric with a cached Cholesky factor.
 
     A tiny ridge is added when the raw estimate fails to factor; the amount
     is kept in ``ridge_added``.  A non-finite entry (an overflowed sum)
-    raises ``NumericError``.
+    raises ``NumericError``, and so does a matrix that fails to factor
+    even with the ridge.
     """
 
     def __init__(self, matrix):
@@ -497,23 +542,19 @@ class GramMatrix:
         if not np.isfinite(M).all():
             raise NumericError("Gram matrix has non-finite entries")
         self.ridge_added = 0.0
-        try:
-            chol = scipy.linalg.cholesky(M, lower=True)
-        except scipy.linalg.LinAlgError:
+        chol, info = _POTRF(M, lower=1, clean=1)
+        if info != 0:
             ridge = 1e-12 * np.trace(M) / M.shape[0]
             if ridge <= 0.0:
                 ridge = 1e-12
             M = M + ridge * np.eye(M.shape[0])
             self.ridge_added += ridge
-            try:
-                chol = scipy.linalg.cholesky(M, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NumericError("Gram matrix is not positive definite") from exc
+            chol, info = _POTRF(M, lower=1, clean=1)
+            if info != 0:
+                raise NumericError("Gram matrix is not positive definite "
+                                   f"(LAPACK info {info})")
         self.matrix = M
         self.chol = chol
-        # resolved once: solve() runs inside every descent iteration, where
-        # the validating scipy wrapper costs more than the solves themselves
-        self._trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (chol,))
 
     @property
     def size(self):
@@ -523,13 +564,13 @@ class GramMatrix:
         """R^{-1} B via the cached factor: L y = B, then L^T x = y.
 
         Makes the LAPACK calls ``scipy.linalg.solve_triangular`` makes for a
-        Fortran-ordered factor (which ``cholesky`` returns), so results are
+        Fortran-ordered factor (which ``potrf`` returns), so results are
         the same bit for bit, but skips its validation: a non-finite B gives a
         non-finite result instead of an error.
         """
-        y, info = self._trtrs(self.chol, B, lower=1, trans=0)
+        y, info = _TRTRS(self.chol, B, lower=1, trans=0)
         if info == 0:
-            y, info = self._trtrs(self.chol, y, lower=1, trans=1, overwrite_b=1)
+            y, info = _TRTRS(self.chol, y, lower=1, trans=1, overwrite_b=1)
         if info != 0:
             raise NumericError(f"triangular solve failed (LAPACK info {info})")
         return y

@@ -193,16 +193,28 @@ def _cv_rmse_table(Z, u, folds, gammas, ridges):
     subsets, K_tr ~ F_tr F_tr^T and K_val,tr ~ F_val F_tr^T.  With the thin
     SVD F_tr = U S W^T, the validation predictions at ridge lambda are
     (F_val W) diag(s / (s^2 + lambda)) U^T u_tr, so one product scores every
-    ridge.
+    ridge.  Folds of equal training and validation sizes go through one
+    stacked SVD and one set of stacked products, which make the same LAPACK
+    and BLAS calls per fold as a loop over the folds; the folds' RMSEs are
+    then added in fold order, so the table is the loop's bit for bit.
     """
+    by_size = {}
+    for f, (train, val) in enumerate(folds):
+        by_size.setdefault((train.size, val.size), []).append(f)
+    groups = [(fs, np.stack([folds[f][0] for f in fs]),
+               np.stack([folds[f][1] for f in fs])) for fs in by_size.values()]
     rmse = np.zeros((gammas.size, ridges.size))
+    fold_rmse = np.empty((len(folds), ridges.size))
     for gi, gamma in enumerate(gammas):
         F, _ = _kernel_factor(Z, gamma)
-        for train, val in folds:
+        for fs, train, val in groups:
             U, s, Wt = np.linalg.svd(F[train], full_matrices=False)
-            filt = s[:, None] / (s[:, None] ** 2 + ridges)
-            pred = (F[val] @ Wt.T) @ (filt * (U.T @ u[train])[:, None])
-            rmse[gi] += np.sqrt(np.mean((pred - u[val, None]) ** 2, axis=0))
+            filt = s[..., None] / (s[..., None] ** 2 + ridges)
+            coef = filt * (U.transpose(0, 2, 1) @ u[train][..., None])
+            pred = (F[val] @ Wt.transpose(0, 2, 1)) @ coef
+            fold_rmse[fs] = np.sqrt(np.mean((pred - u[val][..., None]) ** 2, axis=1))
+        for row in fold_rmse:
+            rmse[gi] += row
     return rmse / len(folds)
 
 
@@ -246,10 +258,11 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     exactly, the scores are roundoff and would otherwise pick by noise.
 
     Each distinct candidate's basis Jacobian is evaluated once, at every
-    sample, as support blocks (``basis._blocks_at``), and sliced per fold;
-    its Gram and surrogate sums are formed once
-    too, and each fold's training matrices are those totals minus the fold's
-    validation sums (``_cv_score``).  A candidate whose index set equals an
+    sample, as support blocks (``basis._blocks_at``), and sliced per fold.
+    Its surrogate sums are formed once per fold's rows, and each fold's
+    training h adds the other folds' sums; its Gram sum is formed once over
+    every sample, and each fold's training R is that total minus the fold's
+    validation sum (``_cv_score``).  A candidate whose index set equals an
     earlier candidate's reuses that score (at d = 8, (0.9, k) and (0.8, k)
     build the same set for k = 2, 3, 4), since it would be fit and scored
     the same, bit for bit.
@@ -277,20 +290,24 @@ def _cv_score(samples, basis, blocks, folds, m, method, optimizer):
     are the support blocks (n, d, w) of the basis Jacobian at every sample.
 
     R and the surrogate's h are sample means, so a fold's training
-    matrices are their sums over every sample, formed once here, minus the
-    fold's validation sums, formed when the fold is scored; no K x K fold
-    block outlives its fold.  They match a per-fold assembly up to
-    roundoff; h's one subtraction adds about K n u max|h_tot|, u = eps / 2:
-    7e-12 relative at K = 264, n = 250, far inside the PSD check's 1e-8.
+    matrices come from sums over the folds' rows.  Each fold's validation
+    sum of h is formed once and kept; a fold's training h is the other
+    folds' sums added in fold order, so no sample is summed twice and no
+    difference cancels.  R is the sum over every sample, formed once here,
+    minus the fold's validation sum, formed when the fold is scored; its
+    one subtraction adds about K n u max|R|, u = eps / 2, 7e-12 relative at
+    K = 264, n = 250, far inside the PSD check's 1e-8.  Both match a
+    per-fold assembly up to roundoff.  The kept sums of h are the only K x K
+    blocks that outlive their fold.
     """
     r_tot = _gram_sum(basis, blocks)
-    h_tot = surrogate_sums(samples.gradients, basis, blocks)
+    h_val = [surrogate_sums(samples.gradients[val], basis, blocks[val])
+             for _, val in folds]
 
-    def fold_score(train, val):
+    def fold_score(f, train, val):
         blocks_val = blocks[val]
-        h_val = surrogate_sums(samples.gradients[val], basis, blocks_val)
         gram = GramMatrix((r_tot - _gram_sum(basis, blocks_val)) / train.size)
-        mats = SurrogateMatrices(h=(h_tot - h_val) / train.size)
+        mats = SurrogateMatrices(h=sum(h_val[:f] + h_val[f + 1:]) / train.size)
         if method == "sur" and m == 1:
             fmap = FeatureMap(basis, min_generalized_eig(mats.h, gram)[1])
         else:
@@ -299,4 +316,5 @@ def _cv_score(samples, basis, blocks, folds, m, method, optimizer):
                                      blocks=blocks[train], surrogate=mats)
         return poincare_loss(samples.subset(val), fmap, blocks=blocks_val)
 
-    return float(np.mean([fold_score(train, val) for train, val in folds]))
+    return float(np.mean([fold_score(f, train, val)
+                          for f, (train, val) in enumerate(folds)]))

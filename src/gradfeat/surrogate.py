@@ -292,8 +292,8 @@ def coordinate_surrogate(samples, fmap, j):
 
 def surrogate_sums(gradients, basis, blocks, Q=None):
     """Unnormalized surrogate sum over the given rows; the assemblers divide
-    it by the row count, and the (p, k) cross-validation subtracts a fold's
-    validation sum from the sum over every sample.
+    it by the row count, and the (p, k) cross-validation adds the sums over
+    the other folds' rows into a fold's training sum.
 
     The sum is a Gram, sum_i M_i^T M_i with M_i = |v_i| P_i J_i, v_i the
     gradient, J_i the basis Jacobian (``blocks`` holds its support blocks)

@@ -44,6 +44,11 @@ class TestIndexSets:
         idx = build_index_set(1, math.inf, 3.0)
         assert idx.indices == ((1,), (2,), (3,))
 
+    @pytest.mark.parametrize("d", [0, 2.5, True, "3"])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        with pytest.raises(InvalidInputError):
+            build_index_set(d, 1.0, 2.0)
+
     def test_k_below_one_rejected(self):
         with pytest.raises(InvalidInputError):
             build_index_set(2, 1.0, 0.5)
@@ -66,6 +71,23 @@ class TestIndexSets:
         idx = build_index_set(3, 0.8, 2.5)
         for alpha in idx.indices:
             assert sum(a ** 0.8 for a in alpha) ** (1 / 0.8) <= 2.5 + 1e-12
+
+    def test_equal_arguments_share_one_set(self):
+        idx = build_index_set(3, 1, 2)
+        assert build_index_set(3, 1.0, 2.0) is idx
+        assert (idx.p, idx.k) == (1.0, 2.0)
+        assert type(idx.p) is type(idx.k) is float
+
+    @pytest.mark.parametrize("p, k", [(1.0, True), (True, 2.0), ([1.0], 2.0),
+                                      (1.0, [2.0]), (math.nan, 2.0),
+                                      (1.0, math.nan)])
+    def test_invalid_arguments_raise_after_a_valid_set_is_cached(self, p, k):
+        # True == 1 and hashes as 1, so a cache looked up before the checks
+        # would return the k = 1 set for it, and a list would not hash
+        build_index_set(3, 1.0, 1.0)
+        build_index_set(3, 1.0, 2.0)
+        with pytest.raises(InvalidInputError):
+            build_index_set(3, p, k)
 
 
 class TestUnivariateFamilies:
@@ -151,6 +173,35 @@ _SUPPORT_CASES = (
 
 
 class TestFeatureBasis:
+    @staticmethod
+    def reference_values(basis, X):
+        """Phi as the product of univariate tables, one per dimension."""
+        tables = [fam.table(X[:, nu], basis.degree())[0]
+                  for nu, fam in enumerate(basis.families)]
+        return np.stack([np.prod([tables[nu][:, a] for nu, a in enumerate(alpha)],
+                                 axis=0) for alpha in basis.index_set.indices],
+                        axis=1)
+
+    def test_plans_are_shared_by_index_set_and_family_kinds(self):
+        idx = build_index_set(3, 1.0, 3.0)
+        X = np.column_stack([np.linspace(0.1, 0.9, 7)] * 3)
+        legendre = FeatureBasis(idx, [Legendre(0.0, 1.0)] * 3)
+        # same kinds, other parameters: the same plan
+        shifted = FeatureBasis(idx, [Legendre(-1.0, 2.0)] * 3)
+        # same index set, other kinds: the Hermite rows move, so the plan does
+        mixed = FeatureBasis(idx, [Legendre(0.0, 1.0), Hermite(0.5, 1.2),
+                                   Legendre(0.0, 1.0)])
+        for basis in (legendre, shifted, mixed):
+            np.testing.assert_allclose(basis.eval_batch(X),
+                                       self.reference_values(basis, X),
+                                       rtol=1e-13, atol=0.0)
+        assert shifted._plan is legendre._plan
+        assert mixed._plan is not legendre._plan
+        assert not np.array_equal(mixed._plan[0], legendre._plan[0])
+        eval_idx, jac_plan = mixed._plan
+        for arr in (eval_idx, *(a for pair in jac_plan for a in pair)):
+            assert not arr.flags.writeable
+
     def test_tensor_product_value(self):
         basis = legendre_basis(2, 1.0, 2.0)
         x = np.array([0.3, 0.8])

@@ -18,7 +18,7 @@ from gradfeat.regression import (CvGrid, KrrModel, cv_select_basis,
                                  cv_select_krr, kfold_indices, krr_fit,
                                  krr_predict)
 from gradfeat.surrogate import (FeatureMap, poincare_loss,
-                                surrogate_matrices)
+                                surrogate_matrices, surrogate_sums)
 
 
 class TestKrrFit:
@@ -267,6 +267,57 @@ class TestLowRankCv:
         assert F.shape[1] == np.unique(Z, axis=0).shape[0]
 
 
+def _per_fold_rmse_table(Z, u, folds, gammas, ridges):
+    """``_cv_rmse_table`` as one SVD and one set of products per fold."""
+    rmse = np.zeros((gammas.size, ridges.size))
+    for gi, gamma in enumerate(gammas):
+        F, _ = regression._kernel_factor(Z, gamma)
+        for train, val in folds:
+            U, s, Wt = np.linalg.svd(F[train], full_matrices=False)
+            filt = s[:, None] / (s[:, None] ** 2 + ridges)
+            pred = (F[val] @ Wt.T) @ (filt * (U.T @ u[train])[:, None])
+            rmse[gi] += np.sqrt(np.mean((pred - u[val, None]) ** 2, axis=0))
+    return rmse / len(folds)
+
+
+class TestStackedFolds:
+    """Folds of equal sizes share one stacked SVD, and the table keeps the
+    bits of the per-fold loop."""
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(krr_cv_cases(), st.data())
+    def test_matches_per_fold_loop_when_folds_differ_in_size(self, case, data):
+        Z, u = case
+        n = Z.shape[0]
+        # a fold count that does not divide n: two fold sizes, two groups
+        n_folds = data.draw(st.sampled_from([f for f in range(2, n) if n % f]))
+        folds = kfold_indices(n, n_folds, data.draw(st.integers(0, 99)))
+        assert len({val.size for _, val in folds}) == 2
+        grid = CvGrid()
+        gammas = 10.0 ** np.append(grid.log10_gamma, np.log10(_FULL_RANK_GAMMA))
+        ridges = 10.0 ** grid.log10_ridge
+        fast = regression._cv_rmse_table(Z, u, folds, gammas, ridges)
+        ref = _per_fold_rmse_table(Z, u, folds, gammas, ridges)
+        assert np.array_equal(self.bits(fast), self.bits(ref))
+
+    @pytest.mark.parametrize("n", [50, 73, 100, 250])
+    def test_matches_per_fold_loop_at_protocol_sizes(self, n):
+        rng = np.random.default_rng(n)
+        Z = rng.standard_normal((n, 2))
+        u = np.sin(Z[:, 0]) * Z[:, 1] + 0.01 * rng.standard_normal(n)
+        grid = CvGrid()
+        folds = kfold_indices(n, grid.folds, seed=n)
+        gammas = 10.0 ** grid.log10_gamma
+        ridges = 10.0 ** grid.log10_ridge
+        fast = regression._cv_rmse_table(Z, u, folds, gammas, ridges)
+        ref = _per_fold_rmse_table(Z, u, folds, gammas, ridges)
+        assert np.array_equal(self.bits(fast), self.bits(ref))
+
+
 class TestKernelFactor:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(krr_cv_cases(), st.sampled_from([1e-6, 1e-4, 1e-2, 1.0, 30.0]))
@@ -343,8 +394,8 @@ class TestCvSelectBasisSharedJacobian:
     @pytest.mark.parametrize("m, method", [(1, "sur"), (1, "gli"), (2, "gsi"),
                                            (2, "sur")])
     def test_scores_match_per_fold_reference(self, monkeypatch, m, method):
-        # the fold matrices are totals minus validation sums, so they move by
-        # roundoff from a per-fold assembly; 15 descent steps amplify that to
+        # the fold matrices are sums over other row groupings, so they move
+        # by roundoff from a per-fold assembly; 15 descent steps amplify that to
         # about 1e-10 relative on this grid, and the picks stay the same
         bench, samples, bases = self.setup()
         cfg = OptimizerConfig(max_iters=15)
@@ -394,8 +445,9 @@ class TestCvSelectBasisSharedJacobian:
 
 
 class TestFoldSums:
-    """Each fold's training R and h are the sums over every sample minus
-    the validation rows' sums, divided by the training count."""
+    """Each fold's training R is the sum over every sample minus the
+    validation rows' sum, and its training h the other folds' validation
+    sums of h added in fold order; both are divided by the training count."""
 
     @staticmethod
     def fold_matrices(monkeypatch, samples, basis, folds):
@@ -412,11 +464,34 @@ class TestFoldSums:
         monkeypatch.undo()
         return built["GramMatrix"], built["SurrogateMatrices"]
 
+    @staticmethod
+    def scales(samples, basis):
+        """sqrt of the diagonals of the unnormalized totals of R and h over
+        every sample, and the roundoff bound of a sum over them.
+
+        h sums the products of M_i = |v_i| (J_i - u_i u_i^T J_i), u_i the
+        unit gradient; every sum forms the same bits of M_i, so only the
+        sums' roundoff differs.  A sum of N = n d products is within
+        N eps / 2 of its value, relative to the sum of absolute products,
+        which Cauchy-Schwarz bounds by sqrt(D_a D_b), D the diagonal of the
+        unnormalized total.  Two sums over the same rows, in any grouping
+        into at most 8 parts, thus differ by at most (n d + 8) eps of it.
+        """
+        jac = basis.jacobian_batch(samples.points)
+        v = samples.gradients
+        norm = np.sqrt(np.sum(v ** 2, axis=1))
+        unit = v / norm[:, None]
+        M = norm[:, None, None] * (jac - unit[:, :, None] * np.einsum(
+            "nd,ndk->nk", unit, jac)[:, None, :])
+        bound = (samples.n * samples.dim + 8) * np.finfo(float).eps
+        return (np.sqrt(np.einsum("ndk,ndk->k", jac, jac)),
+                np.sqrt(np.einsum("ndk,ndk->k", M, M)), bound)
+
     @pytest.mark.filterwarnings("ignore:Gram estimate from")
     @settings(max_examples=25, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(12, 60), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
-    def test_totals_minus_validation_match_training_assembly(
+    def test_fold_sums_match_training_assembly(
             self, monkeypatch, n, n_folds, seed):
         bench = make_benchmark("u3")
         samples = make_samples(bench, n, seed)
@@ -424,25 +499,17 @@ class TestFoldSums:
         folds = kfold_indices(n, n_folds, seed)
         grams, mats = self.fold_matrices(monkeypatch, samples, basis, folds)
         assert len(grams) == len(mats) == n_folds
-        jac = basis.jacobian_batch(samples.points)
-        # h sums the products of M_i = |v_i| (J_i - u_i u_i^T J_i), u_i the
-        # unit gradient; every fold forms the same bits of M_i, so only the
-        # sums' roundoff differs
-        v = samples.gradients
-        norm = np.sqrt(np.sum(v ** 2, axis=1))
-        unit = v / norm[:, None]
-        M = norm[:, None, None] * (jac - unit[:, :, None] * np.einsum(
-            "nd,ndk->nk", unit, jac)[:, None, :])
-        # a sum of N = n d products is within N eps / 2 of its value,
-        # relative to the sum of absolute products, which Cauchy-Schwarz
-        # bounds by sqrt(D_a D_b), D the diagonal of the unnormalized total
-        # (of R for R, of h for h); the totals, the validation and the
-        # reference training sums each err by that, and the scaling and the
-        # subtraction by a few eps
-        bound = (n * samples.dim + 8) * np.finfo(float).eps
-        scale_r = np.sqrt(np.einsum("ndk,ndk->k", jac, jac))
-        scale_h = np.sqrt(np.einsum("ndk,ndk->k", M, M))
-        for (train, _), gram, mat in zip(folds, grams, mats):
+        blocks = _blocks_at(basis, samples.points)
+        h_val = [surrogate_sums(samples.gradients[val], basis, blocks[val])
+                 for _, val in folds]
+        # the totals, the validation and the reference training sums each
+        # err by the bound's share, and the scaling and R's subtraction by
+        # a few eps
+        scale_r, scale_h, bound = self.scales(samples, basis)
+        for f, ((train, _), gram, mat) in enumerate(zip(folds, grams, mats)):
+            # h adds the other folds' sums, with no total and no subtraction
+            others = sum(h_val[:f] + h_val[f + 1:]) / train.size
+            assert np.array_equal(mat.h, others)
             train_set = samples.subset(train)
             ref_gram = assemble_gram(basis, train_set)
             ref = surrogate_matrices(train_set, basis)
@@ -453,6 +520,20 @@ class TestFoldSums:
                         for g in (gram, ref_gram)]
             assert np.all(np.abs(unridged[0] - unridged[1]) <= tol_r)
             assert np.all(np.abs(mat.h - ref.h) <= tol_h)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(12, 60), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+    def test_fold_sums_add_up_to_one_pass_sum(self, n, n_folds, seed):
+        bench = make_benchmark("u3")
+        samples = make_samples(bench, n, seed)
+        basis = FeatureBasis(build_index_set(8, 1.0, 2), bench.families)
+        blocks = _blocks_at(basis, samples.points)
+        parts = [surrogate_sums(samples.gradients[val], basis, blocks[val])
+                 for _, val in kfold_indices(n, n_folds, seed)]
+        total = surrogate_sums(samples.gradients, basis, blocks)
+        _, scale_h, bound = self.scales(samples, basis)
+        assert np.all(np.abs(sum(parts) - total)
+                      <= bound * np.outer(scale_h, scale_h))
 
 
 class TestCvSelectBasisDuplicates:
