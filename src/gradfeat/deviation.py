@@ -13,7 +13,8 @@ All calculators are pure; checkers parallelize trivially over grid points.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,10 @@ class DeviationProfile:
           gradient moments (p_u = inf whenever the input has compact support)
     nu_lower / nu_upper -- uniform lower/upper moment bounds over the class;
           both equal 1 under gradient-Gram normalization
+
+    Every field must be a real number other than NaN, with k and A finite
+    and >= 1, ell and m integers >= 1 (not bool), p_u > 1, p1 >= 1 and the
+    nu bounds finite and > 0; anything else raises ``InvalidInputError``.
     """
 
     s: float
@@ -54,14 +59,30 @@ class DeviationProfile:
     nu_upper: float = 1.0
 
     def __post_init__(self):
-        if self.k < 1 or self.A < 1:
-            raise InvalidInputError("Remez constants must satisfy k >= 1, A >= 1")
-        if self.ell < 1 or self.m < 1:
-            raise InvalidInputError("ell and m must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Real) or math.isnan(value):
+                raise InvalidInputError(
+                    f"{f.name} must be a number other than NaN, got {value!r}")
+        if not (1 <= self.k < math.inf and 1 <= self.A < math.inf):
+            raise InvalidInputError(
+                f"Remez constants must be finite with k >= 1, A >= 1, "
+                f"got k={self.k!r}, A={self.A!r}")
+        for name in ("ell", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < 1:
+                raise InvalidInputError(
+                    f"{name} must be an integer >= 1, got {value!r}")
         if not self.p_u > 1:
             raise InvalidInputError("p_u must exceed 1")
         if self.p1 < 1:
             raise InvalidInputError("p1 must be >= 1")
+        for name in ("nu_lower", "nu_upper"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InvalidInputError(
+                    f"{name} must be finite and > 0, got {value!r}")
 
     @property
     def p(self):

@@ -11,9 +11,13 @@ matrix therefore yields the empty span, which keeps the single-feature and
 computed in closed form, vectorized over the samples (Gram-Schmidt, then
 one rotation of a 2 x 2 triangle), because a batched LAPACK call costs
 mostly per-matrix overhead at these sizes; three or more columns go to
-``np.linalg.svd``.  For one column the residual also has a closed form
-(``_single_feature_sums``), which the estimators use instead of the
-kernel.
+``np.linalg.svd``.  For one column the residual also has a closed form,
+|b|^2 - <c, b>^2 / |c|^2 from the per-sample sums of
+``_single_feature_sums``, which the estimators use instead of the kernel.
+When some |c|^2 leaves [2^-500, 2^500] the columns are first scaled by
+powers of two, as in the SVD, so the loss does not depend on the scale
+of c and only an exactly zero column is rank-collapsed; within that range
+nothing is scaled and no bit moves.
 
 The public functions take one d x m matrix and run the batched kernel on a
 batch of one, so they compute exactly what the estimators compute per
@@ -146,26 +150,53 @@ def _complement_residual_sq(grad_u, jac_g, b_sq=None, factors=None):
     ``_complement_factors`` returns) may be passed when known.
     """
     if b_sq is None:
-        b_sq = np.sum(grad_u ** 2, axis=1)
+        b_sq = np.add.reduce(grad_u * grad_u, axis=1)
     if factors is None:
         factors = _complement_factors(grad_u, jac_g)
     if jac_g.shape[2] == 1:
-        return _single_residual_sq(b_sq, *factors)
+        _, dot, safe, _ = factors
+        return _single_residual_sq(b_sq, dot, safe)
     U, _, _, mask = factors
     coef = np.einsum("ndm,nd->nm", U, grad_u) * mask
-    return np.maximum(b_sq - np.sum(coef ** 2, axis=1), 0.0)
+    r = b_sq - np.add.reduce(coef * coef, axis=1)
+    return np.maximum(r, 0.0, out=r)
+
+
+# every |col|^2 in this range: no square the m = 1 closed form takes over- or
+# underflows at a scale that matters (for |grad u|^2 in [2^-520, 2^520])
+_NN_MIN, _NN_MAX = 2.0 ** -500, 2.0 ** 500
 
 
 def _single_feature_sums(grad_u, col):
-    """Per-sample |col|^2, <col, grad_u>, and |col|^2 with zeros replaced by 1."""
-    nn = np.sum(col ** 2, axis=1)
-    dot = np.sum(col * grad_u, axis=1)
-    return nn, dot, np.where(nn > 0.0, nn, 1.0)
+    """Per-sample |c|^2, <c, grad_u>, |c|^2 with zeros replaced by 1, and
+    the exponents e with c = 2^-e col (None when c = col).
+
+    c is col unless some |col|^2 leaves [2^-500, 2^500]; then each row is
+    scaled by a power of two near the sum of its absolute entries, as in
+    ``_closed_form_svd``, which is exact and keeps its squares in range.
+    So only an exactly zero column has |c|^2 = 0: the rank rule of
+    ``_span_svd`` for one column.  A square that overflows before the
+    scaling still raises numpy's overflow warning.
+    """
+    nn = np.add.reduce(col * col, axis=1)
+    exp = None
+    if not (np.minimum.reduce(nn, initial=_NN_MIN) >= _NN_MIN
+            and np.maximum.reduce(nn, initial=_NN_MAX) <= _NN_MAX):
+        exp = np.frexp(np.minimum(np.add.reduce(np.abs(col), axis=1),
+                                  np.finfo(float).max))[1]
+        col = np.ldexp(col, -exp[:, None])
+        nn = np.add.reduce(col * col, axis=1)
+    dot = np.add.reduce(col * grad_u, axis=1)
+    return nn, dot, nn if exp is None else np.where(nn > 0.0, nn, 1.0), exp
 
 
-def _single_residual_sq(b_sq, nn, dot, safe):
-    """The m = 1 case of ``_complement_residual_sq`` from ``_single_feature_sums``."""
-    return np.maximum(b_sq - np.where(nn > 0.0, dot ** 2 / safe, 0.0), 0.0)
+def _single_residual_sq(b_sq, dot, safe):
+    """The m = 1 case of ``_complement_residual_sq`` from ``_single_feature_sums``:
+    |grad_u|^2 - <c, grad_u>^2 / |c|^2, clipped at 0 (a zero c has a zero dot)."""
+    q = dot * dot
+    q /= safe
+    r = b_sq - q
+    return np.maximum(r, 0.0, out=r)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ gradient outer product, embedded on the degree-one basis functions) and the
 greedy surrogate start.
 """
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -100,45 +101,52 @@ class _LossContext:
     of the K entries of a Jacobian row can be nonzero, so the feature
     Jacobians are ``surrogate._contract_blocks`` of the blocks, with the
     bits of ``poincare_loss``, and the Euclidean gradient is one product
-    per block, scattered along ``FeatureBasis._block_columns``; one path
-    serves every m.  The feature Jacobians at the last point evaluated are
-    kept with their projection factors (the per-sample sums for one
-    feature, the rank-revealing SVD for several), so the gradient at an
-    accepted line-search point reuses what its loss computed.  A point is
-    recognized by identity, so G must not be modified in place between
-    calls.
+    per block, scattered along ``FeatureBasis._block_columns`` (the scatter
+    indices are built once per m); one path serves every m.  The point
+    last evaluated is kept with its feature Jacobians, their projection
+    factors (the per-sample sums for one feature, the rank-revealing SVD
+    for several) and its loss, for every m, so ``loss`` is a lookup after
+    the first call and the gradient at an accepted line-search point
+    reuses what its loss computed.  A point is recognized by identity, so
+    G must not be modified in place between calls.
     """
 
     def __init__(self, samples, basis, blocks=None):
         self.basis = basis
         self.blocks = _blocks_at(basis, samples.points, blocks)
         self.b = samples.gradients
-        self.b_sq = np.sum(self.b ** 2, axis=1)
+        self.b_sq = np.add.reduce(self.b * self.b, axis=1)
         self.n = samples.n
-        self._point = None          # (G, feature Jacobians, factors)
+        self._point = None          # (G, feature Jacobians, factors, loss)
+        self._scatter = None        # (m, flat gradient index of each product)
 
     def _at(self, G):
         if self._point is None or self._point[0] is not G:
             M = _contract_blocks(self.basis, self.blocks, G)
-            self._point = (G, M, _complement_factors(self.b, M))
+            factors = _complement_factors(self.b, M)
+            r = _complement_residual_sq(self.b, M, self.b_sq, factors)
+            # np.mean's sum and division
+            self._point = (G, M, factors, float(np.add.reduce(r) / self.n))
         return self._point[1:]
 
     def loss(self, G):
-        M, factors = self._at(G)
-        return float(np.mean(_complement_residual_sq(self.b, M, self.b_sq,
-                                                     factors)))
+        return self._at(G)[2]
 
     def euclidean_grad(self, G):
         m = G.shape[1]
-        M, factors = self._at(G)
+        M, factors, _ = self._at(G)
         if m == 1:
-            nn, dot, safe = factors
-            self._check_collapse(int(np.sum(nn == 0.0)))
-            y = np.where(nn > 0.0, dot / safe, 0.0)[:, None]
+            nn, dot, safe, exp = factors
+            y = dot / safe              # a zero column has a zero dot
+            if exp is not None:         # the sums are of 2^-exp M; unscaled
+                # ones are all positive, so only these can hold a zero column
+                self._check_collapse(np.count_nonzero(nn == 0.0))
+                y = np.ldexp(y, -exp)
+            y = y[:, None]
             resid = self.b - M[:, :, 0] * y
         else:
             U, S, Vt, mask = factors
-            self._check_collapse(int(np.sum(mask.sum(axis=1) < m)))
+            self._check_collapse(np.count_nonzero(mask.sum(axis=1) < m))
             ub = np.einsum("ndr,nd->nr", U, self.b) * mask
             resid = self.b - np.einsum("ndr,nr->nd", U, ub)
             safe_S = np.where(mask, S, 1.0)
@@ -146,8 +154,10 @@ class _LossContext:
         # sum_i J_i^T (resid_i y_i^T), one (w, m) product per block
         products = np.matmul(self.blocks.transpose(1, 2, 0),
                              resid.T[:, :, None] * y[None, :, :])
-        entries = self.basis._block_columns[:, :, None] * m + np.arange(m)
-        grad = np.bincount(entries.ravel(), products.ravel(),
+        if self._scatter is None or self._scatter[0] != m:
+            entries = self.basis._block_columns[:, :, None] * m + np.arange(m)
+            self._scatter = (m, entries.ravel())
+        grad = np.bincount(self._scatter[1], products.ravel(),
                            minlength=G.size).reshape(G.shape)
         return -2.0 / self.n * grad
 
@@ -221,10 +231,10 @@ def _riemannian_grad(ctx, G, solve, R):
     E = ctx.euclidean_grad(G)
     Z = solve(E)
     xi = Z - G @ (G.T @ (R @ Z))
-    norm_sq = np.sum(E * xi)
-    if not np.isfinite(norm_sq):
+    norm_sq = float((E * xi).sum())
+    if not math.isfinite(norm_sq):
         raise IllConditionedError("non-finite Riemannian gradient")
-    return E, xi, float(np.sqrt(max(norm_sq, 0.0)))
+    return E, xi, math.sqrt(max(norm_sq, 0.0))
 
 
 def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
@@ -297,7 +307,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
         if converged(gnorm):
             trace.stop_reason = "grad_tol"
             break
-        slope = float(np.sum(E * direction))
+        slope = float((E * direction).sum())
         if slope >= 0.0:
             direction = -xi
             slope = -gnorm ** 2
@@ -330,7 +340,7 @@ def minimize_poincare_loss(samples, basis, G0, config=None, gram=None,
         G, loss = G_trial, loss_trial
         E, xi, gnorm = _riemannian_grad(ctx, G, solve, R)
         trace.append((it, loss, gnorm, step))
-        beta = float(np.sum(E * (xi - prev_xi)))
+        beta = float((E * (xi - prev_xi)).sum())
         beta = max(0.0, beta / prev_sq) if prev_sq > 0.0 else 0.0
         direction = -xi + beta * direction
         if drop <= _STALL_DROP * max(1.0, abs(loss)):

@@ -276,6 +276,22 @@ class TestProfileValidation:
         with pytest.raises(InvalidInputError):
             DeviationProfile(s=0.5, k=2.0, A=4.0, ell=1, p_u=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("s", math.nan), ("k", math.nan), ("A", math.nan), ("p_u", math.nan),
+        ("p1", math.nan), ("nu_lower", math.nan), ("nu_upper", math.nan),
+        ("k", math.inf), ("A", math.inf), ("ell", 1.5), ("ell", 2.0),
+        ("ell", True), ("m", 0), ("m", True), ("m", "2"), ("nu_lower", -1.0),
+        ("nu_lower", 0.0), ("nu_upper", math.inf), ("s", None),
+    ])
+    def test_invalid_field_rejected(self, field, value):
+        # NaN used to pass every check and reach the constants as NaN, and
+        # nu_lower = -1 made objective_envelope complex
+        fields = dict(s=0.5, k=2.0, A=4.0, ell=1, p_u=4.0, p1=2.0)
+        fields[field] = value
+        with pytest.raises(InvalidInputError) as err:
+            DeviationProfile(**fields)
+        assert field in str(err.value)
+
     def test_conjugate_exponents(self):
         prof = DeviationProfile(s=0.5, k=2.0, A=4.0, ell=1, p_u=4.0, p1=2.0)
         assert prof.p == pytest.approx(4.0 / 3.0)

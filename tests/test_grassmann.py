@@ -120,11 +120,12 @@ class TestLossGradient:
                 assert worst <= 1e-5 * max(1.0, np.max(np.abs(grad)))
 
     @pytest.mark.parametrize("bench_id, n, m", [
-        ("u4", 600, 2), ("u3", 90, 2), ("u4", 300, 3)])
+        ("u4", 600, 2), ("u3", 90, 2), ("u4", 300, 3), ("u4", 600, 1),
+        ("u3", 90, 1)])
     def test_several_features_loss_is_poincare_loss_bitwise(self, bench_id,
                                                             n, m):
         # the support-block contraction is poincare_loss's own, and n = 600
-        # crosses its row blocks
+        # crosses its row blocks; one feature takes the closed form
         bench = make_benchmark(bench_id)
         samples = make_samples(bench, n, 3)
         basis = FeatureBasis(build_index_set(8, 1.0, 2.0), bench.families)

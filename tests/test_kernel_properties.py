@@ -28,15 +28,17 @@ from gradfeat.basis import (FeatureBasis, Hermite, Legendre, LogHermite,
                             _blocks_at, _gram_sum, assemble_gram,
                             build_index_set)
 from gradfeat.benchmarks import make_benchmark, make_samples
-from gradfeat.errors import InvalidInputError
-from gradfeat.geometry import (DEFAULT_RANK_TOL, _deflate,
-                               _orthobasis_batch,
+from gradfeat.errors import IllConditionedError, InvalidInputError
+from gradfeat.geometry import (DEFAULT_RANK_TOL, _complement_residual_sq,
+                               _deflate, _orthobasis_batch,
                                _single_feature_sums, _single_residual_sq,
                                _span_svd, complement_split,
                                orthogonal_projector, orthonormal_span,
                                project_complement)
+from gradfeat.grassmann import _LossContext
 from gradfeat.surrogate import (_SUM_ROWS, FeatureMap, SampleSet,
-                                SurrogateMatrices, convex_surrogate,
+                                SurrogateMatrices, _contract_blocks,
+                                convex_surrogate,
                                 coordinate_surrogate,
                                 coordinate_surrogate_matrices,
                                 min_generalized_eig, poincare_loss,
@@ -100,28 +102,26 @@ class TestOneRowCallsMatchTheBatchedKernel:
             np.testing.assert_array_equal(v, v_rows[i])
 
 
-# |v| below about 1e-154 squares to zero, which the closed form reads as a
-# zero column; such entries become exact zeros here
-squarable = entries.map(lambda v: v if abs(v) >= 1e-100 else 0.0)
-
-
 class TestSingleFeatureRankRule:
     @PROPERTY
     @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
-        hnp.arrays(float, (6, d), elements=squarable),
-        hnp.arrays(float, (6, d), elements=entries))))
-    def test_closed_form_agrees_with_the_svd(self, batch):
+        hnp.arrays(float, (6, d), elements=entries),
+        hnp.arrays(float, (6, d), elements=entries))),
+        st.sampled_from([1.0, 2.0 ** -540, 2.0 ** 540]))
+    def test_closed_form_agrees_with_the_svd(self, batch, scale):
         # the mask compares each singular value with the sample's leading
         # one, which for a single column is its norm: so only zero columns
-        # are dropped, as in the closed form's nn > 0
+        # are dropped, as in the closed form's nn > 0, also where |col|^2
+        # would underflow or overflow unscaled
         col, grad_u = batch
+        col = col * scale
         b_sq = np.sum(grad_u ** 2, axis=1)
-        nn, dot, safe = _single_feature_sums(grad_u, col)
+        nn, dot, safe, _ = _single_feature_sums(grad_u, col)
         U, _, _, mask = _span_svd(col[:, :, None])
         zero = np.all(col == 0.0, axis=1)
         np.testing.assert_array_equal(nn > 0.0, ~zero)
         np.testing.assert_array_equal(mask[:, 0], ~zero)
-        closed = _single_residual_sq(b_sq, nn, dot, safe)
+        closed = _single_residual_sq(b_sq, dot, safe)
         coef = np.einsum("nd,nd->n", U[:, :, 0], grad_u) * mask[:, 0]
         svd = np.maximum(b_sq - coef ** 2, 0.0)
         assert np.all(np.abs(closed - svd) <= 1e-12 * b_sq)
@@ -277,10 +277,14 @@ class TestPoincareLoss:
         assert 0.0 <= loss <= samples.mean_gradient_norm_sq()
 
     @PROPERTY
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans())
-    def test_invariant_under_invertible_recombination(self, seed, m, repeat):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans(),
+           st.sampled_from([1.0, 2.0 ** -540, 2.0 ** -520, 2.0 ** 520,
+                            2.0 ** 540]))
+    def test_invariant_under_invertible_recombination(self, seed, m, repeat,
+                                                      factor):
         # generic coefficients, or ones with an exactly repeated column, so
-        # every per-sample rank is decided far from the tolerance
+        # every per-sample rank is decided far from the tolerance; at the
+        # extreme scales an unscaled |grad g|^2 would underflow or overflow
         rng = np.random.default_rng(seed)
         d = 3
         basis = FeatureBasis(build_index_set(d, 1.0, 2.0),
@@ -293,11 +297,128 @@ class TestPoincareLoss:
         # singular values in [1/2, 2]: condition number at most 4
         Q1, _ = np.linalg.qr(rng.normal(size=(m, m)))
         Q2, _ = np.linalg.qr(rng.normal(size=(m, m)))
-        A = Q1 @ np.diag(rng.uniform(0.5, 2.0, size=m)) @ Q2
+        A = Q1 @ np.diag(rng.uniform(0.5, 2.0, size=m)) @ Q2 * factor
         before = poincare_loss(samples, FeatureMap(basis, G))
-        after = poincare_loss(samples, FeatureMap(basis, G @ A))
+        with np.errstate(over="ignore"):    # an unscaled square may overflow
+            after = poincare_loss(samples, FeatureMap(basis, G @ A))
         scale = samples.mean_gradient_norm_sq()
         assert abs(after - before) <= 1e-9 * scale
+
+
+# The loss and gradient kernels as they were written before they were
+# rewritten in fewer numpy calls; the rewrite must keep their bits wherever
+# no square or product over- or underflows
+def _old_single_feature_sums(grad_u, col):
+    nn = np.sum(col ** 2, axis=1)
+    dot = np.sum(col * grad_u, axis=1)
+    return nn, dot, np.where(nn > 0.0, nn, 1.0)
+
+
+def _old_single_residual_sq(b_sq, nn, dot, safe):
+    return np.maximum(b_sq - np.where(nn > 0.0, dot ** 2 / safe, 0.0), 0.0)
+
+
+def _old_complement_residual_sq(grad_u, jac_g):
+    b_sq = np.sum(grad_u ** 2, axis=1)
+    if jac_g.shape[2] == 1:
+        return _old_single_residual_sq(
+            b_sq, *_old_single_feature_sums(grad_u, jac_g[:, :, 0]))
+    U, _, _, mask = _span_svd(jac_g)
+    coef = np.einsum("ndm,nd->nm", U, grad_u) * mask
+    return np.maximum(b_sq - np.sum(coef ** 2, axis=1), 0.0)
+
+
+def _old_euclidean_grad(ctx, G):
+    m = G.shape[1]
+    M = _contract_blocks(ctx.basis, ctx.blocks, G)
+    if m == 1:
+        nn, dot, safe = _old_single_feature_sums(ctx.b, M[:, :, 0])
+        collapsed = int(np.sum(nn == 0.0))
+        y = np.where(nn > 0.0, dot / safe, 0.0)[:, None]
+        resid = ctx.b - M[:, :, 0] * y
+    else:
+        U, S, Vt, mask = _span_svd(M)
+        collapsed = int(np.sum(mask.sum(axis=1) < m))
+        ub = np.einsum("ndr,nd->nr", U, ctx.b) * mask
+        resid = ctx.b - np.einsum("ndr,nr->nd", U, ub)
+        safe_S = np.where(mask, S, 1.0)
+        y = np.einsum("nrm,nr->nm", Vt, ub / safe_S * mask)
+    if collapsed > ctx.n // 2:
+        return "collapsed"
+    products = np.matmul(ctx.blocks.transpose(1, 2, 0),
+                         resid.T[:, :, None] * y[None, :, :])
+    entries = ctx.basis._block_columns[:, :, None] * m + np.arange(m)
+    grad = np.bincount(entries.ravel(), products.ravel(),
+                       minlength=G.size).reshape(G.shape)
+    return -2.0 / ctx.n * grad
+
+
+def _squarable(a):
+    """a with every entry below 1e-100 in magnitude made an exact zero, so
+    no square or product of two entries underflows."""
+    return np.where(np.abs(a) >= 1e-100, a, 0.0)
+
+
+def _assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestKernelsKeepTheirBits:
+    @PROPERTY
+    @given(batches(), st.booleans(), st.booleans())
+    def test_projection_kernels(self, batch, zero_col, zero_grad):
+        M, x = (_squarable(a) for a in batch)
+        if zero_col:                # an all-zero feature gradient
+            M[0] = 0.0
+        if zero_grad:
+            x[-1] = 0.0
+        col = M[:, :, 0]
+        nn, dot, safe, exp = _single_feature_sums(x, col)
+        old_nn, old_dot, old_safe = _old_single_feature_sums(x, col)
+        # the sums may be of 2^-exp col, an exact scaling
+        exp = np.zeros(len(col), int) if exp is None else exp
+        _assert_same_bits(np.ldexp(nn, 2 * exp), old_nn)
+        _assert_same_bits(np.ldexp(dot, exp), old_dot)
+        _assert_same_bits(np.ldexp(safe, 2 * exp), old_safe)    # zero columns: exp 0
+        b_sq = np.sum(x ** 2, axis=1)
+        _assert_same_bits(_single_residual_sq(b_sq, dot, safe),
+                          _old_single_residual_sq(b_sq, old_nn, old_dot,
+                                                  old_safe))
+        _assert_same_bits(_complement_residual_sq(x, M),
+                          _old_complement_residual_sq(x, M))
+
+    @PROPERTY
+    @given(loss_problems(), st.data())
+    def test_loss_and_gradient(self, problem, data):
+        samples, basis, G = problem
+        G = _squarable(G)
+        assume(np.all(np.any(G != 0.0, axis=0)))
+        n = samples.n
+        samples = SampleSet(samples.points, samples.values,
+                            _squarable(samples.gradients))
+        blocks = _blocks_at(basis, samples.points)
+        # rows with an all-zero feature gradient (at most half of them, so
+        # the gradient is not refused as rank-collapsed) and with a zero
+        # gradient
+        blocks[list(data.draw(st.sets(st.integers(0, n - 1),
+                                      max_size=n // 2)))] = 0.0
+        samples.gradients[list(data.draw(st.sets(st.integers(0, n - 1),
+                                                 max_size=n)))] = 0.0
+        ctx = _LossContext(samples, basis, blocks)
+        M = _contract_blocks(basis, blocks, G)
+        old = _old_complement_residual_sq(samples.gradients, M)
+        assert ctx.loss(G) == float(np.mean(old))
+        try:
+            grad = ctx.euclidean_grad(G)
+        except IllConditionedError:
+            grad = "collapsed"
+        expected = _old_euclidean_grad(ctx, G)
+        if isinstance(expected, str) or isinstance(grad, str):
+            assert grad == expected
+        else:
+            _assert_same_bits(grad, expected)
 
 
 @st.composite
