@@ -284,8 +284,8 @@ class TestProfileValidation:
         ("nu_lower", 0.0), ("nu_upper", math.inf), ("s", None),
     ])
     def test_invalid_field_rejected(self, field, value):
-        # NaN used to pass every check and reach the constants as NaN, and
-        # nu_lower = -1 made objective_envelope complex
+        # NaN would pass every comparison and reach the constants, and
+        # nu_lower = -1 makes objective_envelope complex
         fields = dict(s=0.5, k=2.0, A=4.0, ell=1, p_u=4.0, p1=2.0)
         fields[field] = value
         with pytest.raises(InvalidInputError) as err:
