@@ -9,6 +9,7 @@ functions of (data, grid, seed): folds come from a seeded shuffle split into
 contiguous blocks.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,44 +251,84 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
                     optimizer=None):
     """Pick (p, k) by k-fold validation of the learned features' Poincare loss.
 
-    Each candidate basis is fit on every training fold with the requested
-    method and scored on the held-out fold; the candidate with the smallest
+    Each candidate basis is fit on the training folds with the requested
+    method and scored on the held-out folds; the candidate with the smallest
     mean validation loss wins, ties going to the smaller basis.  Scores
     within the roundoff of the loss of the best score are ties
     (``_loss_roundoff``): where every candidate recovers the function
-    exactly, the scores are roundoff and would otherwise pick by noise.
+    exactly, the scores are roundoff and would otherwise pick by noise.  No
+    candidate, or one that is not a (p, k) pair, raises
+    ``InvalidInputError``.
+
+    The scoring is an exact race: the pick is the one that scoring every
+    fold gives, but a candidate stops being scored once its scored folds
+    prove it cannot be picked.  Distinct index sets are scored largest basis
+    first, equal sizes in grid order; ``_cv_score`` stops one when the bound
+    on its score exceeds the smallest complete score so far plus the
+    roundoff, the tie limit's expression, so a stopped candidate is neither
+    the best nor tied with it.  The first candidate in grid order is always
+    scored to its end, since ``min`` keeps a NaN in first place: a NaN in
+    any of its folds would be the pick.  The pick then runs over every
+    candidate in grid order with +inf for a stopped one.  A fold that is not
+    fit raises nothing: an error (``NumericError`` and the like) in a scored
+    fold fails the selection, one an unscored fold would have raised does
+    not, and the order decides which failing fold raises first.  A record of
+    per-candidate scores must mark a stopped candidate with the folds it
+    scored and the bound that stopped it; its +inf is not a score.
 
     Each distinct candidate's basis Jacobian is evaluated once, at every
     sample, as support blocks (``basis._blocks_at``), and sliced per fold.
     Its surrogate sums are formed once per fold's rows, and each fold's
     training h adds the other folds' sums; its Gram sum is formed once over
     every sample, and each fold's training R is that total minus the fold's
-    validation sum (``_cv_score``).  A candidate whose index set equals an
-    earlier candidate's reuses that score (at d = 8, (0.9, k) and (0.8, k)
+    validation sum (``_cv_score``).  A candidate whose index set equals
+    another candidate's reuses that score (at d = 8, (0.9, k) and (0.8, k)
     build the same set for k = 2, 3, 4), since it would be fit and scored
     the same, bit for bit.
     """
     grid = grid or CvGrid()
+    try:
+        candidates = [(p, k) for p, k in grid.pk_candidates]
+    except (TypeError, ValueError):
+        raise InvalidInputError("every (p, k) candidate must be a pair, got "
+                                f"{grid.pk_candidates!r}") from None
+    if not candidates:
+        raise InvalidInputError("the (p, k) candidate grid must be nonempty")
     folds = kfold_indices(samples.n, grid.pk_folds, seed)
+    bases = [FeatureBasis(build_index_set(samples.dim, p, k), families)
+             for p, k in candidates]
+    distinct = {}
+    for basis in bases:
+        distinct.setdefault(basis.index_set.indices, basis)
+    tol = _loss_roundoff(samples)
+    first = bases[0].index_set.indices
     scores = {}
-    results = []
-    for p, k in grid.pk_candidates:
-        basis = FeatureBasis(build_index_set(samples.dim, p, k), families)
-        indices = basis.index_set.indices
-        if indices not in scores:
-            blocks = _blocks_at(basis, samples.points)
-            scores[indices] = _cv_score(samples, basis, blocks, folds, m,
-                                        method, optimizer)
-        results.append((scores[indices], basis.size, (p, k)))
+    incumbent = math.inf
+    for indices, basis in sorted(distinct.items(),
+                                 key=lambda item: -item[1].size):
+        limit = math.inf if indices == first else incumbent + tol
+        scores[indices] = _cv_score(samples, basis,
+                                    _blocks_at(basis, samples.points), folds,
+                                    m, method, optimizer, limit)
+        incumbent = min(incumbent, scores[indices])   # a NaN never enters
+    results = [(scores[basis.index_set.indices], basis.size, pk)
+               for basis, pk in zip(bases, candidates)]
     best_score, _, best = min(results)
-    limit = best_score + _loss_roundoff(samples)
+    limit = best_score + tol
     tied = [(size, pk) for score, size, pk in results if score <= limit]
     return min(tied)[1] if tied else best     # a NaN best ties with nothing
 
 
-def _cv_score(samples, basis, blocks, folds, m, method, optimizer):
-    """Mean validation Poincare loss of ``basis`` over the folds; ``blocks``
-    are the support blocks (n, d, w) of the basis Jacobian at every sample.
+def _cv_score(samples, basis, blocks, folds, m, method, optimizer,
+              limit=math.inf):
+    """Mean validation Poincare loss of ``basis`` over the folds, or +inf
+    once the folds scored prove it above ``limit``; ``blocks`` are the
+    support blocks (n, d, w) of the basis Jacobian at every sample.
+
+    The folds are scored in order.  Before fold f is fit, the score is
+    bounded by the mean of the f losses scored with the other folds at 0
+    (``_raced_mean``); a bound above ``limit`` stops the scoring, so the
+    folds after it are never fit and raise nothing.
 
     R and the surrogate's h are sample means, so a fold's training
     matrices come from sums over the folds' rows.  Each fold's validation
@@ -304,7 +345,8 @@ def _cv_score(samples, basis, blocks, folds, m, method, optimizer):
     h_val = [surrogate_sums(samples.gradients[val], basis, blocks[val])
              for _, val in folds]
 
-    def fold_score(f, train, val):
+    def fold_score(f):
+        train, val = folds[f]
         blocks_val = blocks[val]
         gram = GramMatrix((r_tot - _gram_sum(basis, blocks_val)) / train.size)
         mats = SurrogateMatrices(h=sum(h_val[:f] + h_val[f + 1:]) / train.size)
@@ -316,5 +358,23 @@ def _cv_score(samples, basis, blocks, folds, m, method, optimizer):
                                      blocks=blocks[train], surrogate=mats)
         return poincare_loss(samples.subset(val), fmap, blocks=blocks_val)
 
-    return float(np.mean([fold_score(f, train, val)
-                          for f, (train, val) in enumerate(folds)]))
+    return _raced_mean(fold_score, len(folds), limit)
+
+
+def _raced_mean(fold_loss, n_folds, limit):
+    """``float(np.mean)`` of ``fold_loss(f)`` for f = 0, ..., n_folds - 1,
+    called in order, or +inf without calling the rest once the losses
+    scored prove the mean above ``limit``.
+
+    Before fold f the bound is the mean of the f losses scored and
+    n_folds - f zeros: the final mean's own reduction, numpy's summation
+    order included, with the unscored folds at 0.  Losses are >= 0 and
+    every rounded addition and the division are monotone, so the bound
+    never exceeds the final mean.  A NaN bound or limit stops nothing.
+    """
+    losses = []
+    for f in range(n_folds):
+        if float(np.mean(losses + [0.0] * (n_folds - f))) > limit:
+            return math.inf
+        losses.append(fold_loss(f))
+    return float(np.mean(losses))

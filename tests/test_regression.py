@@ -12,7 +12,7 @@ from gradfeat.basis import (FeatureBasis, _blocks_at, assemble_gram,
                             build_index_set)
 from gradfeat.benchmarks import (ExperimentConfig, make_benchmark,
                                  make_samples, run_experiment)
-from gradfeat.errors import InvalidInputError
+from gradfeat.errors import InvalidInputError, NumericError
 from gradfeat.grassmann import OptimizerConfig, learn_features
 from gradfeat.regression import (CvGrid, KrrModel, cv_select_basis,
                                  cv_select_krr, kfold_indices, krr_fit,
@@ -369,11 +369,68 @@ class TestCvSelectBasis:
         assert a == b
 
 
+def _fold_of(subset, samples, folds, part):
+    """The fold whose training (part 0) or validation (part 1) rows
+    ``subset`` holds."""
+    hits = [f for f, fold in enumerate(folds)
+            if np.array_equal(subset.points, samples.points[fold[part]])]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _reference_losses(samples, bases, folds, m, method, cfg):
+    """Validation loss of every basis on every fold, each fold fit on its
+    own training rows; keyed by index set."""
+    table = {}
+    for basis in bases:
+        row = []
+        for train, val in folds:
+            train_set = samples.subset(train)
+            fmap, _ = learn_features(train_set, basis, m, method,
+                                     gram=assemble_gram(basis, train_set),
+                                     config=cfg)
+            row.append(poincare_loss(samples.subset(val), fmap))
+        table[basis.index_set.indices] = row
+    return table
+
+
+def _record_scored_folds(monkeypatch, samples, folds):
+    """Patch the validation scorer to record (index set, fold, loss) for
+    every fold that is scored."""
+    seen = []
+    scorer = regression.poincare_loss
+
+    def record(val_set, fmap, **kwargs):
+        loss = scorer(val_set, fmap, **kwargs)
+        seen.append((fmap.basis.index_set.indices,
+                     _fold_of(val_set, samples, folds, 1), loss))
+        return loss
+
+    monkeypatch.setattr(regression, "poincare_loss", record)
+    return seen
+
+
+def _check_scored_folds(seen, reference, rtol):
+    """At most one score per index set and fold, the folds of an index set
+    scored in order from the first, and each loss its reference's."""
+    keys = [(indices, f) for indices, f, _ in seen]
+    assert len(keys) == len(set(keys))
+    for indices in {indices for indices, _ in keys}:
+        scored = [f for i, f in keys if i == indices]
+        assert scored == list(range(len(scored)))
+    np.testing.assert_allclose([loss for _, _, loss in seen],
+                               [reference[i][f] for i, f in keys],
+                               rtol=rtol, atol=0.0)
+
+
 @pytest.mark.filterwarnings("ignore:Gram estimate from")
 class TestCvSelectBasisSharedJacobian:
     """The shared-Jacobian (p, k) cross-validation against per-candidate
     references, on a grid whose index sets do not nest: (0.5, 3) holds the
-    pure cubes but no mixed term, (1.0, 2) the mixed quadratics but no cube."""
+    pure cubes but no mixed term, (1.0, 2) the mixed quadratics but no cube.
+    The race stops scoring a candidate early, so each fold that is scored is
+    checked against its reference, and the pick against the pick of the
+    references' every fold."""
 
     GRID = CvGrid(pk_candidates=((0.5, 3), (1.0, 2), (1.0, 1)), pk_folds=4)
 
@@ -386,8 +443,8 @@ class TestCvSelectBasisSharedJacobian:
         assert not any(all(s >= t for t in sets) for s in sets)
         return bench, samples, bases
 
-    def pick(self, scores, bases):
-        means = [float(np.mean(s)) for s in scores]
+    def pick(self, reference, bases):
+        means = [float(np.mean(reference[b.index_set.indices])) for b in bases]
         return min(zip(means, [b.size for b in bases],
                        self.GRID.pk_candidates))[2]
 
@@ -400,33 +457,18 @@ class TestCvSelectBasisSharedJacobian:
         bench, samples, bases = self.setup()
         cfg = OptimizerConfig(max_iters=15)
         folds = kfold_indices(samples.n, self.GRID.pk_folds, 9)
-        reference = []
-        for basis in bases:
-            row = []
-            for train, val in folds:
-                train_set = samples.subset(train)
-                gram = assemble_gram(basis, train_set)
-                fmap, _ = learn_features(train_set, basis, m, method,
-                                         gram=gram, config=cfg)
-                row.append(poincare_loss(samples.subset(val), fmap))
-            reference.append(row)
-        seen = []
-        scorer = regression.poincare_loss
-
-        def record(*args, **kwargs):
-            seen.append(scorer(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(regression, "poincare_loss", record)
+        reference = _reference_losses(samples, bases, folds, m, method, cfg)
+        seen = _record_scored_folds(monkeypatch, samples, folds)
         best = cv_select_basis(samples, m, method, bench.families,
                                self.GRID, seed=9, optimizer=cfg)
-        np.testing.assert_allclose(seen, [s for row in reference for s in row],
-                                   rtol=1e-8, atol=0.0)
+        _check_scored_folds(seen, reference, rtol=1e-8)
         assert best == self.pick(reference, bases)
 
     def test_single_feature_surrogate_is_one_eigensolve_per_fold(
             self, monkeypatch):
         bench, samples, bases = self.setup()
+        folds = kfold_indices(samples.n, self.GRID.pk_folds, 9)
+        reference = _reference_losses(samples, bases, folds, 1, "sur", None)
         solves = []
         solve = regression.min_generalized_eig
 
@@ -439,9 +481,14 @@ class TestCvSelectBasisSharedJacobian:
 
         monkeypatch.setattr(regression, "min_generalized_eig", counted)
         monkeypatch.setattr(regression, "learn_features", no_fit)
-        cv_select_basis(samples, 1, "sur", bench.families, self.GRID, seed=9)
-        assert solves == [b.size for b in bases
-                          for _ in range(self.GRID.pk_folds)]
+        seen = _record_scored_folds(monkeypatch, samples, folds)
+        best = cv_select_basis(samples, 1, "sur", bench.families, self.GRID,
+                               seed=9)
+        # the sizes differ, so a solve's size names its basis
+        sizes = {b.index_set.indices: b.size for b in bases}
+        assert solves == [sizes[indices] for indices, _, _ in seen]
+        _check_scored_folds(seen, reference, rtol=1e-8)
+        assert best == self.pick(reference, bases)
 
 
 class TestFoldSums:
@@ -559,29 +606,25 @@ class TestCvSelectBasisDuplicates:
         bench, samples, bases, distinct = self.setup()
         cfg = OptimizerConfig(max_iters=10)
         folds = kfold_indices(samples.n, self.GRID.pk_folds, 4)
-        results = []
-        for (p, k), basis in zip(self.GRID.pk_candidates, bases):
-            scores = []
-            for train, val in folds:
-                train_set = samples.subset(train)
-                fmap, _ = learn_features(train_set, basis, m, method,
-                                         gram=assemble_gram(basis, train_set),
-                                         config=cfg)
-                scores.append(poincare_loss(samples.subset(val), fmap))
-            results.append((float(np.mean(scores)), basis.size, (p, k)))
+        reference = _reference_losses(samples, bases, folds, m, method, cfg)
+        results = [(float(np.mean(reference[b.index_set.indices])), b.size, pk)
+                   for pk, b in zip(self.GRID.pk_candidates, bases)]
         fits = []
         fit = regression.learn_features
 
-        def counted(*args, **kwargs):
-            fits.append(args[1].index_set.indices)
-            return fit(*args, **kwargs)
+        def counted(train_set, basis, *args, **kwargs):
+            fits.append((basis.index_set.indices,
+                         _fold_of(train_set, samples, folds, 0)))
+            return fit(train_set, basis, *args, **kwargs)
 
         monkeypatch.setattr(regression, "learn_features", counted)
+        seen = _record_scored_folds(monkeypatch, samples, folds)
         best = cv_select_basis(samples, m, method, bench.families, self.GRID,
                                seed=4, optimizer=cfg)
         assert best == min(results)[2] == (0.8, 3)
-        assert len(fits) == distinct * len(folds)
-        assert len(set(fits)) == distinct
+        assert fits == [(indices, f) for indices, f, _ in seen]
+        assert len({indices for indices, _ in fits}) == distinct
+        _check_scored_folds(seen, reference, rtol=1e-8)
 
     def test_single_feature_surrogate_scores_once_per_index_set(
             self, monkeypatch):
@@ -662,6 +705,189 @@ class TestCvSelectBasisTies:
                       pk_folds=5)
         assert cv_select_basis(samples, 1, "sur", bench.families,
                                grid) == (1.0, 2)
+
+
+# (p, k) pairs at d = 8 with their index-set sizes: (0.8, 2) and (0.9, 2)
+# build one set of 16, (0.8, 3) and (0.9, 3) one set of 52
+_RACE_POOL = ((1.0, 1), (1.0, 2), (0.8, 2), (0.9, 2), (0.8, 3), (0.9, 3),
+              (0.5, 3), (1.0, 3))
+# a dyadic roundoff: constant rows of dyadic losses have exact means, so
+# offsets of 0, 1/2, 1 and 2 roundoffs land exactly
+_RACE_TOL = 2.0 ** -10
+
+
+@st.composite
+def race_cases(draw):
+    """A fold count, a (p, k) grid and a fold-loss row per index set, with
+    exact ties, offsets around the roundoff, zeros and NaN anywhere."""
+    n_folds = draw(st.integers(2, 6))
+    grid = tuple(draw(st.lists(st.sampled_from(_RACE_POOL), min_size=1,
+                               max_size=6)))
+    base = draw(st.integers(0, 64)) * 2.0 ** -12
+    offsets = st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))
+    loss = st.one_of(st.just(0.0), st.floats(0.0, 0.1),
+                     offsets.map(lambda c: max(base + c * _RACE_TOL, 0.0)))
+    rows = {}
+    for p, k in grid:
+        indices = build_index_set(8, p, k).indices
+        if indices in rows:
+            continue
+        if draw(st.booleans()):
+            row = [max(base + draw(offsets) * _RACE_TOL, 0.0)] * n_folds
+        else:
+            row = draw(st.lists(loss, min_size=n_folds, max_size=n_folds))
+        if draw(st.integers(0, 3)) == 0:
+            row[draw(st.integers(0, n_folds - 1))] = math.nan
+        rows[indices] = row
+    return n_folds, grid, rows
+
+
+def _exhaustive_pick(grid, rows, tol):
+    """The selection with every fold of every candidate scored."""
+    families = make_benchmark("u3").families
+    scores, results = {}, []
+    for p, k in grid:
+        basis = FeatureBasis(build_index_set(8, p, k), families)
+        indices = basis.index_set.indices
+        if indices not in scores:
+            scores[indices] = float(np.mean(rows[indices]))
+        results.append((scores[indices], basis.size, (p, k)))
+    best_score, _, best = min(results)
+    tied = [(size, pk) for score, size, pk in results
+            if score <= best_score + tol]
+    return min(tied)[1] if tied else best
+
+
+class TestCvSelectBasisRace:
+    """The race stops scoring a candidate once its scored folds prove it
+    cannot be picked; the pick is the exhaustive selection's."""
+
+    SAMPLES = make_samples(make_benchmark("u3"), 12, 0)
+
+    def select(self, monkeypatch, n_folds, grid, rows):
+        """``cv_select_basis`` on fold losses from ``rows``; returns the pick
+        and the (index set, fold) of every fold scored."""
+        scored = []
+
+        def score(samples, basis, blocks, folds, m, method, optimizer,
+                  limit=math.inf):
+            indices = basis.index_set.indices
+
+            def fold_loss(f):
+                scored.append((indices, f))
+                if isinstance(rows[indices][f], Exception):
+                    raise rows[indices][f]
+                return rows[indices][f]
+            return regression._raced_mean(fold_loss, len(folds), limit)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(regression, "_cv_score", score)
+            patch.setattr(regression, "_blocks_at", lambda basis, points: None)
+            patch.setattr(regression, "_loss_roundoff",
+                          lambda samples: _RACE_TOL)
+            pick = cv_select_basis(self.SAMPLES, 1, "sur",
+                                   make_benchmark("u3").families,
+                                   CvGrid(pk_candidates=grid,
+                                          pk_folds=n_folds))
+        return pick, scored
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(race_cases())
+    def test_pick_is_the_exhaustive_pick(self, monkeypatch, case):
+        n_folds, grid, rows = case
+        pick, scored = self.select(monkeypatch, n_folds, grid, rows)
+        assert pick == _exhaustive_pick(grid, rows, _RACE_TOL)
+        assert len(scored) == len(set(scored))
+        assert {indices for indices, _ in scored} == set(rows)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=10))
+    def test_bound_never_exceeds_the_mean(self, losses):
+        # F >= 8 folds take numpy's pairwise summation; with the limit at
+        # the final mean, a bound above it would stop the scoring
+        final = float(np.mean(losses))
+        scored = []
+
+        def fold_loss(f):
+            scored.append(f)
+            return losses[f]
+
+        assert regression._raced_mean(fold_loss, len(losses), final) == final
+        assert scored == list(range(len(losses)))
+
+    def test_losing_candidate_stops_early(self, monkeypatch):
+        # (1, 3) is scored first and scores 0; (1, 1)'s first fold bounds
+        # its mean by 1 / 4, so its other folds are never fit, and the
+        # error they would raise is never raised
+        rows = {build_index_set(8, 1.0, 3).indices: [0.0] * 4,
+                build_index_set(8, 1.0, 1).indices:
+                    [1.0] + [NumericError("unscored fold")] * 3}
+        pick, scored = self.select(monkeypatch, 4, ((1.0, 3), (1.0, 1)),
+                                   rows)
+        assert pick == (1.0, 3)
+        assert [(len(indices), f) for indices, f in scored] == \
+            [(164, 0), (164, 1), (164, 2), (164, 3), (8, 0)]
+
+    def test_error_in_a_scored_fold_is_raised(self, monkeypatch):
+        rows = {build_index_set(8, 1.0, 3).indices: [0.0] * 4,
+                build_index_set(8, 1.0, 1).indices:
+                    [NumericError("scored fold")] + [1.0] * 3}
+        with pytest.raises(NumericError, match="scored fold"):
+            self.select(monkeypatch, 4, ((1.0, 3), (1.0, 1)), rows)
+
+    def test_first_candidate_is_scored_to_its_end(self, monkeypatch):
+        # min keeps a NaN first score, so a NaN in the last fold of the
+        # first candidate makes it the pick, however poor its other folds
+        rows = {build_index_set(8, 1.0, 3).indices: [0.0] * 4,
+                build_index_set(8, 1.0, 1).indices: [1.0, 1.0, 1.0, math.nan]}
+        grid = ((1.0, 1), (1.0, 3))
+        pick, scored = self.select(monkeypatch, 4, grid, rows)
+        assert pick == _exhaustive_pick(grid, rows, _RACE_TOL) == (1.0, 1)
+        assert len(scored) == 8
+
+    def test_largest_first_and_nan_never_the_incumbent(self, monkeypatch):
+        # sizes 164, 44, 16 are scored in that order, then the first
+        # candidate (8); the NaN score of (1, 2) leaves the incumbent at
+        # (1, 3)'s 0, so (0.8, 2) stops after one fold
+        rows = {build_index_set(8, 1.0, 3).indices: [0.0] * 4,
+                build_index_set(8, 1.0, 2).indices: [math.nan] + [1.0] * 3,
+                build_index_set(8, 0.8, 2).indices: [1.0] * 4,
+                build_index_set(8, 1.0, 1).indices: [1.0] * 4}
+        grid = ((1.0, 1), (0.8, 2), (1.0, 2), (1.0, 3))
+        pick, scored = self.select(monkeypatch, 4, grid, rows)
+        assert pick == _exhaustive_pick(grid, rows, _RACE_TOL) == (1.0, 3)
+        assert [len(indices) for indices, _ in scored] == \
+            [164] * 4 + [44] * 4 + [16] + [8] * 4
+
+    def test_scored_fold_error_fails_the_experiment_row(self, monkeypatch):
+        # the largest basis's first fold is always fit
+        def fail(H, gram):
+            raise NumericError("eigensolve failed in a scored fold")
+
+        monkeypatch.setattr(regression, "min_generalized_eig", fail)
+        config = ExperimentConfig(
+            benchmark="u1", m=1, methods=("sur",), ntrain_list=(30,),
+            n_test=50, n_realizations=1,
+            cv=CvGrid(log10_gamma=np.linspace(-6.0, -2.0, 3),
+                      log10_ridge=np.linspace(-11.0, -5.0, 3),
+                      pk_candidates=((1.0, 1), (1.0, 2)), pk_folds=3))
+        row, = run_experiment(config).realizations
+        assert row["failed"]
+        assert row["error"] == \
+            "NumericError: eigensolve failed in a scored fold"
+
+    @pytest.mark.parametrize("candidates", [(), ((1.0, 2, 3),), (1.0,),
+                                            ((1.0, 2), (1.0,))],
+                             ids=["empty", "triple", "scalar", "single"])
+    def test_candidates_must_be_pairs(self, candidates):
+        bench = make_benchmark("u1")
+        samples = make_samples(bench, 20, 0)
+        with pytest.raises(InvalidInputError, match="candidate"):
+            cv_select_basis(samples, 1, "sur", bench.families,
+                            CvGrid(pk_candidates=candidates, pk_folds=2))
 
 
 def _bits(x):
