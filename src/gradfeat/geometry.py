@@ -10,10 +10,10 @@ matrix therefore yields the empty span, which keeps the single-feature and
 "remove the only column" cases total.  For one or two columns the SVD is
 computed in closed form, vectorized over the samples (Gram-Schmidt, then
 one rotation of a 2 x 2 triangle), because a batched LAPACK call costs
-mostly per-matrix overhead at these sizes; three or more columns go to
-``np.linalg.svd``.  For one column the residual also has a closed form,
-|b|^2 - <c, b>^2 / |c|^2 from the per-sample sums of
-``_single_feature_sums``, which the estimators use instead of the kernel.
+mostly per-matrix overhead at these sizes; three or more columns, or more
+columns than rows, go to ``np.linalg.svd``.  For one column the residual
+also has a closed form, |b|^2 - <c, b>^2 / |c|^2 from the per-sample sums
+of ``_single_feature_sums``, which the estimators use instead of the kernel.
 When some |c|^2 leaves [2^-500, 2^500] the columns are first scaled by
 powers of two, as in the SVD, so the loss does not depend on the scale
 of c and only an exactly zero column is rank-collapsed; within that range
@@ -44,18 +44,15 @@ def _span_svd(M):
     singular value ``S[i, r]`` when it exceeds ``DEFAULT_RANK_TOL`` times
     the sample's leading singular value.  The columns of U that the mask
     keeps are orthonormal; a dropped column is only guaranteed to be
-    finite, and every caller zeroes or skips it.  One or two columns take
-    the closed form of ``_closed_form_svd`` (a 1 x 2 matrix through its
-    transpose), more take ``np.linalg.svd``.
+    finite, and every caller zeroes or skips it.  One or two columns, no
+    more than rows, take the closed form of ``_closed_form_svd``; anything
+    else takes ``np.linalg.svd``.
     """
     n, d, m = M.shape
-    if not (1 <= m <= 2 and d >= 1):
-        U, S, Vt = np.linalg.svd(M, full_matrices=False)
-    elif d < m:                     # one row: the SVD of its transpose
-        Ut, S, Vtt = _closed_form_svd(M.transpose(0, 2, 1))
-        U, Vt = Vtt.transpose(0, 2, 1), Ut.transpose(0, 2, 1)
-    else:
+    if 1 <= m <= min(d, 2):
         U, S, Vt = _closed_form_svd(M)
+    else:
+        U, S, Vt = np.linalg.svd(M, full_matrices=False)
     lead = S[:, :1]
     return U, S, Vt, S > DEFAULT_RANK_TOL * np.where(lead > 0.0, lead, 1.0)
 

@@ -256,25 +256,26 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     mean validation loss wins, ties going to the smaller basis.  Scores
     within the roundoff of the loss of the best score are ties
     (``_loss_roundoff``): where every candidate recovers the function
-    exactly, the scores are roundoff and would otherwise pick by noise.  No
-    candidate, or one that is not a (p, k) pair, raises
-    ``InvalidInputError``.
+    exactly, the scores are roundoff and would otherwise pick by noise.  A
+    candidate with a NaN fold loss is never picked, in any grid position;
+    when no candidate has a finite score the selection raises
+    ``NumericError``.  No candidate, or one that is not a (p, k) pair,
+    raises ``InvalidInputError``.
 
     The scoring is an exact race: the pick is the one that scoring every
     fold gives, but a candidate stops being scored once its scored folds
     prove it cannot be picked.  Distinct index sets are scored largest basis
-    first, equal sizes in grid order; ``_cv_score`` stops one when the bound
-    on its score exceeds the smallest complete score so far plus the
-    roundoff, the tie limit's expression, so a stopped candidate is neither
-    the best nor tied with it.  The first candidate in grid order is always
-    scored to its end, since ``min`` keeps a NaN in first place: a NaN in
-    any of its folds would be the pick.  The pick then runs over every
-    candidate in grid order with +inf for a stopped one.  A fold that is not
-    fit raises nothing: an error (``NumericError`` and the like) in a scored
-    fold fails the selection, one an unscored fold would have raised does
-    not, and the order decides which failing fold raises first.  A record of
+    first, equal sizes in grid order; ``_cv_score`` stops one (score +inf)
+    at its first NaN fold loss, or when the bound on its score exceeds the
+    smallest complete score so far plus the roundoff, the tie limit's
+    expression, so a stopped candidate is neither the best nor tied with it.
+    The pick is the smallest (basis size, (p, k)) whose score is within the
+    roundoff of the smallest score.  A fold that is not fit raises nothing:
+    an error (``NumericError`` and the like) in a scored fold fails the
+    selection, one an unscored fold would have raised does not, and the
+    order decides which failing fold raises first.  A record of
     per-candidate scores must mark a stopped candidate with the folds it
-    scored and the bound that stopped it; its +inf is not a score.
+    scored and the bound or NaN that stopped it; its +inf is not a score.
 
     Each distinct candidate's basis Jacobian is evaluated once, at every
     sample, as support blocks (``basis._blocks_at``), and sliced per fold.
@@ -301,34 +302,31 @@ def cv_select_basis(samples, m, method, families, grid=None, seed=0,
     for basis in bases:
         distinct.setdefault(basis.index_set.indices, basis)
     tol = _loss_roundoff(samples)
-    first = bases[0].index_set.indices
     scores = {}
     incumbent = math.inf
     for indices, basis in sorted(distinct.items(),
                                  key=lambda item: -item[1].size):
-        limit = math.inf if indices == first else incumbent + tol
         scores[indices] = _cv_score(samples, basis,
                                     _blocks_at(basis, samples.points), folds,
-                                    m, method, optimizer, limit)
-        incumbent = min(incumbent, scores[indices])   # a NaN never enters
-    results = [(scores[basis.index_set.indices], basis.size, pk)
-               for basis, pk in zip(bases, candidates)]
-    best_score, _, best = min(results)
-    limit = best_score + tol
-    tied = [(size, pk) for score, size, pk in results if score <= limit]
-    return min(tied)[1] if tied else best     # a NaN best ties with nothing
+                                    m, method, optimizer, incumbent + tol)
+        incumbent = min(incumbent, scores[indices])
+    if incumbent == math.inf:
+        raise NumericError("no (p, k) candidate has a finite validation loss")
+    return min((basis.size, pk) for basis, pk in zip(bases, candidates)
+               if scores[basis.index_set.indices] <= incumbent + tol)[1]
 
 
 def _cv_score(samples, basis, blocks, folds, m, method, optimizer,
               limit=math.inf):
     """Mean validation Poincare loss of ``basis`` over the folds, or +inf
-    once the folds scored prove it above ``limit``; ``blocks`` are the
-    support blocks (n, d, w) of the basis Jacobian at every sample.
+    at the first NaN fold loss or once the folds scored prove the mean
+    above ``limit``; ``blocks`` are the support blocks (n, d, w) of the
+    basis Jacobian at every sample.
 
     The folds are scored in order.  Before fold f is fit, the score is
     bounded by the mean of the f losses scored with the other folds at 0
-    (``_raced_mean``); a bound above ``limit`` stops the scoring, so the
-    folds after it are never fit and raise nothing.
+    (``_raced_mean``); a bound above ``limit``, or a NaN loss, stops the
+    scoring, so the folds after it are never fit and raise nothing.
 
     R and the surrogate's h are sample means, so a fold's training
     matrices come from sums over the folds' rows.  Each fold's validation
@@ -363,18 +361,20 @@ def _cv_score(samples, basis, blocks, folds, m, method, optimizer,
 
 def _raced_mean(fold_loss, n_folds, limit):
     """``float(np.mean)`` of ``fold_loss(f)`` for f = 0, ..., n_folds - 1,
-    called in order, or +inf without calling the rest once the losses
-    scored prove the mean above ``limit``.
+    called in order, or +inf without calling the rest at the first NaN
+    loss or once the losses scored prove the mean above ``limit``.
 
     Before fold f the bound is the mean of the f losses scored and
     n_folds - f zeros: the final mean's own reduction, numpy's summation
     order included, with the unscored folds at 0.  Losses are >= 0 and
     every rounded addition and the division are monotone, so the bound
-    never exceeds the final mean.  A NaN bound or limit stops nothing.
+    never exceeds the final mean.  No NaN reaches a bound or the result.
     """
     losses = []
     for f in range(n_folds):
         if float(np.mean(losses + [0.0] * (n_folds - f))) > limit:
             return math.inf
         losses.append(fold_loss(f))
+        if math.isnan(losses[-1]):
+            return math.inf
     return float(np.mean(losses))

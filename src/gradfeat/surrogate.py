@@ -31,14 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import _blocks_at, assemble_gram, basis_from_spec
+from .basis import _POTRF, _TRTRS, _blocks_at, assemble_gram, basis_from_spec
 from .errors import InvalidInputError, NumericError, RankDeficiencyError
 from .geometry import _complement_residual_sq, _deflate, _orthobasis_batch
 
 # resolved once: one fold's eigensolve is a few milliseconds, and the
-# surrogate's matrices are always float64
-_potrf, _sygst, _syevr, _trtrs = scipy.linalg.get_lapack_funcs(
-    ("potrf", "sygst", "syevr", "trtrs"), dtype=np.float64)
+# surrogate's matrices are always float64; ``basis`` resolves the Cholesky
+# factorization and the triangular solve
+_sygst, _syevr = scipy.linalg.get_lapack_funcs(("sygst", "syevr"),
+                                               dtype=np.float64)
 _ABSTOL = 2.0 * scipy.linalg.lapack.dlamch("S")
 # samples per slice of a surrogate sum (``surrogate_sums``)
 _SUM_ROWS = 256
@@ -197,7 +198,7 @@ class SurrogateMatrices:
             1e-8 * max(np.max(np.diag(self.h)), 1e-300)
         # h is exactly symmetric, so the transpose, which LAPACK takes in
         # place, holds the same matrix
-        if _potrf(scratch.T, lower=1, overwrite_a=1, clean=0)[1] == 0:
+        if _POTRF(scratch.T, lower=1, overwrite_a=1, clean=0)[1] == 0:
             return
         evals = np.linalg.eigvalsh(self.h)
         top = max(abs(evals[0]), abs(evals[-1]), 1e-300)
@@ -407,7 +408,7 @@ def min_generalized_eig(H, gram):
     w, y, _, _, info = _syevr(A, compute_v=1, range="I", lower=1, il=1, iu=1,
                               abstol=_ABSTOL, overwrite_a=1)
     _check_info("syevr", info)
-    vec, info = _trtrs(gram.chol, y[:, 0], lower=1, trans=1)
+    vec, info = _TRTRS(gram.chol, y[:, 0], lower=1, trans=1)
     _check_info("trtrs", info)
     vec = vec / np.sqrt(vec @ (gram.matrix @ vec))
     return float(w[0]), _fix_sign(vec)

@@ -743,19 +743,22 @@ def race_cases(draw):
 
 
 def _exhaustive_pick(grid, rows, tol):
-    """The selection with every fold of every candidate scored."""
+    """The selection with every fold of every candidate scored; a NaN score
+    is +inf, and no finite score raises ``NumericError``."""
     families = make_benchmark("u3").families
     scores, results = {}, []
     for p, k in grid:
         basis = FeatureBasis(build_index_set(8, p, k), families)
         indices = basis.index_set.indices
         if indices not in scores:
-            scores[indices] = float(np.mean(rows[indices]))
+            score = float(np.mean(rows[indices]))
+            scores[indices] = math.inf if math.isnan(score) else score
         results.append((scores[indices], basis.size, (p, k)))
-    best_score, _, best = min(results)
-    tied = [(size, pk) for score, size, pk in results
-            if score <= best_score + tol]
-    return min(tied)[1] if tied else best
+    best = min(scores.values())
+    if best == math.inf:
+        raise NumericError("no finite score")
+    return min((size, pk) for score, size, pk in results
+               if score <= best + tol)[1]
 
 
 class TestCvSelectBasisRace:
@@ -763,11 +766,18 @@ class TestCvSelectBasisRace:
     cannot be picked; the pick is the exhaustive selection's."""
 
     SAMPLES = make_samples(make_benchmark("u3"), 12, 0)
+    EXPERIMENT = ExperimentConfig(
+        benchmark="u1", m=1, methods=("sur",), ntrain_list=(30,),
+        n_test=50, n_realizations=1,
+        cv=CvGrid(log10_gamma=np.linspace(-6.0, -2.0, 3),
+                  log10_ridge=np.linspace(-11.0, -5.0, 3),
+                  pk_candidates=((1.0, 1), (1.0, 2)), pk_folds=3))
 
-    def select(self, monkeypatch, n_folds, grid, rows):
+    def select(self, monkeypatch, n_folds, grid, rows, scored=None):
         """``cv_select_basis`` on fold losses from ``rows``; returns the pick
-        and the (index set, fold) of every fold scored."""
-        scored = []
+        and the (index set, fold) of every fold scored, which are also
+        appended to ``scored`` when given."""
+        scored = [] if scored is None else scored
 
         def score(samples, basis, blocks, folds, m, method, optimizer,
                   limit=math.inf):
@@ -797,10 +807,22 @@ class TestCvSelectBasisRace:
     @given(race_cases())
     def test_pick_is_the_exhaustive_pick(self, monkeypatch, case):
         n_folds, grid, rows = case
-        pick, scored = self.select(monkeypatch, n_folds, grid, rows)
-        assert pick == _exhaustive_pick(grid, rows, _RACE_TOL)
+        scored = []
+        try:
+            expected = _exhaustive_pick(grid, rows, _RACE_TOL)
+        except NumericError:
+            with pytest.raises(NumericError, match="finite validation loss"):
+                self.select(monkeypatch, n_folds, grid, rows, scored)
+        else:
+            pick, _ = self.select(monkeypatch, n_folds, grid, rows, scored)
+            assert pick == expected
         assert len(scored) == len(set(scored))
         assert {indices for indices, _ in scored} == set(rows)
+        # each candidate's folds are scored in order, and none after a NaN
+        for indices, row in rows.items():
+            folds = [f for i, f in scored if i == indices]
+            assert folds == list(range(len(folds)))
+            assert not any(math.isnan(loss) for loss in row[:len(folds) - 1])
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -838,20 +860,40 @@ class TestCvSelectBasisRace:
         with pytest.raises(NumericError, match="scored fold"):
             self.select(monkeypatch, 4, ((1.0, 3), (1.0, 1)), rows)
 
-    def test_first_candidate_is_scored_to_its_end(self, monkeypatch):
-        # min keeps a NaN first score, so a NaN in the last fold of the
-        # first candidate makes it the pick, however poor its other folds
-        rows = {build_index_set(8, 1.0, 3).indices: [0.0] * 4,
-                build_index_set(8, 1.0, 1).indices: [1.0, 1.0, 1.0, math.nan]}
+    @pytest.mark.parametrize("grid, rows, pick, scored_sizes", [
+        # first in the grid: (1, 1) would tie (1, 3) at 0 but for its NaN
+        (((1.0, 1), (1.0, 3)),
+         {(1.0, 3): [0.0] * 4, (1.0, 1): [math.nan, 0.0, 0.0, 0.0]},
+         (1.0, 3), [164] * 4 + [8]),
+        # first scored: (1, 3) has no limit yet, and its NaN leaves none
+        (((1.0, 3), (1.0, 1)),
+         {(1.0, 3): [0.0, math.nan, 0.0, 0.0], (1.0, 1): [1.0] * 4},
+         (1.0, 1), [164] * 2 + [8] * 4),
+    ], ids=["first-in-grid", "first-scored"])
+    def test_nan_fold_stops_its_candidate_never_picked(
+            self, monkeypatch, grid, rows, pick, scored_sizes):
+        rows = {build_index_set(8, p, k).indices: row
+                for (p, k), row in rows.items()}
+        got, scored = self.select(monkeypatch, 4, grid, rows)
+        assert got == _exhaustive_pick(grid, rows, _RACE_TOL) == pick
+        assert [len(indices) for indices, _ in scored] == scored_sizes
+
+    def test_no_finite_score_raises(self, monkeypatch):
+        rows = {build_index_set(8, 1.0, 3).indices: [math.nan] + [0.0] * 3,
+                build_index_set(8, 1.0, 1).indices: [1.0, 1.0, math.nan, 1.0]}
         grid = ((1.0, 1), (1.0, 3))
-        pick, scored = self.select(monkeypatch, 4, grid, rows)
-        assert pick == _exhaustive_pick(grid, rows, _RACE_TOL) == (1.0, 1)
-        assert len(scored) == 8
+        with pytest.raises(NumericError, match="no finite score"):
+            _exhaustive_pick(grid, rows, _RACE_TOL)
+        scored = []
+        with pytest.raises(NumericError, match="finite validation loss"):
+            self.select(monkeypatch, 4, grid, rows, scored)
+        assert [(len(indices), f) for indices, f in scored] == \
+            [(164, 0), (8, 0), (8, 1), (8, 2)]
 
     def test_largest_first_and_nan_never_the_incumbent(self, monkeypatch):
-        # sizes 164, 44, 16 are scored in that order, then the first
-        # candidate (8); the NaN score of (1, 2) leaves the incumbent at
-        # (1, 3)'s 0, so (0.8, 2) stops after one fold
+        # sizes 164, 44, 16 and 8 are scored in that order; (1, 2) stops at
+        # its NaN first fold and leaves the incumbent at (1, 3)'s 0, so
+        # (0.8, 2) and the first candidate (1, 1) stop after one fold
         rows = {build_index_set(8, 1.0, 3).indices: [0.0] * 4,
                 build_index_set(8, 1.0, 2).indices: [math.nan] + [1.0] * 3,
                 build_index_set(8, 0.8, 2).indices: [1.0] * 4,
@@ -860,7 +902,7 @@ class TestCvSelectBasisRace:
         pick, scored = self.select(monkeypatch, 4, grid, rows)
         assert pick == _exhaustive_pick(grid, rows, _RACE_TOL) == (1.0, 3)
         assert [len(indices) for indices, _ in scored] == \
-            [164] * 4 + [44] * 4 + [16] + [8] * 4
+            [164] * 4 + [44] + [16] + [8]
 
     def test_scored_fold_error_fails_the_experiment_row(self, monkeypatch):
         # the largest basis's first fold is always fit
@@ -868,16 +910,41 @@ class TestCvSelectBasisRace:
             raise NumericError("eigensolve failed in a scored fold")
 
         monkeypatch.setattr(regression, "min_generalized_eig", fail)
-        config = ExperimentConfig(
-            benchmark="u1", m=1, methods=("sur",), ntrain_list=(30,),
-            n_test=50, n_realizations=1,
-            cv=CvGrid(log10_gamma=np.linspace(-6.0, -2.0, 3),
-                      log10_ridge=np.linspace(-11.0, -5.0, 3),
-                      pk_candidates=((1.0, 1), (1.0, 2)), pk_folds=3))
-        row, = run_experiment(config).realizations
+        row, = run_experiment(self.EXPERIMENT).realizations
         assert row["failed"]
         assert row["error"] == \
             "NumericError: eigensolve failed in a scored fold"
+
+    # u1 is a function of |x|^2: the quadratic basis (1, 2), K = 44, scored
+    # first, recovers it, and the linear (1, 1) stops after one fold
+    @pytest.mark.parametrize("nan_size, pick, scored_sizes", [
+        (None, (1.0, 2.0), [44, 44, 44, 8]),
+        (8, (1.0, 2.0), [44, 44, 44, 8]),
+        (44, (1.0, 1.0), [44, 8, 8, 8]),
+    ], ids=["none", "linear", "quadratic"])
+    def test_nan_fold_in_the_experiment_row(self, monkeypatch, nan_size,
+                                            pick, scored_sizes):
+        # a NaN in the first validation fold of the basis of size nan_size
+        def loss(samples, fmap, **kw):
+            scored.append(fmap.basis.size)
+            if scored.count(nan_size) == 1 and scored[-1] == nan_size:
+                return math.nan
+            return poincare_loss(samples, fmap, **kw)
+
+        scored = []
+        monkeypatch.setattr(regression, "poincare_loss", loss)
+        row, = run_experiment(self.EXPERIMENT).realizations
+        assert not row["failed"]
+        assert (row["p"], row["k"]) == pick
+        assert scored == scored_sizes
+
+    def test_every_candidate_nan_fails_the_experiment_row(self, monkeypatch):
+        monkeypatch.setattr(regression, "poincare_loss",
+                            lambda samples, fmap, **kw: math.nan)
+        row, = run_experiment(self.EXPERIMENT).realizations
+        assert row["failed"]
+        assert row["error"] == \
+            "NumericError: no (p, k) candidate has a finite validation loss"
 
     @pytest.mark.parametrize("candidates", [(), ((1.0, 2, 3),), (1.0,),
                                             ((1.0, 2), (1.0,))],
